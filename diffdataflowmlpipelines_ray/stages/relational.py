@@ -1022,7 +1022,7 @@ def ordered_prefix_min(ds, order_col: str, value_col: str,
     if not meta_parts:  # empty input: no blocks at all (tiny_sweep)
         meta_parts = [pa.table({"first": pa.array([], pa.int64()),
                                 "last": pa.array([], pa.int64()),
-                                "total": pa.array([], pa.int64()),
+                                "mn": pa.array([], pa.int64()),
                                 "dups": pa.array([], pa.bool_())})]
     mt = (pa.concat_tables(meta_parts).to_pandas()
           .sort_values("first").reset_index(drop=True))

@@ -13,6 +13,20 @@ store under key ``(encoder_index,)`` (the reference's arranged fit-state
 collections, SURVEY §1.1), applied idempotently per epoch; snapshots ride the
 normal checkpoint mechanism, so kill/resume replays uncommitted epochs only.
 
+Epoch execution: one code path, two module-level block kernels —
+``block_partials`` (encoder fit partials plus the fused ``epoch_aggs``) and
+``encode_block`` (``pre_transform``, transform, column selection).  A
+``pa.Table`` epoch is a single block run inline on the driver.  A
+``ray.data.Dataset`` epoch executes its upstream exactly once and runs each
+kernel as one Ray task per block: the kernel closure goes to the object
+store once per epoch and every block task reads it.  Partials tasks also
+archive their input block (``archive_input``); encode tasks write their
+output part straight into the sink's epoch directory (``write_epoch_part``).
+The driver merges the partials in block order — the Dataset's own order,
+fixed for a materialized Dataset, so its fitted state is bit-reproducible —
+and commits the workers' parts with ``commit_files``.  An epoch thus costs
+a few tasks per block, not a Ray Data execution per pass.
+
 On re-emission: when an epoch changes fitted state, DD retracts and re-emits
 *all* prior output rows (damped by the rounding knobs,
 standard_scaler.rs:116-120).  Continuous full re-emission is the reference's
@@ -24,15 +38,17 @@ equal to what DD's accumulated deltas converge to (tested).
 
 from __future__ import annotations
 
+import functools
 import pickle
 from pathlib import Path
 from typing import Sequence
 
 import pyarrow as pa
+import ray
 
 from ..stages.encoders import Encoder
 from ..stages.multi_column import MultiColumnEncoder
-from .sink import CheckpointManager, ExactlyOnceParquetSink
+from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
 from .state_store import ShardedStateStore
 
 __all__ = ["IncrementalEncoderSession"]
@@ -40,6 +56,91 @@ __all__ = ["IncrementalEncoderSession"]
 
 def _kb(i: int) -> bytes:
     return pickle.dumps((i,), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+# ------------------------------------------------------------- block kernels
+def block_partials(tbl: pa.Table, stateful: list, weight_col: str | None,
+                   epoch_aggs: list, pre=None) -> dict[bytes, object]:
+    """Fit partials of one block: every stateful encoder's ``make_partial``
+    (key ``(encoder_index,)``) plus one ``SumCountAgg`` per fused
+    ``epoch_aggs`` group.  ``pre`` is applied first when an encoder fits on
+    a derived column (``pre_transform_in_fit``)."""
+    if pre is not None:
+        tbl = pre(tbl)
+    out = {
+        _kb(i): enc.make_partial(tbl, col, weight_col)
+        for i, col, enc in stateful
+    }
+    if epoch_aggs:
+        import numpy as np
+
+        from ..state.aggregates import SumCountAgg
+
+        for spec in epoch_aggs:
+            keys = list(spec["key_cols"])
+            pdf = tbl.select(keys + [spec["value_col"]]).to_pandas()
+            vals = pdf[spec["value_col"]].to_numpy(dtype=np.float64)
+            track = bool({"min", "max"} & set(spec.get("aggs", ())))
+            pdf["__pos"] = np.arange(len(pdf))
+            for key, grp in pdf.groupby(keys, sort=True):
+                key_t = key if isinstance(key, tuple) else (key,)
+                acc = SumCountAgg.from_numpy(
+                    vals[grp["__pos"].to_numpy()], track_extremes=track
+                )
+                out[pickle.dumps(("__epoch_agg", spec["name"], key_t),
+                                 protocol=pickle.HIGHEST_PROTOCOL)] = acc
+    return out
+
+
+def encode_block(tbl: pa.Table, mce: MultiColumnEncoder, out_col: str,
+                 weight_col: str | None, keep_input: bool, pre,
+                 extra: frozenset) -> pa.Table:
+    """Encode one block's insertions under the fitted state: drop
+    retraction rows, apply ``pre``, transform, and keep the id, feature and
+    ``extra`` columns unless ``keep_input``."""
+    if weight_col and weight_col in tbl.column_names:
+        import pyarrow.compute as pc
+
+        tbl = tbl.filter(pc.greater(tbl[weight_col], 0))
+    if pre is not None:
+        tbl = pre(tbl)
+    out = mce.transform_table(tbl, out_col)
+    if not keep_input:
+        ids = {c for c in ("row_id", "doc_id") if c in out.column_names}
+        out = out.select([c for c in out.column_names
+                          if c == out_col or c in ids or c in extra])
+    return out
+
+
+def _partials_and_archive(tbl: pa.Table, tag: str, fit, write):
+    """Dataset-epoch partials task: archive the raw block as an input part
+    (``write``, when archiving) and compute its fit partials (``fit``)."""
+    entry = write(tbl, tag) if write is not None else None
+    return (fit(tbl) if fit is not None else None), entry
+
+
+def _encode_and_write(tbl: pa.Table, tag: str, encode, write) -> dict:
+    """Dataset-epoch encode task: encode the block and write it as an output
+    part; returns the part's manifest entry."""
+    return write(encode(tbl), tag)
+
+
+@ray.remote
+def _run_block(kernel, block, tag: str):
+    if not isinstance(block, pa.Table):  # e.g. a pandas-format UDF's block
+        from ray.data.block import BlockAccessor
+
+        block = BlockAccessor.for_block(block).to_arrow()
+    return kernel(block, tag)
+
+
+def _run_blocks(kernel, blocks: list) -> list:
+    """Run ``kernel(block, tag)`` as one task per block, results in block
+    order.  The kernel closure is put in the object store once and every
+    task reads that one copy."""
+    ref = ray.put(kernel)
+    return ray.get([_run_block.remote(ref, b, f"{i:05d}")
+                    for i, b in enumerate(blocks)])
 
 
 class IncrementalEncoderSession:
@@ -176,53 +277,53 @@ class IncrementalEncoderSession:
         the epoch commits, so each output partition records the input slice
         it came from.
 
-        Small ``pa.Table`` epochs run driver-side; ``ray.data.Dataset``
-        epochs are first committed to the input archive (single upstream
-        execution), then re-read distributed for the partial and transform
-        stages — the archive doubles as the epoch's durable replay source.
+        The epoch runs as two block kernels: ``block_partials`` (encoder
+        fits plus the fused ``epoch_aggs``) and ``encode_block``
+        (``pre_transform``, ``transform_table``, column selection).  A
+        ``pa.Table`` epoch runs both inline and commits with
+        ``commit_tables``.  A ``ray.data.Dataset`` epoch's upstream executes
+        once, for its block refs, and each kernel runs as one Ray task per
+        block: the partials tasks also write their block as an
+        input-archive part (``archive_input``), the encode tasks write
+        their block's output part, and the driver merges the partials in
+        block order and commits the parts with ``commit_files``.  Replaying a committed epoch
+        re-applies its (idempotent) state delta but writes no data.
         Returns the encoded table (table path) or the sink manifest (Dataset
         path; use ``read_epoch_output``).
         """
         self._lineage = lineage
         small = isinstance(data, pa.Table)
-        # 0) archive the raw epoch (atomic; upstream executes exactly once).
-        # Skipped when the source itself is durable (archive_input=False) —
-        # then the input must be a materialized Dataset / table so the two
-        # passes below don't re-execute upstream.
-        if not self.archive_input:
-            epoch_data = data
-        elif small:
-            self.input_archive.commit_tables(epoch, [data], meta=self._meta(kind="input"))
-            epoch_data = data
-        else:
-            self.input_archive.commit_dataset(epoch, data, meta=self._meta(kind="input"))
-            import ray.data as rd
-
-            epoch_data = rd.read_parquet(self.input_archive.committed_files([epoch]))
-
-        # 1) partial stage → tiny per-block accumulator dicts → driver merge
+        # the epoch's block refs, from one execution of the upstream
+        # (``to_arrow_refs`` would re-run a lazy plan's head for the schema)
+        blocks = None if small else [
+            r for b in data.iter_internal_ref_bundles() for r in b.block_refs]
+        fit = None
         if self._stateful or self.epoch_aggs:
-            if small:
-                parts = [self._block_partials(epoch_data)]
-            else:
-                def per_block(tbl: pa.Table) -> pa.Table:
-                    blob = pickle.dumps(self._block_partials(tbl),
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    return pa.table({"blob": pa.array([blob], type=pa.binary())})
+            fit = functools.partial(
+                block_partials, stateful=self._stateful,
+                weight_col=self.weight_col, epoch_aggs=self.epoch_aggs,
+                pre=self.pre_transform if self.pre_transform_in_fit else None)
 
-                parts = [
-                    pickle.loads(r["blob"])
-                    for r in epoch_data.map_batches(
-                        per_block, batch_format="pyarrow"
-                    ).take_all()
-                ]
+        # 1) partials (+ the raw-epoch archive) → driver merge in block order
+        archive = self.archive_input and not self.input_archive.is_committed(epoch)
+        if small:
+            if archive:
+                self.input_archive.commit_tables(epoch, [data],
+                                                 meta=self._meta(kind="input"))
+            parts = [fit(data)] if fit is not None else []
+        elif fit is not None or archive:
+            write = (functools.partial(write_epoch_part, self.input_archive.root,
+                                       epoch, fsync=self.input_archive.part_fsync)
+                     if archive else None)
+            res = _run_blocks(functools.partial(_partials_and_archive,
+                                                fit=fit, write=write), blocks)
+            parts = [p for p, _ in res]
+            if archive:
+                self.input_archive.commit_files(epoch, [e for _, e in res],
+                                                meta=self._meta(kind="input"))
+        if fit is not None:
             merged: dict[bytes, object] = {}
-            for part in sorted(
-                parts,
-                key=lambda d: sorted(
-                    (k, pickle.dumps(v, protocol=4)) for k, v in d.items()
-                ),
-            ):
+            for part in parts:
                 for k, acc in part.items():
                     if k in merged:
                         merged[k].merge(acc)
@@ -282,50 +383,38 @@ class IncrementalEncoderSession:
         else:
             self._refresh_encoder_state()
         if self.inspect_meta is not None:
-            import pickle as _p
-
             for i, col, enc in self._stateful:
                 st = enc.state()
-                key = _p.dumps(sorted(st.items(), key=lambda kv: kv[0]), protocol=4)
+                key = pickle.dumps(sorted(st.items(), key=lambda kv: kv[0]), protocol=4)
                 if self._last_meta.get(i) != key:
                     self._last_meta[i] = key
                     self.inspect_meta(epoch, i, col, st)
 
-        # 3) transform this epoch's insertions (diff > 0 when deltas present)
-        mce, out_col, weight_col, keep_input = (
-            self.mce, self.out_col, self.weight_col, self.keep_input
-        )
-        pre = self.pre_transform
-        extra = set(self.output_cols)
-
-        def encode(tbl: pa.Table) -> pa.Table:
-            if weight_col and weight_col in tbl.column_names:
-                import pyarrow.compute as pc
-
-                tbl = tbl.filter(pc.greater(tbl[weight_col], 0))
-            if pre is not None:
-                tbl = pre(tbl)
-            out = mce.transform_table(tbl, out_col)
-            if not keep_input:
-                ids = {c for c in ("row_id", "doc_id") if c in out.column_names}
-                out = out.select([c for c in out.column_names
-                                  if c == out_col or c in ids or c in extra])
-            return out
-
+        # 2) transform this epoch's insertions (diff > 0 when deltas present)
+        encode = functools.partial(
+            encode_block, mce=self.mce, out_col=self.out_col,
+            weight_col=self.weight_col, keep_input=self.keep_input,
+            pre=self.pre_transform, extra=frozenset(self.output_cols))
+        meta = self._meta(state_epoch=epoch, kind="encoded")
         if small:
-            out_tbl = encode(epoch_data)
-            result = self.sink.commit_tables(
-                epoch, [out_tbl], meta=self._meta(state_epoch=epoch, kind="encoded")
-            )
+            out_tbl = encode(data)
+            result = self.sink.commit_tables(epoch, [out_tbl], meta=meta)
+        elif self.sink.is_committed(epoch):
+            result = self.sink.manifest(epoch)
         else:
-            out_ds = epoch_data.map_batches(encode, batch_format="pyarrow")
-            result = self.sink.commit_dataset(
-                epoch, out_ds, meta=self._meta(state_epoch=epoch, kind="encoded")
-            )
+            write = functools.partial(write_epoch_part, self.sink.root, epoch,
+                                      fsync=self.sink.part_fsync)
+            entries = _run_blocks(functools.partial(_encode_and_write,
+                                                    encode=encode, write=write),
+                                  blocks)
+            result = self.sink.commit_files(epoch, entries, meta=meta)
         if self.emit_corrections:
             self._maybe_emit_corrections(epoch, encode)
         self.last_epoch = epoch
         if self.checkpoint_every and epoch % self.checkpoint_every == 0:
+            # a checkpoint must never outrun the sinks' durable watermark:
+            # resume skips every epoch it covers
+            self.sync()
             self.chk.save(epoch, self.store.dump_all(), extra={})
             self.chk.prune(keep_last=2)
         return out_tbl if small else result
@@ -390,9 +479,6 @@ class IncrementalEncoderSession:
     def read_epoch_output(self, epoch: int) -> pa.Table:
         return self.sink.read_committed_table([epoch])
 
-    def _id_cols(self, tbl: pa.Table) -> set:
-        return {c for c in ("row_id", "doc_id") if c in tbl.column_names}
-
     def _commit_epoch_aggs(self, epoch: int, win_items: dict[str, list]) -> None:
         for spec in self.epoch_aggs:
             recs = []
@@ -418,43 +504,12 @@ class IncrementalEncoderSession:
                 epoch, [tbl], meta=self._meta(kind="epoch_agg")
             )
 
-    def _block_partials(self, tbl: pa.Table) -> dict[bytes, object]:
-        if self.pre_transform_in_fit and self.pre_transform is not None:
-            tbl = self.pre_transform(tbl)
-        out = {
-            _kb(i): enc.make_partial(tbl, col, self.weight_col)
-            for i, col, enc in self._stateful
-        }
-        if self.epoch_aggs:
-            import numpy as np
-
-            from ..state.aggregates import SumCountAgg
-
-            for spec in self.epoch_aggs:
-                keys = list(spec["key_cols"])
-                pdf = tbl.select(keys + [spec["value_col"]]).to_pandas()
-                vals = pdf[spec["value_col"]].to_numpy(dtype=np.float64)
-                track = bool({"min", "max"} & set(spec.get("aggs", ())))
-                pdf["__pos"] = np.arange(len(pdf))
-                for key, grp in pdf.groupby(keys, sort=True):
-                    key_t = key if isinstance(key, tuple) else (key,)
-                    acc = SumCountAgg.from_numpy(
-                        vals[grp["__pos"].to_numpy()], track_extremes=track
-                    )
-                    out[pickle.dumps(("__epoch_agg", spec["name"], key_t),
-                                     protocol=pickle.HIGHEST_PROTOCOL)] = acc
-        return out
-
     def _refresh_encoder_state(self) -> None:
         items = dict(self.store.collect("encoders"))
         for i, col, enc in self._stateful:
             acc = items.get(_kb(i))
             if acc is not None:
                 enc.load_accumulator(acc)
-
-    @staticmethod
-    def _concat(ds) -> pa.Table:
-        return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
 
     # ------------------------------------------------------------------ refresh
     def refresh(self) -> pa.Table:

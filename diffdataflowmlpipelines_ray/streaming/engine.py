@@ -1918,12 +1918,12 @@ class StreamSession:
         # already-committed epoch nothing is rewritten (strays without a
         # manifest entry are invisible anyway)
         late_root: str | None = None
-        late_skip = False
+        late_skip = do_fsync = False
         if getattr(op, "late_output", False):
             lsink = self.sinks[f"{name}__late"]
             late_root = str(lsink.root)
             late_skip = lsink.is_committed(epoch)
-        do_fsync = self.fsync
+            do_fsync = lsink.part_fsync
 
         def per_block(tbl: pa.Table) -> pa.Table:
             import uuid
@@ -2033,7 +2033,7 @@ class StreamSession:
         num_shards = self.store.num_shards
         shards = self.store.shards
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         ts_col = getattr(op, "ts_col", None)
         finalized_before = self.watermark
 
@@ -2269,7 +2269,7 @@ class StreamSession:
         num_shards = self.store.num_shards
         shards = self.store.shards
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         lk, rk = list(op.left_key), list(op.right_key)
         out_names = list(dict.fromkeys(lk + list(op.left_cols)
                                        + list(op.right_cols)))
@@ -2370,7 +2370,7 @@ class StreamSession:
         num_shards = self.store.num_shards
         shards = self.store.shards
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         keys = list(op.left_key)
         out_names = op.out_names()
         right_cols = list(op.right_cols)
@@ -2506,7 +2506,7 @@ class StreamSession:
         num_shards = self.store.num_shards
         shards = self.store.shards
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         # shared arrangement: probe the owning op's register table
         probe_name = op.share_from or name
         sk = list(op.key)
@@ -2617,7 +2617,7 @@ class StreamSession:
         num_shards = self.store.num_shards
         shards = self.store.shards
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         probe_name = op.share_from or name
         sk = list(op.key)
         carry = list(dict.fromkeys(
@@ -2702,7 +2702,7 @@ class StreamSession:
         rules = op.rules_snapshot(self.store.collect(name))
         rules_ref = ray.put(rules)
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         apply_fn = op.apply
         stream_ts = op.stream_ts
 
@@ -2757,7 +2757,7 @@ class StreamSession:
         num_shards = self.store.num_shards
         shards = self.store.shards
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         sk = list(op.key)
         stream_ts = op.stream_ts
         carry = list(dict.fromkeys(sk + list(op.stream_cols) + [stream_ts]))
@@ -2905,7 +2905,7 @@ class StreamSession:
         num_shards = self.store.num_shards
         shards = self.store.shards
         sink_root = str(self.sinks[name].root)
-        do_fsync = self.sinks[name].fsync
+        do_fsync = self.sinks[name].part_fsync
         cols = list(dict.fromkeys(
             list(op.key) + [op.ts_col] + list(op.order_cols)
             + list(op.carry)))
@@ -3778,6 +3778,9 @@ class StreamSession:
         self.idle_sources.add(source)
 
     def checkpoint(self, epoch: int) -> None:
+        # a checkpoint must never outrun the sinks' durable watermark:
+        # resume skips every epoch it covers
+        self.sync()
         self.chk.save(
             epoch,
             self.store.dump_all(),
@@ -3803,7 +3806,6 @@ class StreamSession:
         and stay readable afterwards."""
         e = self.last_epoch + 1 if epoch is None else epoch
         out = self.advance_watermark(e, math.inf)
-        self.checkpoint(e)
-        self.sync()
+        self.checkpoint(e)  # takes the final group-commit barrier first
         self.store.shutdown()
         return out

@@ -150,6 +150,14 @@ class ExactlyOnceParquetSink:
     def _deferred(self) -> bool:
         return self.fsync and self.sync_every > 1
 
+    @property
+    def part_fsync(self) -> bool:
+        """The ``fsync`` flag for ``write_epoch_part`` calls feeding this
+        sink: workers fsync their own parts only when commits are not
+        deferred — under group commit ``commit_files`` hands the parts to
+        the next barrier instead."""
+        return self.fsync and not self._deferred()
+
     def _watermark_path(self) -> Path:
         return self.root / "_manifests" / "_durable.json"
 
@@ -248,6 +256,9 @@ class ExactlyOnceParquetSink:
                 shutil.rmtree(self._epoch_dir(e), ignore_errors=True)
                 dropped.append(e)
         if dropped or verified_last is not None:
+            # epoch dirs were verified or removed above: persist data/'s
+            # entries before any watermark can claim them
+            _fsync_dir(self.root / "data")
             _fsync_dir(self.root / "_manifests")
         if verified_last is not None:
             self._max_epoch = verified_last
@@ -388,9 +399,19 @@ class ExactlyOnceParquetSink:
         """Commit worker-written partition files (see ``write_epoch_part``).
 
         Idempotent like ``commit_tables``; ``entries`` are the workers'
-        returned manifest entries (root-relative paths)."""
+        returned manifest entries (root-relative paths).  Durability
+        matches ``commit_dataset``: the workers fsynced their parts and the
+        epoch dir (``fsync=part_fsync``), so a non-deferred commit fsyncs
+        ``data/``, where the epoch dir appeared; under group commit the
+        parts, the epoch dir and ``data/`` wait for the barrier."""
         if self.is_committed(epoch):
             return self.manifest(epoch)
+        if self.fsync and entries:
+            if self._deferred():
+                self._note_deferred([self.root / e["path"] for e in entries],
+                                    [self._epoch_dir(epoch), self.root / "data"])
+            else:
+                _fsync_dir(self.root / "data")
         return self._commit_manifest(epoch, sorted(entries,
                                                    key=lambda e: e["path"]),
                                      meta)

@@ -36,7 +36,8 @@ import numpy as np
 
 import ray
 
-__all__ = ["StateShard", "ShardedStateStore", "shard_of", "rescale_blobs"]
+__all__ = ["StateShard", "ShardedStateStore", "shard_of", "rescale_blobs",
+           "check_cpu_headroom"]
 
 
 def shard_of(key_bytes: bytes, num_shards: int) -> int:
@@ -1635,12 +1636,30 @@ class StateShard:
         }
 
 
+def check_cpu_headroom(total_cpus: float, num_shards: int,
+                       num_cpus_per_shard: float) -> None:
+    """Refuse a shard pool whose CPU reservation leaves Ray less than one
+    whole CPU: every per-block task (Dataset epochs, Ray Data stages) needs
+    one, and would otherwise wait forever behind the actors."""
+    left = total_cpus - num_shards * num_cpus_per_shard
+    if left < 1:
+        raise ValueError(
+            f"{num_shards} state shards at num_cpus_per_shard="
+            f"{num_cpus_per_shard} reserve {num_shards * num_cpus_per_shard:g}"
+            f" of Ray's {total_cpus:g} CPUs, leaving {left:g}: per-block "
+            "tasks need one whole CPU and would never be scheduled.  Start "
+            "Ray with more CPUs, or lower num_shards or num_cpus_per_shard.")
+
+
 class ShardedStateStore:
     """Driver-side handle on the actor pool; scatters per-shard payloads and
     gathers results.  All remote calls for one step are issued concurrently
     (one round-trip per step, not per shard)."""
 
     def __init__(self, num_shards: int = 8, num_cpus_per_shard: float = 0.25):
+        if ray.is_initialized():  # else the first actor starts Ray locally
+            check_cpu_headroom(ray.cluster_resources().get("CPU", 0.0),
+                               num_shards, num_cpus_per_shard)
         self.num_shards = num_shards
         actor_cls = ray.remote(num_cpus=num_cpus_per_shard)(StateShard)
         self.shards = [actor_cls.remote(i, num_shards) for i in range(num_shards)]

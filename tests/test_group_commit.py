@@ -9,16 +9,21 @@ surviving sink is a consistent prefix that exactly-once replay extends.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
+from diffdataflowmlpipelines_ray.streaming import sink as sink_mod
 from diffdataflowmlpipelines_ray.streaming.encoders import (
     IncrementalEncoderSession,
 )
-from diffdataflowmlpipelines_ray.streaming.sink import ExactlyOnceParquetSink
+from diffdataflowmlpipelines_ray.streaming.sink import (
+    ExactlyOnceParquetSink,
+    write_epoch_part,
+)
 from diffdataflowmlpipelines_ray.stages.encoders import (
     OrdinalEncoder,
     StandardScaler,
@@ -278,3 +283,183 @@ def test_group_commit_crash_recovery_property(tmp_path, seed):
     want = ref_sink.read_committed_table().to_pandas().sort_values(
         ["row_id"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Record every directory and file fsync the sink module makes, as
+    ("dir" | "file", path) in call order."""
+    calls: list[tuple[str, Path]] = []
+    real_dir, real_file = sink_mod._fsync_dir, sink_mod._fsync_file
+
+    def rec_dir(p):
+        calls.append(("dir", Path(p)))
+        real_dir(p)
+
+    def rec_file(p):
+        calls.append(("file", Path(p)))
+        real_file(p)
+
+    monkeypatch.setattr(sink_mod, "_fsync_dir", rec_dir)
+    monkeypatch.setattr(sink_mod, "_fsync_file", rec_file)
+    return calls
+
+
+def test_commit_files_fsyncs_data_dir(tmp_path, fsyncs):
+    """Worker-written parts: the worker fsyncs its file and the epoch dir,
+    and the commit fsyncs data/, where the new epoch dir appeared."""
+    sink = ExactlyOnceParquetSink(tmp_path / "s")
+    assert sink.part_fsync
+    entry = write_epoch_part(sink.root, 0, _tbl(0), "00000",
+                             fsync=sink.part_fsync)
+    edir = sink.root / "data" / "epoch=00000000"
+    assert ("dir", edir) in fsyncs
+    fsyncs.clear()
+    sink.commit_files(0, [entry])
+    assert ("dir", sink.root / "data") in fsyncs
+
+
+def test_commit_files_group_commit_defers_to_barrier(tmp_path, fsyncs):
+    """sync_every > 1: workers skip fsync and the commit defers the part,
+    its epoch dir and data/ to the barrier."""
+    sink = ExactlyOnceParquetSink(tmp_path / "s", sync_every=4)
+    assert not sink.part_fsync
+    entry = write_epoch_part(sink.root, 0, _tbl(0), "00000",
+                             fsync=sink.part_fsync)
+    sink.commit_files(0, [entry])
+    assert fsyncs == []
+    sink.sync()
+    part = sink.root / entry["path"]
+    for want in (("file", part), ("dir", part.parent),
+                 ("dir", sink.root / "data")):
+        assert want in fsyncs
+    wm = sink.root / "_manifests" / "_durable.json"
+    assert json.loads(wm.read_text())["epoch"] == 0
+
+
+def test_recovery_fsyncs_data_before_watermark(tmp_path, monkeypatch):
+    """Reopen after a crash between barriers: the verified epochs' dirs live
+    in data/, which is fsynced while the watermark still has its old value."""
+    sink = ExactlyOnceParquetSink(tmp_path / "s", sync_every=4)
+    for e in range(6):  # barrier at e=3; epochs 4, 5 unsynced
+        sink.commit_tables(e, [_tbl(e)])
+    del sink
+    wm = tmp_path / "s" / "_manifests" / "_durable.json"
+    seen = []
+    real = sink_mod._fsync_dir
+
+    def watch(p):
+        if Path(p) == tmp_path / "s" / "data":
+            seen.append(json.loads(wm.read_text())["epoch"])
+        real(p)
+
+    monkeypatch.setattr(sink_mod, "_fsync_dir", watch)
+    ExactlyOnceParquetSink(tmp_path / "s", sync_every=4)
+    assert seen == [3]
+    assert json.loads(wm.read_text())["epoch"] == 5
+
+
+def _tear_above_watermarks(root: Path) -> int:
+    """Power-loss simulation over every sink under ``root``: each committed
+    epoch above its sink's durable watermark loses its first data file (or
+    its manifest, for an epoch with no files).  Returns the epochs torn."""
+    torn = 0
+    for mdir in root.rglob("_manifests"):
+        wm_path = mdir / "_durable.json"
+        wm = json.loads(wm_path.read_text())["epoch"] if wm_path.exists() else -1
+        for mpath in sorted(mdir.glob("epoch-*.json")):
+            if int(mpath.stem.split("-")[1]) <= wm:
+                continue
+            files = json.loads(mpath.read_text())["files"]
+            victim = mdir.parent / files[0]["path"] if files else mpath
+            victim.write_bytes(victim.read_bytes()[:7])
+            torn += 1
+    return torn
+
+
+def test_encoder_checkpoint_never_outruns_sink(tmp_path, ray_session):
+    """Group commit + checkpoints: tear every sink epoch above the durable
+    watermark while a durable checkpoint exists.  Resume must replay the
+    torn epochs, so the sink converges to the undamaged run's contents."""
+    cfg = [("cat", OrdinalEncoder())]
+    rng = np.random.default_rng(5)
+    epochs = [pa.table({
+        "row_id": np.arange(e * 100, e * 100 + 20),
+        "cat": np.array([str(int(x)) for x in rng.integers(0, 5, 20)]),
+    }) for e in range(8)]
+    root = tmp_path / "sess"
+    sess = IncrementalEncoderSession(cfg, root, num_shards=1, sync_every=4,
+                                     checkpoint_every=2)
+    for e in range(6):  # checkpoints at 0, 2, 4; epoch 5 past the last one
+        sess.process_epoch(e, epochs[e])
+    sess.store.shutdown()  # power loss: no close(), no final barrier
+    assert sess.chk.latest() == 4
+    assert _tear_above_watermarks(root) > 0
+
+    sess2 = IncrementalEncoderSession(cfg, root, num_shards=1, sync_every=4,
+                                      checkpoint_every=2)
+    start = sess2.resume()
+    assert min(s.committed_epochs()[-1] for s in (
+        sess2.sink, sess2.input_archive)) >= start - 1
+    for e in range(start, 8):
+        sess2.process_epoch(e, epochs[e])
+    got = sess2.sink.read_committed_table()
+    assert sess2.sink.committed_epochs() == list(range(8))
+    sess2.close()
+
+    ref = IncrementalEncoderSession(cfg, tmp_path / "ref", num_shards=1)
+    for e in range(8):
+        ref.process_epoch(e, epochs[e])
+    want = ref.sink.read_committed_table()
+    ref.close()
+    assert got.sort_by("row_id").equals(want.sort_by("row_id"))
+
+
+def test_stream_checkpoint_never_outruns_sink(tmp_path, ray_session):
+    """StreamSession twin of the encoder test: a checkpoint taken under
+    group commit covers only durable sink epochs."""
+    from diffdataflowmlpipelines_ray.streaming.engine import (
+        KeyedAggregation,
+        StreamSession,
+        WindowSpec,
+    )
+
+    def mk(root, **kw):
+        s = StreamSession(root, num_shards=1, **kw)
+        s.add(KeyedAggregation(
+            name="win", input="ev", key_cols=["k"], value_col="v",
+            ts_col="ts", aggs=("count", "sum"),
+            window=WindowSpec.tumbling(10.0)))
+        return s
+
+    def feed(s, e):
+        n = 12
+        s.process_epoch(e, {"ev": pa.table({
+            "k": pa.array((np.arange(n) % 3).astype(np.int64)),
+            "v": np.arange(n, dtype=np.float64) + e,
+            "ts": np.linspace(e * 10, e * 10 + 9.9, n)})},
+            watermark=e * 10.0)
+
+    root = tmp_path / "stream"
+    s1 = mk(root, sync_every=4, checkpoint_every=2)
+    for e in range(6):
+        feed(s1, e)
+    s1.store.shutdown()  # power loss
+    assert s1.chk.latest() == 4
+    assert _tear_above_watermarks(root) > 0
+
+    s2 = mk(root, sync_every=4, checkpoint_every=2)
+    for e in range(s2.resume(), 8):
+        feed(s2, e)
+    assert s2.sinks["win"].committed_epochs() == list(range(8))
+    got = s2.sinks["win"].read_committed_table()
+    s2.store.shutdown()
+
+    ref = mk(tmp_path / "ref")
+    for e in range(8):
+        feed(ref, e)
+    want = ref.sinks["win"].read_committed_table()
+    ref.store.shutdown()
+    cols = sorted(want.column_names)
+    key = [(c, "ascending") for c in cols]
+    assert got.select(cols).sort_by(key).equals(want.select(cols).sort_by(key))

@@ -376,3 +376,136 @@ class TestPreTransformInFit:
         sess.process_epoch(0, pa.table({"row_id": [0, 1], "x": [1.0, 3.0]}))
         assert sess.mce.config[0][1].mean_ == pytest.approx(2.0)
         sess.close()
+
+
+def _files(root):
+    """{path: (inode, mtime_ns)} of every data and manifest file under root
+    (checkpoints excluded: each epoch re-saves them by design)."""
+    return {p: (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in root.rglob("*")
+            if p.is_file() and "_checkpoints" not in p.parts}
+
+
+class TestDatasetEpochs:
+    """Dataset epochs run the same block kernels as Table epochs, as one
+    task per block, over a single execution of the upstream."""
+
+    @staticmethod
+    def _counting(tbl, calls, batch_format="pyarrow"):
+        """A lazy Dataset over ``tbl`` whose UDF leaves one file in
+        ``calls`` per block it processes."""
+        import uuid
+
+        import ray.data as rd
+
+        calls.mkdir(exist_ok=True)
+
+        def udf(t):
+            (calls / uuid.uuid4().hex).touch()
+            return t
+
+        return rd.from_arrow(tbl).map_batches(udf, batch_size=None,
+                                              batch_format=batch_format)
+
+    def test_four_block_epoch_equals_table_epoch(self, ray_session, tmp_path):
+        import ray.data as rd
+
+        # 4 blocks of 8 rows, each holding x = 0..7 and all four categories:
+        # every partial and every merge is exact in floating point and
+        # assigns the same one-hot slots, so a bit-level comparison with the
+        # single-partial Table path is meaningful.  The diff column makes
+        # the categorical partials count rows (unweighted ones count
+        # distinct values per partial, which depends on the block split)
+        n = 32
+        tbl = pa.table({"row_id": np.arange(n),
+                        "x": (np.arange(n) % 8).astype(np.float64),
+                        "cat": [str(i % 4) for i in range(n)],
+                        "diff": np.ones(n, dtype=np.int64)})
+        outs = {}
+        for label, data in (("table", tbl),
+                            ("dataset", rd.from_arrow(tbl).repartition(4))):
+            sess = IncrementalEncoderSession(
+                [("x", StandardScaler()), ("cat", OneHotEncoder())],
+                tmp_path / label, num_shards=1, weight_col="diff",
+                epoch_aggs=[{"name": "by_cat", "key_cols": ["cat"],
+                             "value_col": "x",
+                             "aggs": ("count", "sum", "min", "max")}])
+            sess.process_epoch(0, data)
+            outs[label] = (
+                sess.read_epoch_output(0).sort_by("row_id"),
+                [enc.acc_ for _, enc in sess.mce.config],
+                sess.epoch_agg_sinks["by_cat"].read_committed_table(),
+                sess.sink.manifest(0),
+                sess.input_archive.read_committed_table().sort_by("row_id"),
+            )
+            sess.close()
+        t_out, t_state, t_agg, _, t_in = outs["table"]
+        d_out, d_state, d_agg, d_manifest, d_in = outs["dataset"]
+        assert len(d_manifest["files"]) == 4  # one output part per block
+        assert d_out.equals(t_out)
+        assert d_state == t_state  # accumulator __dict__ equality: bit-exact
+        assert d_agg.equals(t_agg)
+        assert d_in.equals(t_in)
+
+    def test_lazy_upstream_runs_once_per_epoch(self, ray_session, tmp_path):
+        tbl = pa.table({"row_id": np.arange(40),
+                        "x": np.arange(40, dtype=np.float64)})
+        calls = tmp_path / "calls"
+        sess = IncrementalEncoderSession([("x", StandardScaler())],
+                                         tmp_path / "lazy", num_shards=1,
+                                         archive_input=False)
+        for e in range(2):  # pandas blocks: the block task converts them
+            sess.process_epoch(e, self._counting(tbl, calls, "pandas"))
+            assert len(list(calls.iterdir())) == e + 1
+        assert sess.sink.committed_epochs() == [0, 1]
+        assert sess.sink.total_rows() == 80
+        sess.close()
+
+    def test_replay_of_committed_epoch_writes_nothing(self, ray_session,
+                                                       tmp_path):
+        import ray.data as rd
+
+        tbl = pa.table({"row_id": np.arange(24),
+                        "x": np.arange(24, dtype=np.float64)})
+        root = tmp_path / "replay"
+        sess = IncrementalEncoderSession([("x", StandardScaler())], root,
+                                         num_shards=1)
+        sess.process_epoch(0, rd.from_arrow(tbl).repartition(3))
+        before = _files(root)
+        m = sess.process_epoch(0, rd.from_arrow(tbl).repartition(3))
+        assert _files(root) == before
+        assert m == sess.sink.manifest(0)
+        assert sess.mce.config[0][1].acc_.count == 24  # state applied once
+        sess.close()
+
+    def test_archived_dataset_epochs_refresh_to_batch(self, ray_session,
+                                                      tmp_path):
+        import ray.data as rd
+
+        from diffdataflowmlpipelines_ray.stages.multi_column import (
+            MultiColumnEncoder)
+
+        n = 60
+        tbl = pa.table({"row_id": np.arange(n),
+                        "x": [float(i * 7 % 13) for i in range(n)],
+                        "cat": [str(i % 5) for i in range(n)]})
+        cfg = [("x", StandardScaler()), ("cat", OneHotEncoder())]
+        calls = tmp_path / "calls"
+        sess = IncrementalEncoderSession(cfg, tmp_path / "arch", num_shards=1,
+                                         keep_input=True)
+        parts = epoch_tables(tbl, 3)
+        for e, part in enumerate(parts):
+            sess.process_epoch(e, self._counting(part, calls).repartition(2))
+            # the upstream (one input block) ran once; the archive holds
+            # the epoch exactly once, one part per repartitioned block
+            assert len(list(calls.iterdir())) == e + 1
+            m = sess.input_archive.manifest(e)
+            assert (m["rows"], len(m["files"])) == (part.num_rows, 2)
+        got = sess.refresh().sort_by("row_id")
+        sess.close()
+        mce = MultiColumnEncoder([("x", StandardScaler()),
+                                  ("cat", OneHotEncoder())])
+        mce.fit(rd.from_arrow(tbl))
+        exp = mce.transform_table(tbl, "features")
+        np.testing.assert_allclose(np.array(got["features"].to_pylist()),
+                                   np.array(exp["features"].to_pylist()))

@@ -899,3 +899,14 @@ class TestMergeInto:
             "k": [2], "v": [5], "op": ["X"]}))
         with pytest.raises(Exception, match="unknown op"):
             merge_into(base, bad, ["k"]).to_pandas()
+
+
+def test_ordered_prefix_min_blockless_input(ray_session):
+    """A dataset with no blocks at all takes the empty-input fallback and
+    returns no rows instead of failing on the fallback's column names."""
+    from diffdataflowmlpipelines_ray.stages.relational import ordered_prefix_min
+
+    ds = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
+                                 "v": pa.array([5, 3], pa.int64())})).limit(0)
+    assert ds.materialize().num_blocks() == 0
+    assert ordered_prefix_min(ds, "k", "v", out_col="m").count() == 0

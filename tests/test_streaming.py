@@ -6072,3 +6072,31 @@ class TestIncrementalReachability:
                 assert got == bfs(live, (0, 100)), f"epoch {e}"
         finally:
             sess.store.shutdown()
+
+
+class TestCpuHeadroom:
+    """Shard actors reserve fractional CPUs; a pool that leaves Ray less
+    than one whole CPU would starve every per-block task, so it is refused
+    up front."""
+
+    def test_one_cpu_is_refused(self):
+        from diffdataflowmlpipelines_ray.streaming.state_store import (
+            check_cpu_headroom,
+        )
+
+        for shards in (1, 2):  # two shards at 0.25: the Dataset-epoch hang
+            with pytest.raises(ValueError, match="num_cpus_per_shard"):
+                check_cpu_headroom(1, shards, 0.25)
+        check_cpu_headroom(2, 1, 0.25)  # one shard on two CPUs leaves 1.75
+        check_cpu_headroom(1, 2, 0.0)   # shards that reserve nothing
+
+    def test_store_checks_the_running_cluster(self, ray_session):
+        import ray
+
+        from diffdataflowmlpipelines_ray.streaming.state_store import (
+            ShardedStateStore,
+        )
+
+        cpus = ray.cluster_resources()["CPU"]
+        with pytest.raises(ValueError, match="num_cpus_per_shard"):
+            ShardedStateStore(num_shards=int(cpus * 4), num_cpus_per_shard=0.25)
