@@ -18,10 +18,12 @@ Epoch execution: one code path, two module-level block kernels —
 ``encode_block`` (``pre_transform``, transform, column selection).  A
 ``pa.Table`` epoch is a single block run inline on the driver.  A
 ``ray.data.Dataset`` epoch executes its upstream exactly once and runs each
-kernel as one Ray task per block: the kernel closure goes to the object
-store once per epoch and every block task reads it.  Partials tasks also
-archive their input block (``archive_input``); encode tasks write their
-output part straight into the sink's epoch directory (``write_epoch_part``).
+kernel as one Ray task per block through the block runner shared with
+``StreamSession`` (``exchange.block_refs`` / ``exchange.run_blocks``): the
+kernel closure goes to the object store once per epoch and every block
+task reads it.  Partials tasks also archive their input block
+(``archive_input``); encode tasks write their output part straight into
+the sink's epoch directory (``write_epoch_part``).
 The driver merges the partials in block order — the Dataset's own order,
 fixed for a materialized Dataset, so its fitted state is bit-reproducible —
 and commits the workers' parts with ``commit_files``.  An epoch thus costs
@@ -44,10 +46,10 @@ from pathlib import Path
 from typing import Sequence
 
 import pyarrow as pa
-import ray
 
 from ..stages.encoders import Encoder
 from ..stages.multi_column import MultiColumnEncoder
+from .exchange import block_refs, run_blocks
 from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
 from .state_store import ShardedStateStore
 
@@ -123,24 +125,6 @@ def _encode_and_write(tbl: pa.Table, tag: str, encode, write) -> dict:
     """Dataset-epoch encode task: encode the block and write it as an output
     part; returns the part's manifest entry."""
     return write(encode(tbl), tag)
-
-
-@ray.remote
-def _run_block(kernel, block, tag: str):
-    if not isinstance(block, pa.Table):  # e.g. a pandas-format UDF's block
-        from ray.data.block import BlockAccessor
-
-        block = BlockAccessor.for_block(block).to_arrow()
-    return kernel(block, tag)
-
-
-def _run_blocks(kernel, blocks: list) -> list:
-    """Run ``kernel(block, tag)`` as one task per block, results in block
-    order.  The kernel closure is put in the object store once and every
-    task reads that one copy."""
-    ref = ray.put(kernel)
-    return ray.get([_run_block.remote(ref, b, f"{i:05d}")
-                    for i, b in enumerate(blocks)])
 
 
 class IncrementalEncoderSession:
@@ -293,10 +277,7 @@ class IncrementalEncoderSession:
         """
         self._lineage = lineage
         small = isinstance(data, pa.Table)
-        # the epoch's block refs, from one execution of the upstream
-        # (``to_arrow_refs`` would re-run a lazy plan's head for the schema)
-        blocks = None if small else [
-            r for b in data.iter_internal_ref_bundles() for r in b.block_refs]
+        blocks = None if small else block_refs(data)
         fit = None
         if self._stateful or self.epoch_aggs:
             fit = functools.partial(
@@ -315,8 +296,8 @@ class IncrementalEncoderSession:
             write = (functools.partial(write_epoch_part, self.input_archive.root,
                                        epoch, fsync=self.input_archive.part_fsync)
                      if archive else None)
-            res = _run_blocks(functools.partial(_partials_and_archive,
-                                                fit=fit, write=write), blocks)
+            res = run_blocks(functools.partial(_partials_and_archive,
+                                               fit=fit, write=write), blocks)
             parts = [p for p, _ in res]
             if archive:
                 self.input_archive.commit_files(epoch, [e for _, e in res],
@@ -404,9 +385,9 @@ class IncrementalEncoderSession:
         else:
             write = functools.partial(write_epoch_part, self.sink.root, epoch,
                                       fsync=self.sink.part_fsync)
-            entries = _run_blocks(functools.partial(_encode_and_write,
-                                                    encode=encode, write=write),
-                                  blocks)
+            entries = run_blocks(functools.partial(_encode_and_write,
+                                                   encode=encode, write=write),
+                                 blocks)
             result = self.sink.commit_files(epoch, entries, meta=meta)
         if self.emit_corrections:
             self._maybe_emit_corrections(epoch, encode)
