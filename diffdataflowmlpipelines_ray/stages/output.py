@@ -16,13 +16,15 @@ from ..streaming.sink import ExactlyOnceParquetSink
 __all__ = ["resumable_write_parquet"]
 
 
-def resumable_write_parquet(ds, root: str | Path, num_partitions: int = 16,
-                            content_hash: bool = False) -> dict:
+def resumable_write_parquet(ds, root: str | Path,
+                            num_partitions: int = 16) -> dict:
     """Write a Dataset as ``num_partitions`` atomically-committed partitions.
 
     Re-running on the same root skips already-committed partitions (their
     upstream slice is still *scheduled* by Ray but never re-written or
-    double-counted).  Returns {written, skipped, rows}.
+    double-counted).  Every part's manifest entry carries its sha256, so
+    ``ExactlyOnceParquetSink(root).verify()`` audits content, not just
+    sizes.  Returns {written, skipped, rows}.
     """
     sink = ExactlyOnceParquetSink(root)
     done = set(sink.committed_epochs())
@@ -35,8 +37,7 @@ def resumable_write_parquet(ds, root: str | Path, num_partitions: int = 16,
         if i in done:
             skipped += 1
             continue
-        sink.commit_dataset(i, part, meta={"partition": i},
-                            content_hash=content_hash)
+        sink.commit_dataset(i, part, meta={"partition": i})
         written += 1
     return {
         "written": written,

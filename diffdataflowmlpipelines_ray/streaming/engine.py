@@ -1993,6 +1993,24 @@ class StreamSession:
         return functools.partial(write_epoch_part, str(sink.root), epoch,
                                  fsync=sink.part_fsync)
 
+    def _emit(self, sink_name: str, epoch: int, tbl: pa.Table,
+              emitted: dict, **meta) -> None:
+        """Commit an op's epoch output to sink ``sink_name`` and publish it
+        to later ops; ``emitted_rows`` counts it even when the commit is a
+        replay's no-op."""
+        self.sinks[sink_name].commit_tables(epoch, [tbl],
+                                            meta=self._meta(**meta))
+        emitted[sink_name] = tbl
+        self.metrics["emitted_rows"] += tbl.num_rows
+
+    def _emit_committed(self, sink_name: str, epoch: int, rows: int,
+                        emitted: dict) -> None:
+        """Publish a Dataset epoch's output, which its workers wrote and
+        ``_commit_parts`` committed: later ops read the committed parts."""
+        emitted[sink_name] = self.sinks[sink_name].read_committed(
+            epochs=[epoch])
+        self.metrics["emitted_rows"] += rows
+
     def _commit_parts(self, name: str, epoch: int, entries: list,
                       kind: str) -> int:
         self.sinks[name].commit_files(epoch, entries,
@@ -2431,18 +2449,13 @@ class StreamSession:
                         pairs = self.store.apply_delta_changelog(
                             name, epoch, merged)
                         out_tbl = op.changelog_to_table(pairs, epoch)
-                        self.sinks[name].commit_tables(
-                            epoch, [out_tbl],
-                            meta=self._meta(kind="agg_changelog"))
-                        emitted[name] = out_tbl
-                        self.metrics["emitted_rows"] += out_tbl.num_rows
+                        self._emit(name, epoch, out_tbl, emitted,
+                                   kind="agg_changelog")
                     else:
                         n = self._changelog_distributed(
                             op, name, epoch, data, "apply_delta_changelog",
                             op.changelog_to_table, kind="agg_changelog")
-                        emitted[name] = self.sinks[name].read_committed(
-                            epochs=[epoch])
-                        self.metrics["emitted_rows"] += n
+                        self._emit_committed(name, epoch, n, emitted)
                 elif op.early_firing:
                     # same single state apply, but through the changelog
                     # surface: the touched open windows' (old, new) partial
@@ -2454,20 +2467,15 @@ class StreamSession:
                         pairs = self.store.apply_delta_changelog(
                             name, epoch, merged)
                         out_tbl = op.changelog_to_table(pairs, epoch)
-                        self.sinks[f"{name}__early"].commit_tables(
-                            epoch, [out_tbl],
-                            meta=self._meta(kind="early_firing"))
-                        emitted[f"{name}__early"] = out_tbl
-                        self.metrics["emitted_rows"] += out_tbl.num_rows
+                        self._emit(f"{name}__early", epoch, out_tbl, emitted,
+                                   kind="early_firing")
                     else:
                         n = self._changelog_distributed(
                             op, f"{name}__early", epoch, data,
                             "apply_delta_changelog", op.changelog_to_table,
                             kind="early_firing", state_name=name)
-                        emitted[f"{name}__early"] = \
-                            self.sinks[f"{name}__early"].read_committed(
-                                epochs=[epoch])
-                        self.metrics["emitted_rows"] += n
+                        self._emit_committed(f"{name}__early", epoch, n,
+                                             emitted)
                 elif isinstance(data, pa.Table):
                     if op.late_output:
                         data, late_tbl = op.split_late(data, self.watermark)
@@ -2519,10 +2527,8 @@ class StreamSession:
                     rows = self.store.emit_early_sessions(
                         name, op.gap, op.retractable)
                     out_tbl = op.early_rows_to_table(rows, epoch)
-                    self.sinks[f"{name}__early"].commit_tables(
-                        epoch, [out_tbl], meta=self._meta(kind="session_early"))
-                    emitted[f"{name}__early"] = out_tbl
-                    self.metrics["emitted_rows"] += out_tbl.num_rows
+                    self._emit(f"{name}__early", epoch, out_tbl, emitted,
+                               kind="session_early")
             elif isinstance(op, (PatternMatch, AbsenceDetect, KleenePattern)):
                 if op.input not in avail:
                     continue
@@ -2548,10 +2554,7 @@ class StreamSession:
                 deltas = self.store.apply_cc_edges(
                     op.name, epoch, op.edges_from(tbl))
                 out_tbl = op.rows_to_table(deltas, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [out_tbl], meta=self._meta(kind="cc"))
-                emitted[name] = out_tbl
-                self.metrics["emitted_rows"] += out_tbl.num_rows
+                self._emit(name, epoch, out_tbl, emitted, kind="cc")
             elif isinstance(op, StreamNearDup):
                 if op.input not in avail:
                     continue
@@ -2574,11 +2577,8 @@ class StreamSession:
                         "bucket_cap=%d (hot buckets)", name, epoch, drops,
                         op.bucket_cap)
                 out_tbl = op.rows_to_table(pairs, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [out_tbl], meta=self._meta(kind="neardup",
-                                                      drops=drops))
-                emitted[name] = out_tbl
-                self.metrics["emitted_rows"] += out_tbl.num_rows
+                self._emit(name, epoch, out_tbl, emitted,
+                           kind="neardup", drops=drops)
             elif isinstance(op, IncrementalReachability):
                 if op.input not in avail:
                     continue
@@ -2586,10 +2586,7 @@ class StreamSession:
                 deltas = self.store.apply_reach_edges(
                     op.name, epoch, op.edges_from(tbl), op.sources)
                 out_tbl = op.rows_to_table(deltas, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [out_tbl], meta=self._meta(kind="reach"))
-                emitted[name] = out_tbl
-                self.metrics["emitted_rows"] += out_tbl.num_rows
+                self._emit(name, epoch, out_tbl, emitted, kind="reach")
             elif isinstance(op, IncrementalPageRank):
                 if op.input not in avail:
                     continue
@@ -2600,10 +2597,7 @@ class StreamSession:
                     op.name, epoch, op.edges_from(tbl), op.damping,
                     op.tol, op.max_iters, op.emit_tol)
                 out_tbl = op.rows_to_table(deltas, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [out_tbl], meta=self._meta(kind="pagerank"))
-                emitted[name] = out_tbl
-                self.metrics["emitted_rows"] += out_tbl.num_rows
+                self._emit(name, epoch, out_tbl, emitted, kind="pagerank")
             elif isinstance(op, UpsertToRetract):
                 if op.input not in avail:
                     continue
@@ -2618,17 +2612,12 @@ class StreamSession:
                     deltas = getattr(self.store, method)(name, epoch,
                                                          merged)
                     out_tbl = op.rows_to_table(deltas, epoch)
-                    self.sinks[name].commit_tables(
-                        epoch, [out_tbl], meta=self._meta(kind=kind))
-                    emitted[name] = out_tbl
-                    self.metrics["emitted_rows"] += out_tbl.num_rows
+                    self._emit(name, epoch, out_tbl, emitted, kind=kind)
                 else:
                     n = self._changelog_distributed(
                         op, name, epoch, data, method,
                         op.rows_to_table, kind=kind)
-                    emitted[name] = self.sinks[name].read_committed(
-                        epochs=[epoch])
-                    self.metrics["emitted_rows"] += n
+                    self._emit_committed(name, epoch, n, emitted)
             elif isinstance(op, EnrichJoin):
                 # shared arrangement: the owner op applied its upserts
                 # earlier this epoch (add order = processing order), so
@@ -2648,9 +2637,7 @@ class StreamSession:
                 stream = avail.get(op.stream_input)
                 if stream is not None:
                     n = self._probe_epoch(op, name, epoch, stream)
-                    emitted[name] = self.sinks[name].read_committed(
-                        epochs=[epoch])
-                    self.metrics["emitted_rows"] += n
+                    self._emit_committed(name, epoch, n, emitted)
             elif isinstance(op, BroadcastEnrich):
                 rules = avail.get(op.rules_input)
                 if rules is not None:
@@ -2674,24 +2661,17 @@ class StreamSession:
                 stream = avail.get(op.stream_input)
                 if stream is not None:
                     n = self._broadcast_apply_epoch(op, name, epoch, stream)
-                    emitted[name] = self.sinks[name].read_committed(
-                        epochs=[epoch])
-                    self.metrics["emitted_rows"] += n
+                    self._emit_committed(name, epoch, n, emitted)
             elif isinstance(op, StreamDedup):
                 data = avail.get(op.input)
                 if data is None:
                     continue
                 if isinstance(data, pa.Table):
                     tbl = self._dedup_table_epoch(op, name, epoch, data)
-                    self.sinks[name].commit_tables(
-                        epoch, [tbl], meta=self._meta(kind="dedup"))
-                    emitted[name] = tbl
-                    self.metrics["emitted_rows"] += tbl.num_rows
+                    self._emit(name, epoch, tbl, emitted, kind="dedup")
                 else:
                     n = self._dedup_probe_epoch(op, name, epoch, data)
-                    emitted[name] = self.sinks[name].read_committed(
-                        epochs=[epoch])
-                    self.metrics["emitted_rows"] += n
+                    self._emit_committed(name, epoch, n, emitted)
             elif isinstance(op, StreamJoin):  # AsofStreamJoin too
                 left_tbl = avail.get(op.left_input)
                 right_tbl = avail.get(op.right_input)
@@ -2700,9 +2680,7 @@ class StreamSession:
                     # Dataset epoch: shard exchange + shard-side probe +
                     # worker-written sink parts; driver sees metadata only
                     n = self._join_epoch(op, name, epoch, left_tbl, right_tbl)
-                    emitted[name] = self.sinks[name].read_committed(
-                        epochs=[epoch])
-                    self.metrics["emitted_rows"] += n
+                    self._emit_committed(name, epoch, n, emitted)
                     continue
                 for d, ts_col in ((left_tbl, op.left_ts),
                                   (right_tbl, op.right_ts)):
@@ -2715,26 +2693,18 @@ class StreamSession:
                     frames = self.store.asof_insert_probe(
                         name, epoch, payloads)
                     tbl = op.asof_to_table(frames["m"], epoch)
-                    self.sinks[name].commit_tables(
-                        epoch, [tbl], meta=self._meta(kind="asof_join"))
-                    emitted[name] = tbl
-                    self.metrics["emitted_rows"] += tbl.num_rows
+                    self._emit(name, epoch, tbl, emitted, kind="asof_join")
                     if op.emit_unmatched and frames["u"]:
                         # non-empty only: an empty commit would occupy
                         # this epoch's id and starve the advance-sweep
                         utbl = op.unmatched_asof_to_table(
                             frames["u"], epoch)
-                        self.sinks[f"{name}__unmatched"].commit_tables(
-                            epoch, [utbl],
-                            meta=self._meta(kind="asof_unmatched"))
-                        emitted[f"{name}__unmatched"] = utbl
-                        self.metrics["emitted_rows"] += utbl.num_rows
+                        self._emit(f"{name}__unmatched", epoch, utbl, emitted,
+                                   kind="asof_unmatched")
                 elif payloads:
                     frames = self.store.join_insert_probe(name, epoch, payloads)
                     tbl = op.matches_to_table(frames, epoch)
-                    self.sinks[name].commit_tables(epoch, [tbl], meta=self._meta(kind="join"))
-                    emitted[name] = tbl
-                    self.metrics["emitted_rows"] += tbl.num_rows
+                    self._emit(name, epoch, tbl, emitted, kind="join")
 
         if source_watermarks:
             for s, wm in source_watermarks.items():
@@ -2848,13 +2818,9 @@ class StreamSession:
                 else:
                     items = self.store.sweep_closed_windows(name, bound)
                 tbl = op.rows_to_table(items, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [tbl],
-                    meta=self._meta(watermark=self.watermark, op=name,
-                                    metrics=dict(self.metrics)),
-                )
-                emitted[name] = tbl
-                self.metrics["emitted_rows"] += tbl.num_rows
+                self._emit(name, epoch, tbl, emitted,
+                           watermark=self.watermark, op=name,
+                           metrics=dict(self.metrics))
             elif isinstance(op, SessionWindowAggregation):
                 bound = self.watermark - op.allowed_lateness
                 if op.retractable:
@@ -2870,59 +2836,39 @@ class StreamSession:
                     # set: its −1 in the early stream keeps main + early
                     # running sums one consistent sessionization
                     ret_tbl = op.early_rows_to_table(early_rets, epoch)
-                    self.sinks[f"{name}__early"].commit_tables(
-                        epoch, [ret_tbl],
-                        meta=self._meta(watermark=self.watermark, op=name),
-                    )
-                    emitted[f"{name}__early"] = ret_tbl
-                    self.metrics["emitted_rows"] += ret_tbl.num_rows
+                    self._emit(f"{name}__early", epoch, ret_tbl, emitted,
+                               watermark=self.watermark, op=name)
                 tbl = op.rows_to_table(items, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [tbl],
-                    meta=self._meta(watermark=self.watermark, op=name,
-                                    metrics=dict(self.metrics)),
-                )
-                emitted[name] = tbl
-                self.metrics["emitted_rows"] += tbl.num_rows
+                self._emit(name, epoch, tbl, emitted,
+                           watermark=self.watermark, op=name,
+                           metrics=dict(self.metrics))
             elif isinstance(op, PatternMatch):
                 bound = self.watermark - op.allowed_lateness
                 items = self.store.sweep_pattern_matches(
                     name, bound, list(op.pattern), op.within
                 )
                 tbl = op.rows_to_table(items, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [tbl],
-                    meta=self._meta(watermark=self.watermark, op=name,
-                                    metrics=dict(self.metrics)),
-                )
-                emitted[name] = tbl
-                self.metrics["emitted_rows"] += tbl.num_rows
+                self._emit(name, epoch, tbl, emitted,
+                           watermark=self.watermark, op=name,
+                           metrics=dict(self.metrics))
             elif isinstance(op, KleenePattern):
                 bound = self.watermark - op.allowed_lateness
                 items = self.store.sweep_kleene_matches(
                     name, bound, op.first, op.mid, op.last, op.within
                 )
                 tbl = op.rows_to_table(items, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [tbl],
-                    meta=self._meta(watermark=self.watermark, op=name,
-                                    metrics=dict(self.metrics)),
-                )
-                emitted[name] = tbl
-                self.metrics["emitted_rows"] += tbl.num_rows
+                self._emit(name, epoch, tbl, emitted,
+                           watermark=self.watermark, op=name,
+                           metrics=dict(self.metrics))
             elif isinstance(op, AbsenceDetect):
                 bound = self.watermark - op.allowed_lateness
                 items = self.store.sweep_absence(
                     name, bound, op.first, op.absent, op.within
                 )
                 tbl = op.rows_to_table(items, epoch)
-                self.sinks[name].commit_tables(
-                    epoch, [tbl],
-                    meta=self._meta(watermark=self.watermark, op=name,
-                                    metrics=dict(self.metrics)),
-                )
-                emitted[name] = tbl
-                self.metrics["emitted_rows"] += tbl.num_rows
+                self._emit(name, epoch, tbl, emitted,
+                           watermark=self.watermark, op=name,
+                           metrics=dict(self.metrics))
             elif isinstance(op, AsofStreamJoin):
                 if op.emit_unmatched:
                     usink = self.sinks[f"{name}__unmatched"]
@@ -2938,14 +2884,9 @@ class StreamSession:
                         frames = self.store.asof_sweep_unmatched(
                             name, self.watermark)
                         tbl = op.unmatched_asof_to_table(frames, epoch)
-                        usink.commit_tables(
-                            epoch, [tbl],
-                            meta=self._meta(watermark=self.watermark,
-                                            op=name,
-                                            kind="asof_unmatched"),
-                        )
-                        emitted[f"{name}__unmatched"] = tbl
-                        self.metrics["emitted_rows"] += tbl.num_rows
+                        self._emit(f"{name}__unmatched", epoch, tbl, emitted,
+                                   watermark=self.watermark, op=name,
+                                   kind="asof_unmatched")
                 if op.retention is not None:
                     self.store.asof_expire(
                         name, self.watermark - op.retention)
@@ -2959,13 +2900,9 @@ class StreamSession:
                     frames = self.store.sweep_join_unmatched(
                         name, self.watermark - op.max_dt, side=s)
                     tbl = op.unmatched_to_table(frames, epoch, side=s)
-                    self.sinks[f"{name}{suffix}"].commit_tables(
-                        epoch, [tbl],
-                        meta=self._meta(watermark=self.watermark, op=name,
-                                        kind="join_unmatched"),
-                    )
-                    emitted[f"{name}{suffix}"] = tbl
-                    self.metrics["emitted_rows"] += tbl.num_rows
+                    self._emit(f"{name}{suffix}", epoch, tbl, emitted,
+                               watermark=self.watermark, op=name,
+                               kind="join_unmatched")
                 if op.retention is not None:
                     self.store.join_expire(name, self.watermark - op.retention)
             elif isinstance(op, TemporalEnrichJoin) and op.dim_ttl is not None:

@@ -7,13 +7,27 @@ surface the north rule requires (SURVEY §2.5 "sink").
 Design (SURVEY §4 "Exactly-once output"):
 
 - Data lives under ``root/data/epoch=NNNNNNNN/part-*.parquet``.
-- A **commit** is the atomic rename of ``root/_manifests/epoch-N.json.tmp`` →
-  ``epoch-N.json`` listing every file with row count + content hash.  Readers
-  (and resume) trust ONLY manifests; stray files from a crashed attempt are
-  invisible and simply overwritten on retry.
-- ``commit_tables``/``commit_dataset`` are idempotent: re-committing an
-  already-committed epoch is a no-op returning the existing manifest, so a
-  restarted driver can blindly replay uncommitted epochs.
+- Every file the sink writes — data parts, epoch/compaction/consolidation
+  manifests, the durable watermark, checkpoint blobs and their ``DONE``
+  marker — goes through one atomic writer, ``_write_atomic``: same-dir
+  temp file → write → optional ``_fsync_file`` → rename over the target.
+  Only ``compact()``'s streamed row-group file bypasses it.
+- There is one Parquet part writer, ``write_epoch_part``: it serializes a
+  table to memory once, hashes that buffer and writes it atomically,
+  returning the manifest entry (path, rows, sha256).  ``commit_tables``
+  runs it on the driver, once per table; ``commit_dataset`` and
+  ``consolidate``'s Ray tier run it in workers, one task per block
+  (``exchange.run_blocks``); both sessions' Ray tasks call it directly.
+- A **commit** is the atomic replace of ``root/_manifests/epoch-N.json``
+  listing every file with row count + sha256 (entries written before
+  hashing moved into the writer may carry only a size; readers accept
+  both).  ``commit_tables``/``commit_files``/``commit_dataset`` share one
+  commit core, so each makes the same flushes.  Readers (and resume)
+  trust ONLY manifests; stray files from a crashed attempt are invisible
+  and simply overwritten on retry.
+- Commits are idempotent: re-committing an already-committed epoch is a
+  no-op returning the existing manifest, so a restarted driver can blindly
+  replay uncommitted epochs.
 - The **frontier** (probe analogue, src/main.rs:86) is "epoch e is committed";
   ``committed_epochs()`` exposes it.
 - Checkpoints pair a sink frontier with a state-store snapshot so a killed
@@ -27,6 +41,7 @@ ones; no giant single file is ever produced.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -41,11 +56,6 @@ import pyarrow.parquet as pq
 __all__ = ["ExactlyOnceParquetSink", "CheckpointManager", "write_epoch_part"]
 
 ENGINE_VERSION = "0.1.0"
-
-#: commit_tables serializes parquet in memory below this (bytes): one
-#: serialization + buffer hash instead of write-then-re-read; above it the
-#: streaming file write keeps memory flat
-_INMEM_COMMIT_MAX = 64 << 20
 
 
 def _sha256_file(path: Path) -> str:
@@ -77,30 +87,67 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def write_epoch_part(root: str | os.PathLike, epoch: int, tbl: pa.Table,
-                     tag: str, fsync: bool = True) -> dict:
-    """Worker-side epoch-partition write (tmp → fsync → rename); returns the
-    manifest entry.  This is how distributed stages emit sink data WITHOUT
-    routing rows through the driver: each worker writes its partition file
-    and ships back only this tiny entry; the driver's ``commit_files`` then
-    makes the epoch visible atomically.  Files without a manifest are
-    invisible (crashed attempts leave only ignorable strays)."""
-    root = Path(root)
-    edir = root / "data" / f"epoch={epoch:08d}"
-    edir.mkdir(parents=True, exist_ok=True)
-    fpath = edir / f"part-{tag}.parquet"
-    tmp = edir / f".part-{tag}.parquet.tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(tbl, tmp)
+def _write_atomic(path: Path, data: bytes | pa.Buffer, fsync: bool) -> None:
+    """Write ``data`` to ``path`` atomically: a same-dir temp file, flushed
+    with ``_fsync_file`` when ``fsync``, then ``os.replace``.  The rename's
+    own durability (a ``_fsync_dir`` of the parent) is the caller's
+    choice."""
+    tmp = path.with_name(f".{path.name}.tmp-{uuid.uuid4().hex[:8]}")
+    with open(tmp, "wb") as f:
+        f.write(data)
     if fsync:
         _fsync_file(tmp)
-    os.replace(tmp, fpath)
+    os.replace(tmp, path)
+
+
+def _write_part(root: Path, pdir: Path, tbl: pa.Table, tag: str,
+                fsync: bool) -> dict:
+    """``pdir/part-{tag}.parquet``, serialized once to memory; the entry's
+    sha256 hashes that buffer, so the file is never read back."""
+    pdir.mkdir(parents=True, exist_ok=True)
+    out = pa.BufferOutputStream()
+    pq.write_table(tbl, out)
+    data = out.getvalue()
+    fpath = pdir / f"part-{tag}.parquet"
+    _write_atomic(fpath, data, fsync)
     if fsync:
-        _fsync_dir(edir)
+        _fsync_dir(pdir)
     return {
         "path": str(fpath.relative_to(root)),
         "rows": tbl.num_rows,
-        "sha256": _sha256_file(fpath),
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
+
+
+def write_epoch_part(root: str | os.PathLike, epoch: int, tbl: pa.Table,
+                     tag: str, fsync: bool = True) -> dict:
+    """The sink's one Parquet part writer: writes ``tbl`` as
+    ``data/epoch=N/part-{tag}.parquet`` (serialize to memory, sha256 the
+    buffer, atomic write; with ``fsync`` the file and the epoch dir are
+    flushed) and returns the manifest entry.  ``commit_tables`` calls it on
+    the driver; distributed stages call it in their workers so rows never
+    route through the driver — each worker ships back only the tiny entry
+    and the driver's ``commit_files`` makes the epoch visible atomically.
+    Files without a manifest are invisible (crashed attempts leave only
+    ignorable strays)."""
+    root = Path(root)
+    return _write_part(root, root / "data" / f"epoch={epoch:08d}", tbl, tag,
+                       fsync)
+
+
+def _write_block_part(root: Path, pdir: Path, fsync: bool, tbl: pa.Table,
+                      tag: str) -> dict | None:
+    """``run_blocks`` kernel: one part per non-empty block."""
+    return _write_part(root, pdir, tbl, tag, fsync) if tbl.num_rows else None
+
+
+def _write_blocks(root: Path, pdir: Path, ds, fsync: bool) -> list[dict]:
+    """Write a Dataset's non-empty blocks into ``pdir`` as one Ray task per
+    block; returns their manifest entries in block order."""
+    from .exchange import block_refs, run_blocks
+
+    kernel = functools.partial(_write_block_part, root, pdir, fsync)
+    return [e for e in run_blocks(kernel, block_refs(ds)) if e is not None]
 
 
 class ExactlyOnceParquetSink:
@@ -187,15 +234,13 @@ class ExactlyOnceParquetSink:
         self._pending_dirs = []
         self._commits_since_sync = 0
         if self._max_epoch is not None:
-            wm = {"epoch": self._max_epoch, "at": time.time()}
-            wpath = self._watermark_path()
-            tmp = wpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-            with open(tmp, "w") as f:
-                json.dump(wm, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, wpath)
-            _fsync_dir(wpath.parent)
+            self._write_watermark(self._max_epoch)
+
+    def _write_watermark(self, epoch: int) -> None:
+        wpath = self._watermark_path()
+        _write_atomic(wpath, json.dumps({"epoch": epoch,
+                                         "at": time.time()}).encode(), True)
+        _fsync_dir(wpath.parent)
 
     def _note_deferred(self, files: list[Path], dirs: list[Path]) -> None:
         self._pending_files.extend(files)
@@ -231,15 +276,8 @@ class ExactlyOnceParquetSink:
                 try:
                     m = self.manifest(e)
                     for fent in m["files"]:
-                        p = self.root / fent["path"]
-                        if not p.exists():
-                            raise ValueError(f"missing {p}")
-                        if "sha256" in fent:
-                            if _sha256_file(p) != fent["sha256"]:
-                                raise ValueError(f"sha mismatch {p}")
-                        elif "size" in fent:
-                            if p.stat().st_size != fent["size"]:
-                                raise ValueError(f"size mismatch {p}")
+                        if not self._intact(fent):
+                            raise ValueError(f"torn {fent['path']}")
                     # a verified epoch above the watermark survived the
                     # crash but was never barrier-fsynced — make it durable
                     # NOW, else a later watermark would overclaim it
@@ -262,13 +300,7 @@ class ExactlyOnceParquetSink:
             _fsync_dir(self.root / "_manifests")
         if verified_last is not None:
             self._max_epoch = verified_last
-            tmp = wpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-            with open(tmp, "w") as f:
-                json.dump({"epoch": verified_last, "at": time.time()}, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, wpath)
-            _fsync_dir(wpath.parent)
+            self._write_watermark(verified_last)
 
     # ------------------------------------------------------------ frontier
     def _manifest_path(self, epoch: int) -> Path:
@@ -293,7 +325,8 @@ class ExactlyOnceParquetSink:
     # ------------------------------------------------------------ commit
     def commit_tables(self, epoch: int, tables: list[pa.Table],
                       meta: dict | None = None) -> dict:
-        """Write partition tables for an epoch and atomically commit.
+        """Write partition tables for an epoch (``write_epoch_part`` each)
+        and atomically commit them.
 
         Idempotent: an already-committed epoch returns its manifest untouched.
         Partial files from a previous crashed attempt are overwritten (they
@@ -301,124 +334,49 @@ class ExactlyOnceParquetSink:
         """
         if self.is_committed(epoch):
             return self.manifest(epoch)
-        edir = self._epoch_dir(epoch)
-        edir.mkdir(parents=True, exist_ok=True)
-        deferred = self._deferred()
-        files = []
-        for i, tbl in enumerate(tables):
-            fpath = edir / f"part-{i:05d}.parquet"
-            tmp = edir / f".part-{i:05d}.parquet.tmp-{uuid.uuid4().hex[:8]}"
-            if tbl.nbytes <= _INMEM_COMMIT_MAX:
-                # small (driver-sized) epoch: serialize ONCE to memory —
-                # the sha hashes the buffer instead of re-reading the file,
-                # and the write+fsync share one descriptor (latency path;
-                # large tables keep the streaming write below)
-                import io as _io
+        return self._commit(epoch, [
+            write_epoch_part(self.root, epoch, tbl, f"{i:05d}",
+                             fsync=self.part_fsync)
+            for i, tbl in enumerate(tables)], meta)
 
-                buf = _io.BytesIO()
-                pq.write_table(tbl, buf)
-                data = buf.getvalue()
-                with open(tmp, "wb") as f:
-                    f.write(data)
-                    if self.fsync and not deferred:
-                        f.flush()
-                        os.fdatasync(f.fileno())
-                sha = hashlib.sha256(data).hexdigest()
-            else:
-                pq.write_table(tbl, tmp)
-                if self.fsync and not deferred:
-                    _fsync_file(tmp)
-                sha = _sha256_file(tmp)
-            os.replace(tmp, fpath)  # atomic on one filesystem
-            if deferred:
-                self._note_deferred([fpath], [])
-            files.append(
-                {
-                    "path": str(fpath.relative_to(self.root)),
-                    "rows": tbl.num_rows,
-                    "sha256": sha,
-                }
-            )
-        if self.fsync:
-            if deferred:
-                self._note_deferred([], [edir])
-            else:
-                _fsync_dir(edir)
-        return self._commit_manifest(epoch, files, meta)
-
-    def commit_dataset(self, epoch: int, ds, meta: dict | None = None,
-                       content_hash: bool = False) -> dict:
-        """Commit a Ray Dataset as one epoch (staging dir → rename → manifest).
-
-        Use for large epochs: Ray writes partition files in parallel into a
-        staging directory; the directory rename + manifest write is the
-        atomic commit point.  Integrity defaults to (size, rows) per file —
-        a driver-side sha256 over every byte would serialize the commit;
-        pass ``content_hash=True`` where byte-level audit is worth it.
-        """
+    def commit_dataset(self, epoch: int, ds, meta: dict | None = None) -> dict:
+        """Commit a Ray Dataset as one epoch: each non-empty block is written
+        by ``write_epoch_part`` in its own Ray task (``exchange.run_blocks``,
+        so rows never reach the driver and every entry carries its sha256),
+        then the manifest commits the parts atomically like
+        ``commit_files``."""
         if self.is_committed(epoch):
             return self.manifest(epoch)
-        edir = self._epoch_dir(epoch)
-        staging = self.root / "data" / f".staging-{epoch:08d}-{uuid.uuid4().hex[:8]}"
-        ds.write_parquet(str(staging))
-        if edir.exists():
-            shutil.rmtree(edir)  # leftovers from a crashed attempt
-        os.replace(staging, edir)
-        paths = sorted(edir.glob("*.parquet"))
-
-        deferred = self._deferred()
-
-        def entry_of(fpath: Path) -> dict:
-            # fsync + footer read per file, run in a thread pool — a serial
-            # loop here is driver-side fixed cost that caps scaling
-            if self.fsync and not deferred:
-                _fsync_file(fpath)
-            entry = {
-                "path": str(fpath.relative_to(self.root)),
-                "rows": pq.read_metadata(fpath).num_rows,
-                "size": fpath.stat().st_size,
-            }
-            if content_hash:
-                entry["sha256"] = _sha256_file(fpath)
-            return entry
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            files = list(pool.map(entry_of, paths))
-        if self.fsync:
-            if deferred:
-                self._note_deferred(list(paths), [edir, self.root / "data"])
-            else:
-                _fsync_dir(edir)
-                _fsync_dir(self.root / "data")
-        return self._commit_manifest(epoch, files, meta)
+        return self._commit(epoch, _write_blocks(
+            self.root, self._epoch_dir(epoch), ds, self.part_fsync), meta)
 
     def commit_files(self, epoch: int, entries: list[dict],
                      meta: dict | None = None) -> dict:
         """Commit worker-written partition files (see ``write_epoch_part``).
 
         Idempotent like ``commit_tables``; ``entries`` are the workers'
-        returned manifest entries (root-relative paths).  Durability
-        matches ``commit_dataset``: the workers fsynced their parts and the
-        epoch dir (``fsync=part_fsync``), so a non-deferred commit fsyncs
-        ``data/``, where the epoch dir appeared; under group commit the
-        parts, the epoch dir and ``data/`` wait for the barrier."""
+        returned manifest entries (root-relative paths)."""
+        return self._commit(epoch, entries, meta)
+
+    def _commit(self, epoch: int, entries: list[dict],
+                meta: dict | None) -> dict:
+        """The commit core behind every ``commit_*``.  The parts' writers
+        fsynced each part and the epoch dir (``fsync=part_fsync``), so a
+        non-deferred commit fsyncs ``data/``, where the epoch dir appeared;
+        under group commit the parts, the epoch dir and ``data/`` wait for
+        the barrier.  Then the manifest lands atomically."""
         if self.is_committed(epoch):
             return self.manifest(epoch)
+        deferred = self._deferred()
         if self.fsync and entries:
-            if self._deferred():
+            if deferred:
                 self._note_deferred([self.root / e["path"] for e in entries],
                                     [self._epoch_dir(epoch), self.root / "data"])
             else:
                 _fsync_dir(self.root / "data")
-        return self._commit_manifest(epoch, sorted(entries,
-                                                   key=lambda e: e["path"]),
-                                     meta)
-
-    def _commit_manifest(self, epoch: int, files: list[dict], meta: dict | None) -> dict:
         if self._max_epoch is None or epoch > self._max_epoch:
             self._max_epoch = epoch
+        files = sorted(entries, key=lambda e: e["path"])
         manifest = {
             "epoch": epoch,
             "engine_version": ENGINE_VERSION,
@@ -428,14 +386,8 @@ class ExactlyOnceParquetSink:
             "meta": meta or {},
         }
         mpath = self._manifest_path(epoch)
-        deferred = self._deferred()
-        tmp = mpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-            f.flush()
-            if self.fsync and not deferred:
-                os.fsync(f.fileno())
-        os.replace(tmp, mpath)
+        _write_atomic(mpath, json.dumps(manifest).encode(),
+                      self.fsync and not deferred)
         if self.fsync:
             if deferred:
                 self._note_deferred([mpath], [mpath.parent])
@@ -634,6 +586,16 @@ class ExactlyOnceParquetSink:
                 out[e]["compacted_into"] = m["compacted_into"]
         return out
 
+    def _intact(self, fent: dict) -> bool:
+        """A manifest entry's file exists and matches its sha256 (or, for
+        entries written before every part was hashed, its size)."""
+        p = self.root / fent["path"]
+        if not p.exists():
+            return False
+        if "sha256" in fent:
+            return _sha256_file(p) == fent["sha256"]
+        return "size" not in fent or p.stat().st_size == fent["size"]
+
     def verify(self) -> bool:
         """Audit every committed file against its manifest (sha256 when
         recorded, else size); compacted epochs audit their consolidated
@@ -643,25 +605,12 @@ class ExactlyOnceParquetSink:
             m = self.manifest(e)
             if m.get("compacted_into") and not m.get("expired"):
                 cids.add(m["compacted_into"])
-            for f in m["files"]:
-                p = self.root / f["path"]
-                if not p.exists():
-                    return False
-                if "sha256" in f:
-                    if _sha256_file(p) != f["sha256"]:
-                        return False
-                elif "size" in f and p.stat().st_size != f["size"]:
-                    return False
+            if not all(self._intact(f) for f in m["files"]):
+                return False
         for cm in self._consolidation_manifests():
             cids.discard(cm["id"])
-            for fent in cm.get("files") or []:
-                p = self.root / fent["path"]
-                if not p.exists():
-                    return False
-                if "sha256" in fent and _sha256_file(p) != fent["sha256"]:
-                    return False
-                if "size" in fent and p.stat().st_size != fent["size"]:
-                    return False
+            if not all(self._intact(f) for f in cm.get("files") or []):
+                return False
         for cid in cids:
             cm = self._compaction(cid)
             if cm.get("file") is None:
@@ -682,6 +631,23 @@ class ExactlyOnceParquetSink:
     def _compaction(self, cid: str) -> dict:
         with open(self._compaction_path(cid)) as f:
             return json.load(f)
+
+    def _commit_compaction(self, cmanifest: dict) -> None:
+        """Atomically land a compaction/consolidation manifest — the
+        commit point of ``compact`` and ``consolidate``."""
+        cpath = self._compaction_path(cmanifest["id"])
+        _write_atomic(cpath, json.dumps(cmanifest).encode(), True)
+        if self.fsync:
+            _fsync_dir(cpath.parent)
+
+    def _flip_manifest(self, epoch: int, **changes) -> None:
+        """Atomically rewrite epoch ``epoch``'s manifest without its files
+        (compacted, consolidated or expired away) plus ``changes``."""
+        m = self.manifest(epoch)
+        m["files"] = []
+        m.update(changes)
+        _write_atomic(self._manifest_path(epoch), json.dumps(m).encode(),
+                      True)
 
     def compact(self, upto_epoch: int | None = None) -> dict:
         """Merge committed epochs (≤ ``upto_epoch``) into ONE consolidated
@@ -760,34 +726,15 @@ class ExactlyOnceParquetSink:
             "rows": total,
             "committed_at": time.time(),
         }
-        cpath = self._compaction_path(cid)
-        ctmp = cpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-        with open(ctmp, "w") as f:
-            json.dump(cmanifest, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(ctmp, cpath)
-        if self.fsync:
-            _fsync_dir(cpath.parent)
+        self._commit_compaction(cmanifest)
         # flip epoch manifests (each flip atomic; originals still on disk
         # until every flip landed, so any crash state reads consistently)
         for e in eps:
-            m = self.manifest(e)
-            m["files"] = []
-            m["compacted_into"] = cid
-            mpath = self._manifest_path(e)
-            mtmp = mpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-            with open(mtmp, "w") as f:
-                json.dump(m, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(mtmp, mpath)
+            self._flip_manifest(e, compacted_into=cid)
         if self.fsync:
             _fsync_dir(self.root / "_manifests")
-        import shutil as _sh
-
         for e in eps:
-            _sh.rmtree(self._epoch_dir(e), ignore_errors=True)
+            shutil.rmtree(self._epoch_dir(e), ignore_errors=True)
         return {"compacted_epochs": len(eps), "rows": total, "id": cid,
                 "file": cmanifest["file"]}
 
@@ -836,15 +783,7 @@ class ExactlyOnceParquetSink:
             m = self.manifest(e)
             if m.get("compacted_into") == cm["id"] or m.get("expired"):
                 continue
-            m["files"] = []
-            m["compacted_into"] = cm["id"]
-            mpath = self._manifest_path(e)
-            mtmp = mpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-            with open(mtmp, "w") as f:
-                json.dump(m, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(mtmp, mpath)
+            self._flip_manifest(e, compacted_into=cm["id"])
             flipped = True
             shutil.rmtree(self._epoch_dir(e), ignore_errors=True)
         if flipped and self.fsync:
@@ -895,8 +834,9 @@ class ExactlyOnceParquetSink:
         Grouping covers every column except ``diff_col`` and
         ``exclude_cols`` (scalar-typed).  Above ``distributed_over_rows``
         readable rows the net is computed as a Ray Dataset groupby (one
-        shuffle, worker-written snapshot parts); below, a driver-side
-        Arrow ``group_by`` (latency path)."""
+        shuffle) whose blocks the sink's part writer writes, one Ray task
+        per block; below, a driver-side Arrow ``group_by`` (latency
+        path).  Every snapshot part's entry carries its sha256."""
         import pyarrow.compute as pc
 
         self._gc_consolidations()
@@ -934,7 +874,6 @@ class ExactlyOnceParquetSink:
         entries: list[dict] = []
         if readable <= distributed_over_rows:
             tbl = self.read_committed_table(eps)
-            net_rows = 0
             if tbl.num_rows:
                 keys = [c for c in tbl.column_names
                         if c != diff_col and c not in exclude_cols]
@@ -945,21 +884,8 @@ class ExactlyOnceParquetSink:
                     else None,
                     tbl.column_names)
                 if net.num_rows:
-                    cdir.mkdir(parents=True, exist_ok=True)
-                    fpath = cdir / "part-00000.parquet"
-                    tmp = cdir / f".part.tmp-{uuid.uuid4().hex[:8]}"
-                    pq.write_table(net, tmp)
-                    if self.fsync:
-                        _fsync_file(tmp)
-                    os.replace(tmp, fpath)
-                    if self.fsync:
-                        _fsync_dir(cdir)
-                    entries.append({
-                        "path": str(fpath.relative_to(self.root)),
-                        "rows": net.num_rows,
-                        "sha256": _sha256_file(fpath),
-                    })
-                    net_rows = net.num_rows
+                    entries.append(_write_part(self.root, cdir, net, "00000",
+                                               self.fsync))
         else:
             ds = self.read_committed(eps)
             schema = ds.schema()
@@ -978,24 +904,8 @@ class ExactlyOnceParquetSink:
                                   for n in t.column_names]),
                               diff_type, epoch_type, names),
                           batch_format="pyarrow"))
-            staging = self.root / "data" / f".staging-consol-{cid}"
-            net_ds.write_parquet(str(staging))
-            os.replace(staging, cdir)
-            for fpath in sorted(cdir.glob("*.parquet")):
-                if self.fsync:
-                    _fsync_file(fpath)
-                md = pq.read_metadata(fpath)
-                if md.num_rows == 0:
-                    fpath.unlink()
-                    continue
-                entries.append({
-                    "path": str(fpath.relative_to(self.root)),
-                    "rows": md.num_rows,
-                    "size": fpath.stat().st_size,
-                })
-            if self.fsync and cdir.exists():
-                _fsync_dir(cdir)
-            net_rows = sum(f["rows"] for f in entries)
+            entries = _write_blocks(self.root, cdir, net_ds, self.fsync)
+        net_rows = sum(f["rows"] for f in entries)
         cmanifest = {
             "id": cid,
             "kind": "consolidation",
@@ -1006,15 +916,7 @@ class ExactlyOnceParquetSink:
             "rows": net_rows,
             "committed_at": time.time(),
         }
-        cpath = self._compaction_path(cid)
-        ctmp = cpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-        with open(ctmp, "w") as f:
-            json.dump(cmanifest, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(ctmp, cpath)  # ← the commit
-        if self.fsync:
-            _fsync_dir(cpath.parent)
+        self._commit_compaction(cmanifest)  # ← the commit
         self._gc_consolidations()
         return {"consolidated_epochs": len(eps), "rows": net_rows,
                 "id": cid, "snapshot_epoch": snapshot_epoch}
@@ -1042,38 +944,24 @@ class ExactlyOnceParquetSink:
             else:
                 by_cid.setdefault(cid, []).append(e)
 
-        import shutil as _sh
-
-        def flip(e: int) -> None:
-            m = self.manifest(e)
-            m["files"] = []
-            m["expired"] = True
-            mpath = self._manifest_path(e)
-            mtmp = mpath.with_suffix(f".json.tmp-{uuid.uuid4().hex[:8]}")
-            with open(mtmp, "w") as f:
-                json.dump(m, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(mtmp, mpath)
-
         expired = []
         for e in plain:
-            flip(e)
-            _sh.rmtree(self._epoch_dir(e), ignore_errors=True)
+            self._flip_manifest(e, expired=True)
+            shutil.rmtree(self._epoch_dir(e), ignore_errors=True)
             expired.append(e)
         for cid, eps in by_cid.items():
             cm = self._compaction(cid)
             if not all(c < before_epoch for c in cm["covers"]):
                 continue  # compaction straddles the cut — keep whole
             for e in cm["covers"]:
-                flip(e)
+                self._flip_manifest(e, expired=True)
                 expired.append(e)
             if cm.get("file"):
-                _sh.rmtree((self.root / cm["file"]).parent,
-                           ignore_errors=True)
+                shutil.rmtree((self.root / cm["file"]).parent,
+                              ignore_errors=True)
             for fent in cm.get("files") or []:  # consolidation snapshots
-                _sh.rmtree((self.root / fent["path"]).parent,
-                           ignore_errors=True)
+                shutil.rmtree((self.root / fent["path"]).parent,
+                              ignore_errors=True)
             self._compaction_path(cid).unlink(missing_ok=True)
         if self.fsync and expired:
             _fsync_dir(self.root / "_manifests")
@@ -1099,15 +987,9 @@ class CheckpointManager:
         d = self._dir(epoch)
         d.mkdir(parents=True, exist_ok=True)
         for sid, blob in shard_blobs.items():
-            tmp = d / f".shard-{sid:04d}.bin.tmp"
-            tmp.write_bytes(blob)
-            _fsync_file(tmp)
-            os.replace(tmp, d / f"shard-{sid:04d}.bin")
+            _write_atomic(d / f"shard-{sid:04d}.bin", blob, True)
         marker = {"epoch": epoch, "shards": sorted(shard_blobs), "extra": extra or {}}
-        tmp = d / ".DONE.tmp"
-        tmp.write_text(json.dumps(marker))
-        _fsync_file(tmp)
-        os.replace(tmp, d / "DONE")
+        _write_atomic(d / "DONE", json.dumps(marker).encode(), True)
         _fsync_dir(d)
 
     def latest(self) -> int | None:
@@ -1121,19 +1003,17 @@ class CheckpointManager:
         any incomplete (crash-orphaned) dirs older than the newest complete
         one.  Called after every save — without it a 10⁶-epoch stream keeps
         10⁶/K full state snapshots on disk."""
-        import shutil as _sh
-
         done = sorted(int(p.parent.name.split("-")[1])
                       for p in self.root.glob("epoch-*/DONE"))
         drop = done[:-keep_last] if keep_last > 0 else list(done)
         for e in drop:
-            _sh.rmtree(self._dir(e), ignore_errors=True)
+            shutil.rmtree(self._dir(e), ignore_errors=True)
         if done:
             newest = done[-1]
             for d in self.root.glob("epoch-*"):
                 e = int(d.name.split("-")[1])
                 if e < newest and not (d / "DONE").exists():
-                    _sh.rmtree(d, ignore_errors=True)
+                    shutil.rmtree(d, ignore_errors=True)
         return drop
 
     def load(self, epoch: int) -> tuple[dict[int, bytes], dict]:

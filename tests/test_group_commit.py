@@ -307,7 +307,9 @@ def fsyncs(monkeypatch):
 
 def test_commit_files_fsyncs_data_dir(tmp_path, fsyncs):
     """Worker-written parts: the worker fsyncs its file and the epoch dir,
-    and the commit fsyncs data/, where the new epoch dir appeared."""
+    and the commit fsyncs data/, where the new epoch dir appeared.
+    ``commit_tables`` writes its parts the same way and makes the same
+    flushes."""
     sink = ExactlyOnceParquetSink(tmp_path / "s")
     assert sink.part_fsync
     entry = write_epoch_part(sink.root, 0, _tbl(0), "00000",
@@ -317,24 +319,38 @@ def test_commit_files_fsyncs_data_dir(tmp_path, fsyncs):
     fsyncs.clear()
     sink.commit_files(0, [entry])
     assert ("dir", sink.root / "data") in fsyncs
+    fsyncs.clear()
+    sink.commit_tables(1, [_tbl(1)])
+    edir = sink.root / "data" / "epoch=00000001"
+    assert fsyncs.index(("dir", edir)) < fsyncs.index(
+        ("dir", sink.root / "data"))
 
 
 def test_commit_files_group_commit_defers_to_barrier(tmp_path, fsyncs):
     """sync_every > 1: workers skip fsync and the commit defers the part,
-    its epoch dir and data/ to the barrier."""
-    sink = ExactlyOnceParquetSink(tmp_path / "s", sync_every=4)
-    assert not sink.part_fsync
-    entry = write_epoch_part(sink.root, 0, _tbl(0), "00000",
-                             fsync=sink.part_fsync)
-    sink.commit_files(0, [entry])
-    assert fsyncs == []
-    sink.sync()
-    part = sink.root / entry["path"]
-    for want in (("file", part), ("dir", part.parent),
-                 ("dir", sink.root / "data")):
-        assert want in fsyncs
-    wm = sink.root / "_manifests" / "_durable.json"
-    assert json.loads(wm.read_text())["epoch"] == 0
+    its epoch dir and data/ to the barrier; so does ``commit_tables``."""
+    def via_files(sink):
+        entry = write_epoch_part(sink.root, 0, _tbl(0), "00000",
+                                 fsync=sink.part_fsync)
+        sink.commit_files(0, [entry])
+
+    def via_tables(sink):
+        sink.commit_tables(0, [_tbl(0)])
+
+    for commit in (via_files, via_tables):
+        fsyncs.clear()
+        sink = ExactlyOnceParquetSink(tmp_path / commit.__name__,
+                                      sync_every=4)
+        assert not sink.part_fsync
+        commit(sink)
+        assert fsyncs == []
+        sink.sync()
+        part = sink.root / sink.manifest(0)["files"][0]["path"]
+        for want in (("file", part), ("dir", part.parent),
+                     ("dir", sink.root / "data")):
+            assert want in fsyncs
+        wm = sink.root / "_manifests" / "_durable.json"
+        assert json.loads(wm.read_text())["epoch"] == 0
 
 
 def test_recovery_fsyncs_data_before_watermark(tmp_path, monkeypatch):

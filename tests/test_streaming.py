@@ -51,6 +51,24 @@ def split_epochs(tbl, k):
     return [tbl.slice(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def assert_sha256_entries(sink):
+    """Every file entry in the sink's epoch and consolidation manifests
+    carries a sha256."""
+    for e in sink.committed_epochs():
+        for f in sink.manifest(e)["files"]:
+            assert "sha256" in f, f
+    for cm in sink._consolidation_manifests():
+        for f in cm["files"]:
+            assert "sha256" in f, f
+
+
+def flip_middle_byte(path):
+    """Corrupt one byte of ``path`` without changing its size."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
 class TestKeyedAggregation:
     def test_epoch_split_equals_batch(self, ray_session, tmp_path):
         tbl = events_table()
@@ -621,6 +639,12 @@ class TestResumableOutput:
         # second full rerun writes nothing
         res2 = resumable_write_parquet(rd.from_arrow(tbl), root, num_partitions=6)
         assert res2["written"] == 0 and res2["skipped"] == 6
+        # every part is content-hashed: a same-size corruption is caught
+        out_sink = ExactlyOnceParquetSink(root)
+        assert out_sink.verify()
+        flip_middle_byte(root / out_sink.manifest(4)["files"][0]["path"])
+        assert not out_sink.verify()
+        assert_sha256_entries(out_sink)
 
 
 class TestWatermarkMonotonic:
@@ -856,6 +880,8 @@ class TestWorkerWrittenSinkParts:
         # idempotent re-commit (replay) keeps the original manifest
         m2 = sink.commit_files(0, [e1])
         assert m2["files"] == m["files"]
+        sink.commit_tables(1, [pa.table({"a": [4]})])
+        assert_sha256_entries(sink)
 
     def test_crashed_worker_parts_stay_invisible(self, tmp_path):
         from diffdataflowmlpipelines_ray.streaming.sink import write_epoch_part
@@ -4165,6 +4191,14 @@ class TestConsolidation:
         pd.testing.assert_frame_equal(
             ta[cols].sort_values(cols).reset_index(drop=True),
             tb[cols].sort_values(cols).reset_index(drop=True))
+        # both tiers content-hash their snapshot parts, so a same-size
+        # corruption of a Ray-tier part fails the audit
+        assert a.verify() and b.verify()
+        (cm,) = b._consolidation_manifests()
+        flip_middle_byte(b.root / cm["files"][0]["path"])
+        assert not b.verify()
+        assert_sha256_entries(a)
+        assert_sha256_entries(b)
 
     def test_consolidate_over_legacy_compaction(self, ray_session,
                                                 tmp_path):
