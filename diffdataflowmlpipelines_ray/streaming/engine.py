@@ -14,20 +14,25 @@ rows for already-finalized windows are counted and dropped.
 
 Data path per epoch:
 1. partial stage — vectorized accumulators keyed by (key…, window), or the
-   op's points, rows or probe keys.  A ``pa.Table`` epoch is folded on the
-   driver, which scatters per-shard deltas to the ``ShardedStateStore``
-   actors.  A ``ray.data.Dataset`` epoch is shard-direct: its upstream runs
-   once per epoch for its block refs, and one ``exchange.shard_exchange``
-   runs a route task per block (the block's payload split by shard, plus a
-   summary: late rows, max event time, parts written) and a reduce task per
-   touched shard, which merges that shard's payloads in a fixed sorted
-   order, makes the shard's one actor call and writes the shard's sink
-   part.  Map-only plans (broadcast rules, block-mode enrich) run one task
+   op's points, rows or probe keys.  Windowed ``KeyedAggregation`` and
+   ``StreamJoin`` keep columnar state (``arrangement.py``): their partials
+   and side rows are numpy/Arrow columns carrying one vectorized key hash,
+   which is also the shard (hash % num_shards); every other op keys its
+   state by the pickled key tuple (``shard_of``).  A ``pa.Table`` epoch is
+   folded on the driver, which scatters per-shard deltas to the
+   ``ShardedStateStore`` actors.  A ``ray.data.Dataset`` epoch is
+   shard-direct: its upstream runs once per epoch for its block refs, and
+   one ``exchange.shard_exchange`` runs a route task per block (the block's
+   payload split by shard, plus a summary: late rows, max event time, parts
+   written) and a reduce task per touched shard, which merges that shard's
+   payloads in a fixed sorted order, makes the shard's one actor call and
+   writes the shard's sink part.  Map-only plans (broadcast rules, block-mode enrich) run one task
    per block through ``exchange.run_blocks``.  The driver only sums the
    summaries and commits the parts; shard calls are idempotent per epoch;
 2. chaining — an op's epoch output feeds ops declared after it in the same
    ``process_epoch`` call;
-3. watermark advance sweeps closed windows/sessions out of the shards;
+3. watermark advance sweeps closed windows/sessions out of the shards (a
+   window arrangement pops only the slabs whose end has closed);
 4. emissions are committed to the op's ``ExactlyOnceParquetSink`` under the
    epoch id; a checkpoint (state dump + watermark) is taken every
    ``checkpoint_every`` epochs → kill/resume replays only uncommitted work.
@@ -55,7 +60,9 @@ from ..state.aggregates import SumCountAgg
 from .exchange import (Summary, block_refs, blocks_to_table, combine,
                        run_blocks, shard_exchange)
 from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
-from .state_store import ShardedStateStore, StateShard, rescale_blobs, shard_of
+from .arrangement import Partials, Rows, key_hash, to_arrow
+from .state_store import (ShardedStateStore, StateShard, legacy_state,
+                          rescale_blobs, shard_of)
 
 __all__ = [
     "WindowSpec",
@@ -130,11 +137,21 @@ def _ts_to_float(series: pd.Series) -> np.ndarray:
     return series.to_numpy(dtype=np.float64)
 
 
+def _ts_seconds(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """``_ts_to_float`` on an Arrow column, without a pandas conversion."""
+    if pa.types.is_timestamp(col.type):
+        ticks = col.cast(pa.int64()).to_numpy()
+        return (ticks.astype(f"datetime64[{col.type.unit}]")
+                .astype("datetime64[us]").astype(np.int64) / 1e6)
+    return col.cast(pa.float64()).to_numpy()
+
+
 def _block_max_ts(tbl: pa.Table, ts_col: str | None) -> float:
     """A block's max event time in float seconds; ``-inf`` without one."""
     if not (ts_col and ts_col in tbl.column_names and tbl.num_rows):
         return -math.inf
-    return float(_ts_to_float(tbl.select([ts_col]).to_pandas()[ts_col]).max())
+    col = tbl.column(ts_col)
+    return float(_ts_seconds(pa.array([pc.max(col)], type=col.type))[0])
 
 
 # ------------------------------------------- shard exchange route/reduce parts
@@ -378,6 +395,9 @@ class KeyedAggregation:
                 raise ValueError("threshold_fn(0) must be 0 (absent keys "
                                  "have multiplicity 0)")
         self._track_extremes = bool({"min", "max"} & set(self.aggs))
+        #: Arrow types of the key columns, once an input has been seen:
+        #: an epoch with nothing to emit still commits typed columns
+        self._key_types: list | None = None
 
     # ------------------------------------------------------------ late split
     def split_late(self, tbl: pa.Table,
@@ -390,7 +410,7 @@ class KeyedAggregation:
         for the side sink.  A sliding-window row that still lands in ≥1
         open window is ON TIME here; ``partial_batch`` then drops it from
         its closed windows only (unchanged semantics)."""
-        ts = _ts_to_float(tbl.select([self.ts_col]).to_pandas()[self.ts_col])
+        ts = _ts_seconds(tbl.column(self.ts_col))
         w = self.window
         if w.kind == "tumbling":
             newest_end = np.floor(ts / w.size) * w.size + w.size
@@ -401,8 +421,11 @@ class KeyedAggregation:
         return tbl.filter(mask), tbl.filter(pc.invert(mask))
 
     # --------------------------------------------------------------- partials
-    def partial_batch(self, tbl: pa.Table, finalized_before: float) -> tuple[dict, int]:
-        """One block → {key_bytes: acc}; returns (partials, late_rows)."""
+    def partial_batch(self, tbl: pa.Table, finalized_before: float):
+        """One block → (partials, late_rows).  Windowed: columnar
+        ``Partials``, one row per (window, key) — the same pandas groupby
+        over (key…, window) the accumulators always used, plus the key hash
+        that routes them.  Unwindowed: {key_bytes: acc}."""
         cols = list(self.key_cols)
         if self.value_col:
             cols.append(self.value_col)
@@ -421,30 +444,65 @@ class KeyedAggregation:
             if self.weight_col and self.weight_col in pdf
             else None
         )
-        late = 0
-        if self.window is not None:
-            ts = _ts_to_float(pdf[self.ts_col])
-            if self.window.use_panes and not self.early_firing:
-                idx, wstart, wend = self.window.assign_panes(ts)
-                # a row is late when even its NEWEST containing window
-                # (start = pane start) is already closed
-                newest_end = wstart + self.window.size
-                keep = (newest_end + self.window.allowed_lateness
-                        > finalized_before)
-            else:
-                idx, wstart, wend = self.window.assign(ts)
-                keep = wend + self.window.allowed_lateness > finalized_before
-            late = int((~keep).sum())
-            idx, wstart, wend = idx[keep], wstart[keep], wend[keep]
-            frame = pdf.iloc[idx][list(self.key_cols)].assign(
-                __ws=wstart, __we=wend
-            )
-            values = values[idx]
-            weights = weights[idx] if weights is not None else None
-            group_cols = list(self.key_cols) + ["__ws", "__we"]
+        key_cols = list(self.key_cols)
+        if self.window is None:
+            return self._keyed_partials(pdf[key_cols].copy(), values,
+                                        weights), 0
+        ts = _ts_to_float(pdf[self.ts_col])
+        w = self.window
+        if w.use_panes and not self.early_firing:
+            idx, start, _ = w.assign_panes(ts)
+            # a row is late when even its NEWEST containing window
+            # (start = pane start) is already closed
+            keep = start + w.size + w.allowed_lateness > finalized_before
+            width = w.slide
         else:
-            frame = pdf[list(self.key_cols)].copy()
-            group_cols = list(self.key_cols)
+            idx, start, end = w.assign(ts)
+            keep = end + w.allowed_lateness > finalized_before
+            width = w.size
+        late = int((~keep).sum())
+        idx, start = idx[keep], start[keep]
+        frame = pd.DataFrame({**{k: pdf[k].to_numpy()[idx] for k in key_cols},
+                              "__ws": start})
+        values = values[idx]
+        weights = weights[idx] if weights is not None else None
+        groups = key_cols + ["__ws"]
+        s = c = acc = None
+        if self.make_acc is None and not self._track_extremes:
+            ww = (weights if weights is not None
+                  else np.ones(len(frame), dtype=np.int64))
+            agg = (frame.assign(__wv=values * ww, __w=ww)
+                   .groupby(groups, sort=True, dropna=False)[["__wv", "__w"]]
+                   .sum())
+            s, c = agg["__wv"].to_numpy(), agg["__w"].to_numpy(np.int64)
+            index = agg.index
+        else:
+            grouped = frame.assign(__pos=np.arange(len(frame))).groupby(
+                groups, sort=True, dropna=False)
+            acc = np.empty(grouped.ngroups, dtype=object)
+            for i, (_, grp) in enumerate(grouped):
+                acc[i] = self._group_acc(values, weights,
+                                         grp["__pos"].to_numpy())
+            index = grouped.size().index
+        cols = ([index.get_level_values(i).to_numpy()
+                 for i in range(len(groups))] if len(index)
+                else [frame[g].to_numpy() for g in groups])
+        keys, start = cols[:-1], cols[-1]
+        self._key_types = [tbl.schema.field(k).type for k in key_cols]
+        return Partials(keys, self._key_types,
+                        key_hash(pd.DataFrame(dict(zip(key_cols, keys)))),
+                        start, start + width, s, c, acc), late
+
+    def _group_acc(self, values, weights, pos):
+        w = weights[pos] if weights is not None else None
+        if self.make_acc is not None:
+            return self.make_acc(values[pos], w)
+        return SumCountAgg.from_numpy(values[pos], w,
+                                      track_extremes=self._track_extremes)
+
+    def _keyed_partials(self, frame: pd.DataFrame, values, weights) -> dict:
+        """Unwindowed partials: {pickled key tuple: accumulator}."""
+        group_cols = list(self.key_cols)
         out: dict[bytes, Any] = {}
         if self.make_acc is None and not self._track_extremes:
             # vectorized fast path for plain sum/count (the common case,
@@ -459,19 +517,13 @@ class KeyedAggregation:
                                  agg["c"].to_numpy()):
                 key_t = key if isinstance(key, tuple) else (key,)
                 out[_key_bytes(key_t)] = SumCountAgg(float(s), int(c))
-            return out, late
+            return out
         frame["__pos"] = np.arange(len(frame))
         for key, grp in frame.groupby(group_cols, sort=True, dropna=False):
             key_t = key if isinstance(key, tuple) else (key,)
-            pos = grp["__pos"].to_numpy()
-            v = values[pos]
-            w = weights[pos] if weights is not None else None
-            if self.make_acc is not None:
-                acc = self.make_acc(v, w)
-            else:
-                acc = SumCountAgg.from_numpy(v, w, track_extremes=self._track_extremes)
-            out[_key_bytes(key_t)] = acc
-        return out, late
+            out[_key_bytes(key_t)] = self._group_acc(
+                values, weights, grp["__pos"].to_numpy())
+        return out
 
     # --------------------------------------------------------------- finalize
     def _finalize_acc(self, acc) -> dict:
@@ -491,29 +543,75 @@ class KeyedAggregation:
                 out["max"] = acc.min_max()[1]
         return out
 
-    def rows_to_table(self, items: list[tuple[bytes, Any]], epoch: int) -> pa.Table:
+    def _agg_columns(self, p: Partials | None) -> dict:
+        """Finalized aggregate columns of window rows: vectorized for the
+        built-in sum/count/mean, one ``_finalize_acc`` per row otherwise."""
+        if p is not None and p.acc is None and self.finalize is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = {"count": p.c, "sum": p.s, "mean": p.s / p.c}
+            return {a: pa.array(vals[a]) for a in self.aggs}
+        if p is not None and len(p):
+            recs = pa.Table.from_pylist(self._finalized(p))
+            return dict(zip(recs.column_names, recs.columns))
+        return {a: pa.array([], type=pa.int64() if a == "count"
+                             else pa.float64() if a in _AGG_FIELDS
+                             else pa.null())
+                for a in self.aggs}
+
+    def _finalized(self, p: Partials) -> list:
+        """``_finalize_acc`` per (live) row; sum/count rows as
+        ``SumCountAgg``."""
+        accs = (p.acc if p.acc is not None else
+                [SumCountAgg(s, c) for s, c in zip(p.s.tolist(), p.c.tolist())])
+        return [self._finalize_acc(a) for a in accs]
+
+    def _window_table(self, p: Partials | None, epoch: int,
+                      diff: np.ndarray | None = None) -> pa.Table:
+        """Window rows → keys, window bounds, aggregates (, diff), epoch."""
+        n = 0 if p is None else len(p)
+        types = (p.types if p is not None else self._key_types
+                 or [None] * len(self.key_cols))
+        cols = {k: (to_arrow(p.keys[i], types[i]) if p is not None
+                    else pa.array([], type=types[i] or pa.null()))
+                for i, k in enumerate(self.key_cols)}
+        cols["window_start"] = pa.array(
+            np.empty(0) if p is None else p.start, type=pa.float64())
+        cols["window_end"] = pa.array(
+            np.empty(0) if p is None else p.end, type=pa.float64())
+        cols.update(self._agg_columns(p))
+        if diff is not None:
+            cols["diff"] = pa.array(diff, type=pa.int64())
+        cols["epoch"] = pa.array(np.full(n, epoch, dtype=np.int64))
+        return pa.table(cols)
+
+    def rows_to_table(self, items: list, epoch: int) -> pa.Table:
+        """Closed windows (the shards' swept ``Partials``) → output rows.
+        Unwindowed state (``state_table``): (key_bytes, acc) pairs."""
+        if self.window is not None:
+            return self._window_table(Partials.concat(items) if items
+                                      else None, epoch)
         recs = []
         for kb, acc in items:
-            key = pickle.loads(kb)
-            rec = dict(zip(list(self.key_cols) + ["window_start", "window_end"], key))
+            rec = dict(zip(self.key_cols, pickle.loads(kb)))
             rec.update(self._finalize_acc(acc))
             rec["epoch"] = epoch
             recs.append(rec)
         if not recs:
-            names = list(self.key_cols)
-            if self.window is not None:
-                names += ["window_start", "window_end"]
-            names += [a for a in self.aggs] + ["epoch"]
+            names = list(self.key_cols) + [a for a in self.aggs] + ["epoch"]
             return pa.table({n: pa.array([]) for n in names})
         return pa.Table.from_pylist(recs)
 
     def changelog_to_table(self, pairs: list, epoch: int) -> pa.Table:
-        """``(key_bytes, old_acc, new_acc)`` per touched key → ±1 delta rows
+        """Touched keys' (old, new) accumulators → ±1 delta rows
         (retraction of the old finalized aggregate before the addition of
         the new; keys whose finalized value did not change emit nothing).
+        Early firing: ``pairs`` are the shards' ``(before, after)`` window
+        rows; unwindowed: ``(key_bytes, old_acc, new_acc)`` per key.
 
         With ``threshold_fn`` the row is the key alone and the diff is
         ``f(new_count) − f(old_count)`` (skipped when 0) — DD threshold."""
+        if self.window is not None:
+            return self._window_changelog(pairs, epoch)
         if self.threshold_fn is not None:
             recs = []
             f = self.threshold_fn
@@ -528,24 +626,50 @@ class KeyedAggregation:
                 return pa.table({n: pa.array([]) for n in
                                  list(self.key_cols) + ["diff", "epoch"]})
             return pa.Table.from_pylist(recs)
-        key_names = list(self.key_cols)
-        if self.window is not None:  # early firing: keys carry the window
-            key_names += ["window_start", "window_end"]
         recs = []
         for kb, old, new in pairs:
             of = None if old is None else self._finalize_acc(old)
             nf = None if new is None else self._finalize_acc(new)
             if of == nf:
                 continue
-            base = dict(zip(key_names, pickle.loads(kb)))
+            base = dict(zip(self.key_cols, pickle.loads(kb)))
             if of is not None:
                 recs.append({**base, **of, "diff": -1, "epoch": epoch})
             if nf is not None:
                 recs.append({**base, **nf, "diff": 1, "epoch": epoch})
         if not recs:
-            names = key_names + [a for a in self.aggs] + ["diff", "epoch"]
+            names = list(self.key_cols) + [a for a in self.aggs] + ["diff", "epoch"]
             return pa.table({n: pa.array([]) for n in names})
         return pa.Table.from_pylist(recs)
+
+    def _window_changelog(self, pairs: list, epoch: int) -> pa.Table:
+        if not pairs:
+            return self._window_table(None, epoch, np.empty(0))
+        before = Partials.concat([b for b, _ in pairs])
+        after = Partials.concat([a for _, a in pairs])
+        was, now = ~before.identity(), ~after.identity()
+        if before.acc is None and self.finalize is None:
+            old, new = self._agg_columns(before), self._agg_columns(after)
+            moved = np.zeros(len(before), dtype=bool)
+            for a in self.aggs:
+                moved |= (old[a].to_numpy(zero_copy_only=False)
+                          != new[a].to_numpy(zero_copy_only=False))
+        else:  # finalize only rows live on both sides
+            both = np.flatnonzero(was & now)
+            moved = np.zeros(len(before), dtype=bool)
+            moved[both] = [o != n for o, n in zip(
+                self._finalized(before.take(both)),
+                self._finalized(after.take(both)))]
+        changed = (was != now) | (was & now & moved)
+        out_rows = np.flatnonzero(was & changed)
+        in_rows = np.flatnonzero(now & changed)
+        # per (window, key): the retraction, then the addition
+        row = np.concatenate([out_rows, in_rows])
+        diff = np.concatenate([np.full(len(out_rows), -1, dtype=np.int64),
+                               np.ones(len(in_rows), dtype=np.int64)])
+        order = np.lexsort([diff, row])
+        rows = Partials.concat([before.take(out_rows), after.take(in_rows)])
+        return self._window_table(rows.take(order), epoch, diff[order])
 
 
 @dataclass
@@ -1306,6 +1430,9 @@ class StreamJoin:
                          "True/'left'/'right'/'full'")
 
     def __post_init__(self):
+        #: Arrow schema of each side's carried columns, once seen: an epoch
+        #: with no match still commits typed columns
+        self._schemas: dict[str, pa.Schema] = {}
         if self.max_dt is not None and not (self.left_ts and self.right_ts):
             raise ValueError("max_dt requires left_ts and right_ts")
         if self.unmatched_sides():
@@ -1316,55 +1443,52 @@ class StreamJoin:
                 raise ValueError("retention < max_dt would expire rows "
                                  "before their unmatched sweep")
 
-    def _side_frame(self, tbl: pa.Table, side: str) -> pd.DataFrame:
-        """One side's epoch rows → DataFrame of key + output cols + per-side
-        event-time and diff columns (vectorized; no per-row Python).
-
-        A ``diff`` column on the input makes the join **bilinear** like DD's:
-        a retraction row (diff = −1) matches the other side's buffered rows
-        and emits matches with diff = diff_left · diff_right, cancelling the
-        earlier emissions in multiset semantics.
-        """
-        key_cols = self.left_key if side == "left" else self.right_key
-        out_cols = self.left_cols if side == "left" else self.right_cols
-        ts_col = self.left_ts if side == "left" else self.right_ts
-        cols = list(dict.fromkeys(
-            list(key_cols) + list(out_cols)
-            + ([ts_col] if ts_col else [])
-            + (["diff"] if "diff" in tbl.column_names else [])
-        ))
-        pdf = tbl.select(cols).to_pandas()
-        ts_name = f"__ts_{side}"
-        pdf[ts_name] = _ts_to_float(pdf[ts_col]) if ts_col else 0.0
-        pdf[f"__diff_{side}"] = (
-            pdf.pop("diff").astype(np.int64) if "diff" in pdf.columns else 1
-        )
-        if ts_col and ts_col not in out_cols and ts_col not in key_cols:
-            pdf = pdf.drop(columns=[ts_col])
-        return pdf
+    def _side(self, side: str) -> tuple[list, list, str | None]:
+        """(key columns, carried columns, event-time column) of a side."""
+        if side == "left":
+            keys, cols, ts = self.left_key, self.left_cols, self.left_ts
+        else:
+            keys, cols, ts = self.right_key, self.right_cols, self.right_ts
+        return list(keys), list(dict.fromkeys(list(keys) + list(cols))), ts
 
     def side_shards(self, tbl: pa.Table, side: str,
-                    num_shards: int) -> dict[int, pd.DataFrame]:
-        """One side's rows hash-partitioned to the shards: shard =
-        hash(key values) % num_shards, computed vectorized and identically
-        on both sides (pd.util.hash_pandas_object on the key columns by
-        position), so matching keys co-locate."""
-        pdf = self._side_frame(tbl, side)
-        if not len(pdf):
+                    num_shards: int) -> dict[int, Rows]:
+        """One side's epoch rows → ``Rows`` per shard: the carried Arrow
+        columns, key hash (shard = hash % num_shards, identical on both
+        sides, so matching keys co-locate), event time in float seconds and
+        ``diff``.  A ``diff`` column on the input makes the join
+        **bilinear** like DD's: a retraction row (diff = −1) matches the
+        other side's buffered rows and emits matches with diff = diff_left ·
+        diff_right, cancelling the earlier emissions in multiset
+        semantics."""
+        keys, carried, ts_col = self._side(side)
+        out = tbl.select(carried)
+        self._schemas[side] = out.schema
+        if not tbl.num_rows:
             return {}
-        keys = list(self.left_key if side == "left" else self.right_key)
-        h = pd.util.hash_pandas_object(pdf[keys], index=False).to_numpy()
-        sid = (h % np.uint64(num_shards)).astype(np.int64)
-        return {int(s): pdf[sid == s].reset_index(drop=True)
-                for s in np.unique(sid)}
+        kdf = tbl.select(keys).to_pandas()
+        n = tbl.num_rows
+        rows = Rows(
+            out, keys, key_hash(kdf),
+            _ts_seconds(tbl.column(ts_col)) if ts_col else np.zeros(n),
+            (tbl.column("diff").to_numpy().astype(np.int64)
+             if "diff" in tbl.column_names else np.ones(n, dtype=np.int64)))
+        # hash order is the shards' run order; the take also compacts a
+        # sliced input, which would otherwise pickle its parent's buffers
+        return rows.take(np.argsort(rows.h, kind="stable")).split(num_shards)
+
+    def _names(self) -> list:
+        return list(dict.fromkeys(
+            list(self.left_key) + list(self.left_cols) + list(self.right_cols)))
 
     def payload_base(self) -> dict:
-        """A shard probe payload's arguments, beside the sides' frames."""
-        return {"left_key": list(self.left_key),
-                "right_key": list(self.right_key),
-                "max_dt": self.max_dt,
-                "track": "left" in self.unmatched_sides(),
-                "track_right": "right" in self.unmatched_sides()}
+        """A shard probe payload's arguments, beside the sides' rows: the
+        output columns each side supplies, and the interval bound."""
+        left = set(self._side("left")[1])
+        names = self._names()
+        return {"left_names": [n for n in names if n in left],
+                "right_names": [n for n in names if n not in left],
+                "max_dt": self.max_dt}
 
     def shard_payloads(self, left_tbl, right_tbl, num_shards: int) -> dict[int, dict]:
         """Both sides' rows co-located by key (``side_shards``) →
@@ -1373,43 +1497,46 @@ class StreamJoin:
         for side, tbl in (("left", left_tbl), ("right", right_tbl)):
             if tbl is None:
                 continue
-            for s, frame in self.side_shards(tbl, side, num_shards).items():
-                payloads.setdefault(s, self.payload_base())[side] = frame
+            for s, part in self.side_shards(tbl, side, num_shards).items():
+                payloads.setdefault(s, self.payload_base())[side] = part
         return payloads
 
-    def matches_to_table(self, frames: list, epoch: int) -> pa.Table:
-        names = list(dict.fromkeys(
-            list(self.left_key) + list(self.left_cols) + list(self.right_cols)
-        ))
-        if not frames:
-            return pa.table({n: pa.array([]) for n in names + ["diff", "epoch"]})
-        cat = pd.concat(frames, ignore_index=True)
-        df = cat[names].copy()
-        df["diff"] = (cat["__diff_left"] * cat["__diff_right"]).astype(np.int64)
-        df["epoch"] = np.int64(epoch)
-        return pa.Table.from_pandas(df, preserve_index=False)
+    def _empty(self, side: str, names: list) -> dict:
+        """Typed empty columns of a side, once its input has been seen."""
+        schema = self._schemas.get(side)
+        return {n: pa.array([], type=(schema.field(n).type if schema
+                                      else pa.null()))
+                for n in names}
 
-    def unmatched_to_table(self, frames: list, epoch: int,
+    def matches_to_table(self, tables: list, epoch: int) -> pa.Table:
+        """The shards' match tables → one table + epoch."""
+        if tables:
+            tbl = pa.concat_tables(tables)
+        else:
+            base = self.payload_base()
+            tbl = pa.table({**self._empty("left", base["left_names"]),
+                            **self._empty("right", base["right_names"]),
+                            "diff": pa.array([], type=pa.int64())})
+        return tbl.append_column(
+            "epoch", pa.array(np.full(tbl.num_rows, epoch, dtype=np.int64)))
+
+    def unmatched_to_table(self, swept: list, epoch: int,
                            side: str = "left") -> pa.Table:
-        """Swept never-matched rows of one side → that side's columns + its
-        event time (as its ts column name) + epoch.  No null-padded other
-        side: each side sink keeps its own schema, and a reader null-pads
-        at union time (the ``stream_outer_join`` query does)."""
-        key_cols = self.left_key if side == "left" else self.right_key
-        out_cols = self.left_cols if side == "left" else self.right_cols
-        ts_col = self.left_ts if side == "left" else self.right_ts
-        names = list(dict.fromkeys(list(key_cols) + list(out_cols)))
-        if not frames:
-            cols = {n: pa.array([]) for n in names}
-            cols[ts_col] = pa.array([], type=pa.float64())
-            cols["epoch"] = pa.array([], type=pa.int64())
-            return pa.table(cols)
-        cat = pd.concat(frames, ignore_index=True)
-        df = cat[names].copy()
-        if ts_col not in df.columns:  # else keep the carried original
-            df[ts_col] = cat[f"__ts_{side}"].astype(np.float64)
-        df["epoch"] = np.int64(epoch)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        """Swept never-matched rows of one side (the shards' (columns,
+        event times) pairs) → that side's columns + its event time (as its
+        ts column name) + epoch.  No null-padded other side: each side sink
+        keeps its own schema, and a reader null-pads at union time (the
+        ``stream_outer_join`` query does)."""
+        _, names, ts_col = self._side(side)
+        if swept:
+            tbl = pa.concat_tables([t for t, _ in swept])
+            ts = np.concatenate([t for _, t in swept])
+        else:
+            tbl, ts = pa.table(self._empty(side, names)), np.empty(0)
+        if ts_col not in names:  # else keep the carried original
+            tbl = tbl.append_column(ts_col, pa.array(ts, type=pa.float64()))
+        return tbl.append_column(
+            "epoch", pa.array(np.full(tbl.num_rows, epoch, dtype=np.int64)))
 
 
 class AsofStreamJoin(StreamJoin):
@@ -1462,10 +1589,50 @@ class AsofStreamJoin(StreamJoin):
                              "LEFT outer (True/'left') — the right side "
                              "is a version history, not a match partner")
 
+    def _side_frame(self, tbl: pa.Table, side: str) -> pd.DataFrame:
+        """One side's epoch rows → DataFrame of key + output cols + per-side
+        event-time and diff columns (vectorized; no per-row Python).
+
+        A ``diff`` column on the input makes the join **bilinear** like DD's:
+        a retraction row (diff = −1) matches the other side's buffered rows
+        and emits matches with diff = diff_left · diff_right, cancelling the
+        earlier emissions in multiset semantics.
+        """
+        key_cols = self.left_key if side == "left" else self.right_key
+        out_cols = self.left_cols if side == "left" else self.right_cols
+        ts_col = self.left_ts if side == "left" else self.right_ts
+        cols = list(dict.fromkeys(
+            list(key_cols) + list(out_cols)
+            + ([ts_col] if ts_col else [])
+            + (["diff"] if "diff" in tbl.column_names else [])
+        ))
+        pdf = tbl.select(cols).to_pandas()
+        ts_name = f"__ts_{side}"
+        pdf[ts_name] = _ts_to_float(pdf[ts_col]) if ts_col else 0.0
+        pdf[f"__diff_{side}"] = (
+            pdf.pop("diff").astype(np.int64) if "diff" in pdf.columns else 1
+        )
+        if ts_col and ts_col not in out_cols and ts_col not in key_cols:
+            pdf = pdf.drop(columns=[ts_col])
+        return pdf
+
+    def side_shards(self, tbl: pa.Table, side: str,
+                    num_shards: int) -> dict[int, pd.DataFrame]:
+        """One side's rows hash-partitioned to the shards: shard =
+        hash(key values) % num_shards, computed vectorized and identically
+        on both sides (pd.util.hash_pandas_object on the key columns by
+        position), so matching keys co-locate."""
+        pdf = self._side_frame(tbl, side)
+        if not len(pdf):
+            return {}
+        keys = list(self.left_key if side == "left" else self.right_key)
+        h = pd.util.hash_pandas_object(pdf[keys], index=False).to_numpy()
+        sid = (h % np.uint64(num_shards)).astype(np.int64)
+        return {int(s): pdf[sid == s].reset_index(drop=True)
+                for s in np.unique(sid)}
+
     def out_names(self) -> list:
-        return list(dict.fromkeys(
-            list(self.left_key) + list(self.left_cols)
-            + list(self.right_cols)))
+        return self._names()
 
     def payload_base(self) -> dict:
         return {"key": list(self.left_key), "out_names": self.out_names(),
@@ -1910,6 +2077,17 @@ class StreamSession:
         if latest is None:
             return 0
         blobs, extra = self.chk.load(latest)
+        stale = legacy_state(
+            blobs,
+            {n for n, o in self.ops.items()
+             if isinstance(o, KeyedAggregation) and o.window is not None},
+            {n for n, o in self.ops.items()
+             if isinstance(o, StreamJoin) and not isinstance(o, AsofStreamJoin)})
+        if stale:
+            raise ValueError(
+                f"checkpoint {latest} holds state of op(s) {stale} in the "
+                "per-key format that predates columnar arrangements; it "
+                "cannot be resumed — rebuild those ops from their inputs")
         if set(blobs) != set(range(self.store.num_shards)):
             # savepoint rescale: the checkpoint was taken at a different
             # shard count — re-bucket every keyed family with this
@@ -2017,67 +2195,117 @@ class StreamSession:
                                       meta=self._meta(kind=kind))
         return sum(e["rows"] for e in entries)
 
-    def _partials_route(self, op, split_late: bool = False,
-                        late_write=None):
+    def _partials_route(self, op):
         """Route kernel of the keyed partials (``partial_batch``): each
-        block's per-key partials go to their shards.  With ``split_late``
-        the block first splits off its late rows, which ``late_write``
-        writes as ``<op>__late`` parts (None on a committed replay)."""
+        block's per-key partials go to their shards."""
         num_shards, wm = self.store.num_shards, self.watermark
         ts_col = getattr(op, "ts_col", None)
 
         def route(tbl: pa.Table):
-            max_ts, entries = _block_max_ts(tbl, ts_col), []
-            if split_late:
-                tbl, late_tbl = op.split_late(tbl, wm)
-                if late_tbl.num_rows and late_write is not None:
-                    entries.append(late_write(
-                        late_tbl, tag=f"b{uuid.uuid4().hex[:12]}"))
             part, late = op.partial_batch(tbl, wm)
             return (_keyed_parts(part.items(), num_shards),
-                    Summary(late, max_ts, entries))
+                    Summary(late, _block_max_ts(tbl, ts_col)))
         return route
 
     def _scatter_partials_distributed(self, op, name: str, epoch: int,
                                       data) -> None:
-        """Shard-direct keyed partials (KeyedAggregation, enrich dims):
-        each shard's reduce merges its partials and makes the shard's one
-        ``apply_delta`` call, so per-epoch key cardinality never touches
-        driver memory.  ``late_output`` rows become ``<op>__late`` parts
-        written by the route tasks."""
-        split = getattr(op, "late_output", False)
-        late_write = None
-        if split and not self.sinks[f"{name}__late"].is_committed(epoch):
-            late_write = self._part_writer(f"{name}__late", epoch)
+        """Shard-direct keyed partials (unwindowed KeyedAggregation, enrich
+        dims): each shard's reduce merges its partials and makes the shard's
+        one ``apply_delta`` call, so per-epoch key cardinality never touches
+        driver memory."""
         shards = self.store.shards
 
         def reduce(sid: int, parts: list):
             return ray.get(shards[sid].apply_delta.remote(
                 name, epoch, _merged_payload(parts, _merge_acc)))
 
-        entries, _ = self._exchange(
-            [(self._partials_route(op, split, late_write), data)], reduce)
+        self._exchange([(self._partials_route(op), data)], reduce)
+
+    def _window_epoch(self, op: "KeyedAggregation", name: str, epoch: int,
+                      data, emitted: dict) -> None:
+        """Windowed KeyedAggregation epoch: the columnar partials merge into
+        the op's window arrangement; ``late_output`` rows commit to
+        ``<op>__late`` and, with ``early_firing``, the touched open
+        windows' ±1 changelog to ``<op>__early``."""
+        if not isinstance(data, pa.Table):
+            return self._window_epoch_distributed(op, name, epoch, data,
+                                                  emitted)
+        if op.late_output:
+            data, late_tbl = op.split_late(data, self.watermark)
+            lsink = self.sinks[f"{name}__late"]
+            if not lsink.is_committed(epoch):
+                self.metrics["late_routed"] += late_tbl.num_rows
+            lsink.commit_tables(epoch, [late_tbl],
+                                meta=self._meta(kind="late_rows"))
+            emitted[f"{name}__late"] = late_tbl
+        part = self._merged_partials(op, data, self.watermark)
+        if op.early_firing:
+            changes = self.store.apply_window_partials(name, epoch, part,
+                                                       changelog=True)
+            self._emit(f"{name}__early", epoch,
+                       op.changelog_to_table(changes, epoch), emitted,
+                       kind="early_firing")
+        else:
+            self.store.apply_window_partials(name, epoch, part,
+                                             wait=not self.pipelined)
+
+    def _window_epoch_distributed(self, op: "KeyedAggregation", name: str,
+                                  epoch: int, data, emitted: dict) -> None:
+        """Dataset epoch of ``_window_epoch``: route tasks split off late
+        rows (writing ``<op>__late`` parts) and send each shard its
+        partials; a shard's reduce merges them in (end, hash, value) order,
+        makes the one apply call and, with ``early_firing``, writes the
+        shard's changelog part."""
+        early = op.early_firing
+        late_write = None
+        if op.late_output and not self.sinks[f"{name}__late"].is_committed(
+                epoch):
+            late_write = self._part_writer(f"{name}__late", epoch)
+        write = self._part_writer(f"{name}__early", epoch) if early else None
+        num_shards, shards, wm = (self.store.num_shards, self.store.shards,
+                                  self.watermark)
+
+        def route(tbl: pa.Table):
+            max_ts, entries = _block_max_ts(tbl, op.ts_col), []
+            if op.late_output:
+                tbl, late_tbl = op.split_late(tbl, wm)
+                if late_tbl.num_rows and late_write is not None:
+                    entries.append(late_write(
+                        late_tbl, tag=f"b{uuid.uuid4().hex[:12]}"))
+            part, late = op.partial_batch(tbl, wm)
+            return part.split(num_shards), Summary(late, max_ts, entries)
+
+        def reduce(sid: int, parts: list):
+            out = ray.get(shards[sid].apply_window_partials.remote(
+                name, epoch, Partials.concat(parts).canonical(), early))
+            if not early:
+                return None
+            tbl = op.changelog_to_table([out] if out else [], epoch)
+            # empty parts add nothing; skip the file
+            return write(tbl, tag=f"shard{sid:04d}") if tbl.num_rows else None
+
+        entries, results = self._exchange([(route, data)], reduce)
         if late_write is not None:
             self.metrics["late_routed"] += self._commit_parts(
                 f"{name}__late", epoch, entries, "late_rows")
+        if early:
+            n = self._commit_parts(f"{name}__early", epoch,
+                                   [e for e in results if e], "early_firing")
+            self._emit_committed(f"{name}__early", epoch, n, emitted)
 
     def _changelog_distributed(self, op, name: str, epoch: int, data,
-                               shard_method: str, to_table, kind: str,
-                               state_name: str | None = None) -> int:
+                               shard_method: str, to_table, kind: str) -> int:
         """Shard-direct changelog (UpsertToRetract, Scd2History,
-        ``KeyedAggregation`` with ``emit_changelog`` or ``early_firing``):
-        the keyed partials exchange, whose reducers make the shard's one
-        ``shard_method`` call and write the returned deltas (``to_table``)
-        as the shard's part of sink ``name``.  ``state_name`` lets a side
-        sink (``<op>__early``) ride the op's own shard state.  Returns
-        committed delta rows."""
-        state = name if state_name is None else state_name
+        ``KeyedAggregation`` with ``emit_changelog``): the keyed partials
+        exchange, whose reducers make the shard's one ``shard_method`` call
+        and write the returned deltas (``to_table``) as the shard's part of
+        sink ``name``.  Returns committed delta rows."""
         shards, write = self.store.shards, self._part_writer(name, epoch)
 
         def reduce(sid: int, parts: list):
             deltas = pickle.loads(ray.get(getattr(
                 shards[sid], shard_method).remote(
-                    state, epoch, _merged_payload(parts, _merge_acc))))
+                    name, epoch, _merged_payload(parts, _merge_acc))))
             tbl = to_table(deltas, epoch)
             # empty parts add nothing; skip the file
             return write(tbl, tag=f"shard{sid:04d}") if tbl.num_rows else None
@@ -2146,15 +2374,14 @@ class StreamSession:
     def _join_epoch(self, op: "StreamJoin", name: str, epoch: int,
                     left, right) -> int:
         """Dataset-epoch StreamJoin / AsofStreamJoin: both sides' blocks
-        route by the Table path's key hash (``StreamJoin.side_shards``) and
-        report their max event time; each shard's reduce makes the one
+        route by the Table path's key hash (``side_shards``) and report
+        their max event time; each shard's reduce makes the one
         ``join_insert_probe`` / ``asof_insert_probe`` call and writes its
         matches (and as-of unmatched ± rows) as the shard's sink parts.
         Per-epoch input and output never reside in driver memory.  Returns
         committed match rows."""
         asof = isinstance(op, AsofStreamJoin)
         num_shards, shards = self.store.num_shards, self.store.shards
-        method = "asof_insert_probe" if asof else "join_insert_probe"
         to_table = op.asof_to_table if asof else op.matches_to_table
         write, uname = self._part_writer(name, epoch), f"{name}__unmatched"
         uwrite = (self._part_writer(uname, epoch)
@@ -2164,23 +2391,32 @@ class StreamSession:
             ts_col = op.left_ts if side == "left" else op.right_ts
 
             def route(tbl: pa.Table):
-                return ({s: (side, pickle.dumps(
-                            f, protocol=pickle.HIGHEST_PROTOCOL))
-                         for s, f in op.side_shards(tbl, side,
-                                                    num_shards).items()},
+                parts = op.side_shards(tbl, side, num_shards)
+                if asof:  # frames merge in pickled-bytes order
+                    parts = {s: pickle.dumps(
+                        f, protocol=pickle.HIGHEST_PROTOCOL)
+                        for s, f in parts.items()}
+                return ({s: (side, p) for s, p in parts.items()},
                         Summary(max_ts=_block_max_ts(tbl, ts_col)))
             return route
 
         def reduce(sid: int, parts: list) -> dict:
             payload = op.payload_base()
             for side in ("left", "right"):
-                blobs = sorted(b for s, b in parts if s == side)
-                if blobs:
+                got = [p for s, p in parts if s == side]
+                if got and asof:
                     payload[side] = pd.concat(
-                        [pickle.loads(b) for b in blobs], ignore_index=True)
-            r = pickle.loads(ray.get(getattr(shards[sid], method).remote(
-                name, epoch,
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))))
+                        [pickle.loads(b) for b in sorted(got)],
+                        ignore_index=True)
+                elif got:
+                    payload[side] = Rows.concat(got)
+            if asof:
+                r = pickle.loads(ray.get(shards[sid].asof_insert_probe.remote(
+                    name, epoch,
+                    pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))))
+            else:
+                r = ray.get(shards[sid].join_insert_probe.remote(
+                    name, epoch, payload))
             m, u = (r.get("m"), r.get("u")) if isinstance(r, dict) else (r, None)
             tag = f"shard{sid:04d}"
             return {
@@ -2439,7 +2675,9 @@ class StreamSession:
                 if op.input not in avail:
                     continue
                 data = avail[op.input]
-                if op.emit_changelog:
+                if op.window is not None:
+                    self._window_epoch(op, name, epoch, data, emitted)
+                elif op.emit_changelog:
                     # the aggregate's OWN ±1 changelog: old/new finalized
                     # values per touched key, committed per epoch (chains
                     # into later-declared differential consumers)
@@ -2456,36 +2694,7 @@ class StreamSession:
                             op, name, epoch, data, "apply_delta_changelog",
                             op.changelog_to_table, kind="agg_changelog")
                         self._emit_committed(name, epoch, n, emitted)
-                elif op.early_firing:
-                    # same single state apply, but through the changelog
-                    # surface: the touched open windows' (old, new) partial
-                    # aggregates emit as ±1 rows into the __early side sink;
-                    # the on-close emission later reads the SAME store
-                    if isinstance(data, pa.Table):
-                        merged = self._merged_partials(op, data,
-                                                       self.watermark)
-                        pairs = self.store.apply_delta_changelog(
-                            name, epoch, merged)
-                        out_tbl = op.changelog_to_table(pairs, epoch)
-                        self._emit(f"{name}__early", epoch, out_tbl, emitted,
-                                   kind="early_firing")
-                    else:
-                        n = self._changelog_distributed(
-                            op, f"{name}__early", epoch, data,
-                            "apply_delta_changelog", op.changelog_to_table,
-                            kind="early_firing", state_name=name)
-                        self._emit_committed(f"{name}__early", epoch, n,
-                                             emitted)
                 elif isinstance(data, pa.Table):
-                    if op.late_output:
-                        data, late_tbl = op.split_late(data, self.watermark)
-                        lsink = self.sinks[f"{name}__late"]
-                        if not lsink.is_committed(epoch):
-                            self.metrics["late_routed"] += late_tbl.num_rows
-                        lsink.commit_tables(
-                            epoch, [late_tbl],
-                            meta=self._meta(kind="late_rows"))
-                        emitted[f"{name}__late"] = late_tbl
                     merged = self._merged_partials(op, data, self.watermark)
                     self.store.apply_deltas(name, epoch, merged,
                                             wait=not self.pipelined)
@@ -2702,8 +2911,8 @@ class StreamSession:
                         self._emit(f"{name}__unmatched", epoch, utbl, emitted,
                                    kind="asof_unmatched")
                 elif payloads:
-                    frames = self.store.join_insert_probe(name, epoch, payloads)
-                    tbl = op.matches_to_table(frames, epoch)
+                    tables = self.store.join_insert_probe(name, epoch, payloads)
+                    tbl = op.matches_to_table(tables, epoch)
                     self._emit(name, epoch, tbl, emitted, kind="join")
 
         if source_watermarks:
@@ -2811,12 +3020,10 @@ class StreamSession:
         for name, op in self.ops.items():
             if isinstance(op, KeyedAggregation) and op.window is not None:
                 bound = self.watermark - op.window.allowed_lateness
-                if op.window.use_panes and not op.early_firing:
-                    items = self.store.sweep_sliding_panes(
-                        name, bound, op.window.size, op.window.slide
-                    )
-                else:
-                    items = self.store.sweep_closed_windows(name, bound)
+                panes = op.window.use_panes and not op.early_firing
+                items = self.store.sweep_windows(
+                    name, bound, *((op.window.size, op.window.slide)
+                                   if panes else ()))
                 tbl = op.rows_to_table(items, epoch)
                 self._emit(name, epoch, tbl, emitted,
                            watermark=self.watermark, op=name,
@@ -2897,9 +3104,9 @@ class StreamSession:
                         continue
                     # sweep BEFORE expiry so retention == max_dt cannot
                     # silently delete a row owed an unmatched emission
-                    frames = self.store.sweep_join_unmatched(
+                    swept = self.store.sweep_join_unmatched(
                         name, self.watermark - op.max_dt, side=s)
-                    tbl = op.unmatched_to_table(frames, epoch, side=s)
+                    tbl = op.unmatched_to_table(swept, epoch, side=s)
                     self._emit(f"{name}{suffix}", epoch, tbl, emitted,
                                watermark=self.watermark, op=name,
                                kind="join_unmatched")
@@ -2920,9 +3127,13 @@ class StreamSession:
 
     # ------------------------------------------------------------- inspection
     def state_table(self, name: str) -> pa.Table:
-        """Current (non-windowed) per-key aggregates as an Arrow table —
-        for ``UpsertToRetract``, the materialized latest-per-key table."""
+        """Current per-key aggregates as an Arrow table (windowed: the open
+        windows) — for ``UpsertToRetract``, the materialized
+        latest-per-key table."""
         op = self.ops[name]
+        if isinstance(op, KeyedAggregation) and op.window is not None:
+            return op.rows_to_table(self.store.collect_windows(name),
+                                    self.last_epoch)
         fn = getattr(op, "state_to_table", None) or op.rows_to_table
         return fn(self.store.collect(name), self.last_epoch)
 

@@ -1,22 +1,35 @@
-"""Sharded, actor-held keyed state — the engine's "arrangement".
+"""Sharded, actor-held keyed state — the engine's arrangements.
 
 The reference keeps fitted state inside differential-dataflow arrangements,
 hash-sharded across timely workers (SURVEY §3 "State residency").  Here state
-lives in a pool of Ray actors (``StateShard``), each owning
-``hash(key) % num_shards`` of the key space for every registered state table:
+lives in a pool of Ray actors (``StateShard``), each owning one hash range
+of the key space for every registered state table.  Two routing rules
+exist:
 
-- **keyed aggregates**  name → {key: accumulator}   (monoids from
-  ``state.aggregates``; ``apply_delta`` is ``plus_equals``, retraction is a
-  negated accumulator — the DD ``count``-with-custom-diff pattern,
-  standard_scaler.rs:81-86)
-- **session windows**   name → {key: sorted interval list with accumulators}
-- **join buffers**      name → {key: per-side row buffers with event times}
+- **columnar arrangements** (``arrangement.py``), for windowed
+  ``KeyedAggregation`` and ``StreamJoin``: ``hash_pandas_object(key cols)
+  % num_shards``, hashed once per batch.
+  - ``windows``  name → {window end: slab of key columns, hash→slot index
+    and numpy ``s``/``c`` accumulators, or one object column of monoids}
+  - ``spines``   name → per side, runs of rows sorted by key hash (the
+    carried Arrow columns, event time, diff, matched flag)
+- **pickled keys** (``shard_of``: md5 of the pickled key tuple) for every
+  other family:
+  - ``aggs``     name → {key: accumulator} — unwindowed aggregates, LWW
+    registers, dedup claims, encoder state (monoids from
+    ``state.aggregates``; ``apply_delta`` is ``plus_equals``, retraction is
+    a negated accumulator — the DD ``count``-with-custom-diff pattern,
+    standard_scaler.rs:81-86)
+  - ``sessions`` / ``session_points``  name → {key: intervals or points}
+  - ``patterns`` / ``neardup`` / ``graphs``; ``asof`` buffers are pandas
+    frames split by the key-column hash.
 
 Deltas arrive pre-combined per key per epoch (the two-phase aggregation fix
 for the reference's key=`1` hot spot); each ``apply_*`` call is **idempotent
 per (table, epoch)** so a restarted driver can replay epochs blindly.
-``dump``/``load`` serialize a shard for checkpointing; the applied-epoch set
-is part of the snapshot, keeping idempotency across restarts.
+``dump``/``load`` serialize a shard for checkpointing (arrangements as whole
+columns); the applied-epoch marks are part of the snapshot, keeping
+idempotency across restarts.
 
 Scale note: the driver relays only per-epoch *accumulator deltas* (bytes
 O(#touched keys), never raw rows); raw data flows worker→worker through the
@@ -33,11 +46,14 @@ import pickle
 from typing import Any
 
 import numpy as np
+import pyarrow as pa
 
 import ray
 
+from .arrangement import JoinArrangement, Partials, WindowArrangement
+
 __all__ = ["StateShard", "ShardedStateStore", "shard_of", "rescale_blobs",
-           "check_cpu_headroom"]
+           "legacy_state", "check_cpu_headroom"]
 
 
 def shard_of(key_bytes: bytes, num_shards: int) -> int:
@@ -66,8 +82,9 @@ def _register_values_differ(a, b) -> bool:
 
 class StateShard:
     """One shard of every state table.  Runs as a Ray actor (see
-    ``ShardedStateStore``); all methods take/return pickled payloads to keep
-    actor-call overhead flat."""
+    ``ShardedStateStore``); the arrangement methods take and return columns
+    (``Partials``, ``Rows``, Arrow tables), the others pickled payloads, to
+    keep actor-call overhead flat."""
 
     def __init__(self, shard_id: int, num_shards: int):
         self.shard_id = shard_id
@@ -87,11 +104,10 @@ class StateShard:
         # keys the current epoch's session apply touched (transient;
         # drained by emit_early_sessions, empty on replayed epochs)
         self._session_touched: dict[str, set] = {}
-        # join buffers: name -> side -> key -> list[(ts, row_tuple)]
-        self.joins: dict[str, dict[str, dict[bytes, list]]] = {}
-        # per-join-name monotone left-row id counter (outer-join tracking)
-        self._join_lid: dict[str, int] = {}
-        self._join_rid: dict[str, int] = {}
+        # windowed aggregates: name -> {window end: slab} (arrangement.py)
+        self.windows: dict[str, WindowArrangement] = {}
+        # stream joins: name -> per-side spines of hash-sorted runs
+        self.spines: dict[str, JoinArrangement] = {}
         # as-of join buffers: name -> {"left": df, "right": df, lk, rk}
         # left carries __match_ts (ts of its current right version, NaN if
         # unmatched); right is the per-key version history
@@ -286,72 +302,42 @@ class StateShard:
             del store[k]
         return len(dead)
 
-    def sweep_closed_windows(self, name: str, close_before: float) -> bytes:
-        """Emit & drop keys whose window end ≤ close_before.
+    # ---------------------------------------------------- windowed aggregates
+    def apply_window_partials(self, name: str, epoch: int, part: Partials,
+                              changelog: bool = False):
+        """Merge one epoch's window partials into the op's arrangement.
+        Returns the rows applied, or with ``changelog`` the touched rows'
+        ``(before, after)`` accumulators (None on a replayed epoch)."""
+        if self._seen(f"win:{name}", epoch):
+            return None if changelog else 0
+        arr = self.windows.get(name)
+        if arr is None:
+            arr = self.windows[name] = WindowArrangement(
+                part.types, part.acc is not None)
+        return arr.apply(part, changelog)
 
-        Keys of windowed aggregates are ``(..., window_start, window_end)``
-        tuples (assigned in the partial stage); a window is final once the
-        watermark passes ``end + allowed_lateness`` (driver passes the
-        adjusted bound).  Emission-and-removal makes re-sweeps naturally
-        idempotent.
-        """
-        store = self.aggs.get(name, {})
-        emitted = []
-        for key in list(store.keys()):
-            k = pickle.loads(key)
-            window_end = k[-1]
-            if window_end <= close_before:
-                emitted.append((key, store.pop(key)))
-        emitted.sort()
-        return _dumps(emitted)
+    def collect_windows(self, name: str) -> Partials | None:
+        """The open windows' live rows (snapshot read)."""
+        arr = self.windows.get(name)
+        return None if arr is None else arr.collect()
 
-    def sweep_sliding_panes(self, name: str, close_before: float,
-                            size: float, slide: float) -> bytes:
-        """Pane-mode sliding-window emission: state keys are
-        ``(key…, pane_start, pane_end)`` tumbling panes of width ``slide``;
-        a WINDOW [w, w+size) is emitted when its end lands in
-        (last_bound, close_before], merging its size/slide panes.  Panes
-        drop once their LAST containing window has been emitted, so state is
-        O(keys × panes), not O(keys × windows-per-row).  Monotone
-        ``last_bound`` (checkpointed) makes re-sweeps idempotent the same
-        way emission-and-removal does for the replicated path.
-        """
-        import math as _math
-
-        store = self.aggs.get(name, {})
-        last = self.pane_bounds.get(name, -_math.inf)
-        r = int(round(size / slide))
-        groups: dict[tuple, list] = {}
-        for kb in list(store.keys()):
-            kt = pickle.loads(kb)
-            groups.setdefault(kt[:-2], []).append((kt[-2], kb))
-        emitted = []
-        for base, panes in groups.items():
-            panes.sort()
-            ends = set()
-            for ps, _ in panes:
-                for j in range(r):
-                    we = ps - j * slide + size
-                    if last < we <= close_before:
-                        ends.add(we)
-            for we in sorted(ends):
-                ws = we - size
-                accs = [store[kb] for ps, kb in panes
-                        if ws <= ps < we and kb in store]
-                if not accs:
-                    continue
-                merged = accs[0].copy()
-                for a in accs[1:]:
-                    merged.merge(a)
-                new_key = pickle.dumps(base + (ws, we),
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-                emitted.append((new_key, merged))
-            for ps, kb in panes:
-                if ps + size <= close_before:
-                    store.pop(kb, None)
+    def sweep_windows(self, name: str, close_before: float,
+                      size: float | None = None,
+                      slide: float | None = None) -> Partials | None:
+        """Emit & drop the windows whose end ≤ ``close_before`` (the driver
+        passes watermark − allowed lateness).  With ``size``/``slide`` the
+        state is tumbling panes of width ``slide``, and a window is emitted
+        when its end lands in (last bound, close_before]; the monotone last
+        bound (checkpointed) makes re-sweeps idempotent, like removal does
+        for plain windows."""
+        arr = self.windows.get(name)
+        if size is None:
+            return None if arr is None else arr.sweep(close_before)
+        last = self.pane_bounds.get(name, -math.inf)
         self.pane_bounds[name] = max(last, close_before)
-        emitted.sort()
-        return _dumps(emitted)
+        if arr is None:
+            return None
+        return arr.sweep_panes(last, close_before, size, slide)
 
     # ------------------------------------------------------- session windows
     @staticmethod
@@ -1085,147 +1071,38 @@ class StateShard:
         return _dumps(deltas)
 
     # ------------------------------------------------------- stream-stream join
-    def join_insert_probe(self, name: str, epoch: int, payload: bytes) -> bytes:
-        """Symmetric hash join step for this shard — fully vectorized.
-
-        payload = pickled dict with ``left``/``right`` pandas DataFrames (the
-        shard's hash-partition of this epoch's rows; key cols + output cols +
-        ``__ts``) and ``left_key``/``right_key`` column lists.  Matches are
-        emitted exactly once per pair:
-        new_left × (old_right ∪ new_right)  ∪  old_left × new_right,
-        each computed as one pandas hash merge (C speed, no per-row Python).
-        Returns a pickled DataFrame of matched rows.
-        """
-        import pandas as pd
-
-        sides = pickle.loads(payload)
-        lk, rk = list(sides["left_key"]), list(sides["right_key"])
-        mdt = sides.get("max_dt")
+    def join_insert_probe(self, name: str, epoch: int,
+                          payload: dict) -> pa.Table | None:
+        """Symmetric join step for this shard: payload = ``left``/``right``
+        ``Rows`` (this shard's rows of the epoch, either may be absent),
+        ``left_names``/``right_names`` (output columns per side) and
+        ``max_dt``.  Returns the new pairs as one Arrow table (see
+        ``JoinArrangement.insert_probe``), None when there are none or the
+        epoch is a replay."""
         if self._seen(f"join:{name}", epoch):
-            return _dumps(None)
-        buf = self.joins.setdefault(name, {"left": None, "right": None})
-        # remember the key columns in the checkpointed buffer: rescale-on-
-        # resume re-partitions buffered rows by hash(key cols) % new_shards
-        buf["lk"], buf["rk"] = lk, rk
-        nl = sides.get("left")
-        nr = sides.get("right")
-        # per-left-row identity + matched flag: the outer-join sweep
-        # (``sweep_join_unmatched``) emits never-matched lefts once their
-        # window closes.  Tracked only when the op needs it
-        # (emit_unmatched → payload["track"]): the lid set + isin over the
-        # left buffer is per-epoch work an inner join shouldn't pay.
-        # Buffers from older checkpoints backfill below.
-        track = sides.get("track", True)
-        track_r = sides.get("track_right", False)
-        if track and nl is not None and len(nl):
-            n0 = self._join_lid.get(name, 0)
-            nl = nl.assign(
-                __lid=np.arange(n0, n0 + len(nl), dtype=np.int64),
-                __matched=False)
-            self._join_lid[name] = n0 + len(nl)
-        if track_r and nr is not None and len(nr):
-            n0 = self._join_rid.get(name, 0)
-            nr = nr.assign(
-                __rid=np.arange(n0, n0 + len(nr), dtype=np.int64),
-                __matched_r=False)
-            self._join_rid[name] = n0 + len(nr)
-        old_left = buf["left"]
-        if track and old_left is not None and "__lid" not in old_left.columns:
-            old_left = old_left.assign(
-                __lid=np.arange(-len(old_left), 0, dtype=np.int64),
-                __matched=False)
-            buf["left"] = old_left
-        old_right = buf["right"]
-        if track_r and old_right is not None \
-                and "__rid" not in old_right.columns:
-            old_right = old_right.assign(
-                __rid=np.arange(-len(old_right), 0, dtype=np.int64),
-                __matched_r=False)
-            buf["right"] = old_right
-        outs = []
-        matched_lids: set = set()
-        matched_rids: set = set()
-
-        def merge(a, b, a_is_left=True):
-            res = a.merge(b, left_on=lk, right_on=rk,
-                          suffixes=("", "__r"))
-            if mdt is not None and len(res):
-                keep = (res["__ts_left"] - res["__ts_right"]).abs() <= mdt
-                res = res[keep].reset_index(drop=True)
-            if track and len(res):
-                matched_lids.update(res["__lid"].tolist())
-            if track_r and len(res):
-                matched_rids.update(res["__rid"].tolist())
-            return res.drop(
-                columns=["__lid", "__matched", "__rid", "__matched_r"],
-                errors="ignore")
-
-        if nr is not None and buf["left"] is not None:
-            outs.append(merge(buf["left"], nr))
-        if nl is not None and buf["right"] is not None:
-            outs.append(merge(nl, buf["right"]))
-        if nl is not None and nr is not None:
-            outs.append(merge(nl, nr))
-        for side, new in (("left", nl), ("right", nr)):
-            if new is not None:
-                buf[side] = new if buf[side] is None else pd.concat(
-                    [buf[side], new], ignore_index=True
-                )
-        if track and matched_lids and buf["left"] is not None:
-            hit = buf["left"]["__lid"].isin(matched_lids)
-            if hit.any():
-                buf["left"] = buf["left"].assign(
-                    __matched=buf["left"]["__matched"] | hit)
-        if track_r and matched_rids and buf["right"] is not None:
-            hit = buf["right"]["__rid"].isin(matched_rids)
-            if hit.any():
-                buf["right"] = buf["right"].assign(
-                    __matched_r=buf["right"]["__matched_r"] | hit)
-        if not outs:
-            return _dumps(None)
-        return _dumps(pd.concat(outs, ignore_index=True))
+            return None
+        arr = self.spines.setdefault(name, JoinArrangement())
+        return arr.insert_probe(payload.get("left"), payload.get("right"),
+                                payload["left_names"], payload["right_names"],
+                                payload.get("max_dt"))
 
     def sweep_join_unmatched(self, name: str, bound: float,
-                             side: str = "left") -> bytes:
-        """Outer-join finalization: emit buffered rows of ``side`` with
-        event time ≤ ``bound`` (watermark − max_dt: their join window is
-        closed) that never matched, then drop ALL of that side's rows
-        at/below the bound (matched or not — nothing on-time can pair with
-        them anymore).  Deleting the swept rows makes re-sweeps naturally
-        idempotent."""
-        idc, flagc = (("__lid", "__matched") if side == "left"
-                      else ("__rid", "__matched_r"))
-        buf = self.joins.get(name)
-        if buf is None or buf.get(side) is None:
-            return _dumps(None)
-        df = buf[side]
-        if idc not in df.columns:
-            return _dumps(None)
-        closed = df[f"__ts_{side}"] <= bound
-        out = df[closed & ~df[flagc]].drop(
-            columns=[idc, flagc]).reset_index(drop=True)
-        kept = df[~closed]
-        buf[side] = kept.reset_index(drop=True) if len(kept) else None
-        return _dumps(out if len(out) else None)
+                             side: str = "left"):
+        """Outer-join finalization: buffered rows of ``side`` with event
+        time ≤ ``bound`` (watermark − max_dt: their join window is closed)
+        that never matched, as (carried columns, event times); ALL of that
+        side's rows at/below the bound drop (nothing on-time can pair with
+        them anymore), so re-sweeps are naturally idempotent."""
+        arr = self.spines.get(name)
+        return None if arr is None else arr.sweep_unmatched(side, bound)
 
     def join_expire(self, name: str, expire_before: float) -> int:
         """Drop buffered rows with event time < expire_before (watermark −
         retention).  Bounds state for unbounded streams."""
-        buf = self.joins.get(name)
-        if buf is None:
-            return 0
-        dropped = 0
-        for side in ("left", "right"):
-            df = buf.get(side)
-            if df is None:
-                continue
-            ts_col = f"__ts_{side}"
-            kept = df[df[ts_col] >= expire_before]
-            dropped += len(df) - len(kept)
-            buf[side] = kept.reset_index(drop=True) if len(kept) else None
-        return dropped
+        arr = self.spines.get(name)
+        return 0 if arr is None else arr.expire(expire_before)
 
-    # ------------------------------------------------------------ checkpoint
+    # ------------------------------------------------------------ as-of join
     def asof_insert_probe(self, name: str, epoch: int,
                           payload: bytes) -> bytes:
         """Incremental AS-OF join step for this shard — the differential
@@ -1556,19 +1433,19 @@ class StateShard:
                 buf["right"] = kept if len(kept) else None
         return dropped
 
+    # ------------------------------------------------------------ checkpoint
     def dump(self) -> bytes:
         return _dumps(
             {
                 "shard_id": self.shard_id,
                 "aggs": self.aggs,
+                "windows": self.windows,
+                "spines": self.spines,
                 "sessions": self.sessions,
                 "session_points": self.session_points,
                 "session_early": self.session_early,
-                "joins": self.joins,
                 "asof": self.asof,
                 "asof_um_bound": self._asof_um_bound,
-                "join_lid": self._join_lid,
-                "join_rid": self._join_rid,
                 "patterns": self.patterns,
                 "neardup": self.neardup,
                 "neardup_drops": self.neardup_drops,
@@ -1585,24 +1462,10 @@ class StateShard:
         self.session_points = st.get("session_points", {})
         self.session_early = st.get("session_early", {})
         self._session_touched = {}
-        self.joins = st["joins"]
+        self.windows = st.get("windows", {})
+        self.spines = st.get("spines", {})
         self.asof = st.get("asof", {})
         self._asof_um_bound = st.get("asof_um_bound", {})
-        self._join_lid = st.get("join_lid", {})
-        self._join_rid = st.get("join_rid", {})
-        for jn, sides in self.joins.items():  # pre-lid snapshots: resume the
-            left = sides.get("left")          # counter above any live id
-            if left is not None and "__lid" in getattr(left, "columns", ()):
-                if len(left):
-                    self._join_lid[jn] = max(
-                        self._join_lid.get(jn, 0),
-                        int(left["__lid"].max()) + 1)
-            right = sides.get("right")
-            if right is not None and "__rid" in getattr(right, "columns", ()):
-                if len(right):
-                    self._join_rid[jn] = max(
-                        self._join_rid.get(jn, 0),
-                        int(right["__rid"].max()) + 1)
         self.patterns = st.get("patterns", {})
         self.neardup = st.get("neardup", {})
         self.neardup_drops = st.get("neardup_drops", {})
@@ -1620,14 +1483,11 @@ class StateShard:
     def stats(self) -> dict:
         return {
             "shard_id": self.shard_id,
-            "agg_keys": {n: len(d) for n, d in self.aggs.items()},
+            "agg_keys": {**{n: len(d) for n, d in self.aggs.items()},
+                         **{n: a.live() for n, a in self.windows.items()}},
             "session_keys": {n: len(d) for n, d in self.sessions.items()},
             "pattern_keys": {n: len(d) for n, d in self.patterns.items()},
-            "join_keys": {
-                n: {s: len(sides[s]) for s in ("left", "right")
-                    if sides.get(s) is not None}
-                for n, sides in self.joins.items()
-            },
+            "join_keys": {n: a.live() for n, a in self.spines.items()},
             "asof_keys": {
                 n: {s: len(sides[s]) for s in ("left", "right")
                     if sides.get(s) is not None}
@@ -1735,42 +1595,37 @@ class ShardedStateStore:
             out.update(pickle.loads(blob))
         return out
 
-    def sweep_closed_windows(self, name: str, close_before: float) -> list:
-        self.fence()
-        blobs = ray.get(
-            [s.sweep_closed_windows.remote(name, close_before) for s in self.shards]
-        )
-        out = []
-        for b in blobs:
-            out.extend(pickle.loads(b))
-        out.sort(key=lambda kv: kv[0])
-        return out
+    # ---------------------------------------------------- windowed aggregates
+    def apply_window_partials(self, name: str, epoch: int, part: Partials,
+                              changelog: bool = False, wait: bool = True):
+        """Scatter window partials by key hash; with ``changelog`` gather
+        every shard's ``(before, after)`` rows (see StateShard)."""
+        if changelog:
+            self.fence()
+        refs = [self.shards[sid].apply_window_partials.remote(
+                    name, epoch, rows, changelog)
+                for sid, rows in sorted(part.split(self.num_shards).items())]
+        if changelog:
+            return [r for r in ray.get(refs) if r is not None]
+        if not wait:  # pipelined: reads fence later
+            self._pending.extend(refs)
+            return None
+        return sum(ray.get(refs)) if refs else 0
 
-    def sweep_sliding_panes(self, name: str, close_before: float,
-                            size: float, slide: float) -> list:
-        """Pane sweep + cross-shard window merge.
-
-        A base key's PANES hash to different shards (state keys include the
-        pane bounds), so each shard emits per-window PARTIAL accumulators;
-        they merge here by window key — O(emitted windows), which the driver
-        already collects for the sink commit.  Deterministic merge order via
-        (key, accumulator-bytes) sort."""
+    def collect_windows(self, name: str) -> list[Partials]:
         self.fence()
-        blobs = ray.get([
-            s.sweep_sliding_panes.remote(name, close_before, size, slide)
-            for s in self.shards
-        ])
-        parts: list = []
-        for b in blobs:
-            parts.extend(pickle.loads(b))
-        parts.sort(key=lambda kv: (kv[0], _dumps(kv[1])))
-        merged: dict[bytes, Any] = {}
-        for k, acc in parts:
-            if k in merged:
-                merged[k].merge(acc)
-            else:
-                merged[k] = acc
-        return sorted(merged.items())
+        return [p for p in ray.get([s.collect_windows.remote(name)
+                                    for s in self.shards]) if p is not None]
+
+    def sweep_windows(self, name: str, close_before: float,
+                      size: float | None = None,
+                      slide: float | None = None) -> list[Partials]:
+        """Every shard's closed windows (pane mode with ``size``/``slide``):
+        a key's panes share its shard, so shards never merge partials."""
+        self.fence()
+        return [p for p in ray.get([
+            s.sweep_windows.remote(name, close_before, size, slide)
+            for s in self.shards]) if p is not None]
 
     # --------------------------------------------------------------- sessions
     def apply_session_points(self, name: str, epoch: int,
@@ -2042,19 +1897,12 @@ class ShardedStateStore:
     # --------------------------------------------------------------- join
     def join_insert_probe(self, name: str, epoch: int,
                           per_shard: dict[int, dict]) -> list:
-        """per_shard: sid → {"left": DataFrame|None, "right": DataFrame|None,
-        "left_key": [...], "right_key": [...]} → list of matched DataFrames."""
+        """per_shard: sid → probe payload (``StreamJoin.shard_payloads``) →
+        the shards' non-empty match tables."""
         self.fence()
-        refs = [
-            self.shards[sid].join_insert_probe.remote(name, epoch, _dumps(payload))
-            for sid, payload in sorted(per_shard.items())
-        ]
-        out = []
-        for b in ray.get(refs):
-            df = pickle.loads(b)
-            if df is not None and len(df):
-                out.append(df)
-        return out
+        refs = [self.shards[sid].join_insert_probe.remote(name, epoch, payload)
+                for sid, payload in sorted(per_shard.items())]
+        return [t for t in ray.get(refs) if t is not None and t.num_rows]
 
     def join_expire(self, name: str, expire_before: float) -> int:
         return sum(ray.get([s.join_expire.remote(name, expire_before) for s in self.shards]))
@@ -2100,15 +1948,12 @@ class ShardedStateStore:
 
     def sweep_join_unmatched(self, name: str, bound: float,
                              side: str = "left") -> list:
-        """Finalized never-matched rows of ``side`` from every shard."""
+        """Finalized never-matched rows of ``side`` from every shard, as
+        (carried columns, event times) pairs."""
         self.fence()
-        out = []
-        for b in ray.get([s.sweep_join_unmatched.remote(name, bound, side)
-                          for s in self.shards]):
-            df = pickle.loads(b)
-            if df is not None and len(df):
-                out.append(df)
-        return out
+        return [r for r in ray.get([
+            s.sweep_join_unmatched.remote(name, bound, side)
+            for s in self.shards]) if r is not None]
 
     # --------------------------------------------------------------- checkpoint
     def dump_all(self) -> dict[int, bytes]:
@@ -2139,6 +1984,22 @@ def _applied_mark(v) -> int:
     return -1
 
 
+def legacy_state(blobs: dict[int, bytes], windowed: set, joins: set) -> list:
+    """Names of windowed aggregates (``windowed``) and stream joins
+    (``joins``) whose state in ``blobs`` predates the columnar
+    arrangements: pickled per-key accumulators under ``aggs``, or pandas
+    join buffers under ``joins``.  Such state cannot be loaded as-is."""
+    stale = set()
+    for blob in blobs.values():
+        st = pickle.loads(blob)
+        stale |= {n for n, d in (st.get("aggs") or {}).items()
+                  if d and n in windowed}
+        stale |= {n for n, b in (st.get("joins") or {}).items()
+                  if n in joins and any(b.get(x) is not None
+                                        for x in ("left", "right"))}
+    return sorted(stale)
+
+
 def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, bytes]:
     """Re-partition checkpointed shard state to a DIFFERENT shard count.
 
@@ -2153,12 +2014,10 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
       ``patterns``: key_bytes → ``shard_of(key, M)`` (the `_scatter` rule)
     - ``neardup``: band-bucket bytes → ``shard_of(bucket, M)``; bucket
       member lists move whole (arrival-order semantics preserved)
-    - join buffers: rows re-split by ``hash_pandas_object(key cols) % M``
-      (the ``shard_payloads`` rule); the key columns ride in the
-      checkpointed buffer (``lk``/``rk``).  Per-row outer-join identity
-      tags (``__lid``/``__rid``) are renumbered per target shard — they
-      are opaque uniqueness tags, only the ``__matched`` flags carry
-      semantics — and the shard counters resume above them
+    - ``windows`` (window slabs) and ``spines`` (join runs): rows re-split
+      by their stored key hash ``h % M`` (the ``arrangement`` routing rule)
+    - as-of join buffers: rows re-split by ``hash_pandas_object(key cols)
+      % M``; the key columns ride in the checkpointed buffer (``lk``)
     - ``graphs`` (incremental CC / PageRank): whole graph to its
       designated shard ``shard_of(name, M)``
     - ``applied`` high-water marks: per-table max across sources,
@@ -2177,15 +2036,20 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
     out: list[dict] = [
         {
             "shard_id": i,
-            "aggs": {}, "sessions": {}, "session_points": {},
-            "session_early": {}, "joins": {}, "asof": {},
-            "join_lid": {},
-            "join_rid": {}, "patterns": {}, "neardup": {},
+            "aggs": {}, "windows": {}, "spines": {}, "sessions": {},
+            "session_points": {}, "session_early": {}, "asof": {},
+            "patterns": {}, "neardup": {},
             "neardup_drops": {}, "pane_bounds": {}, "graphs": {},
             "applied": {},
         }
         for i in range(m)
     ]
+    for st in states:
+        for name, b in (st.get("joins") or {}).items():
+            if any(b.get(x) is not None for x in ("left", "right")):
+                raise ValueError(
+                    f"cannot rescale join '{name}': its checkpointed buffer "
+                    "predates the columnar join arrangement")
 
     for fam in ("aggs", "sessions", "session_points", "session_early",
                 "patterns", "neardup"):
@@ -2193,6 +2057,17 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
             for name, d in (st.get(fam) or {}).items():
                 for k, v in d.items():
                     out[shard_of(k, m)][fam].setdefault(name, {})[k] = v
+
+    # arrangements: split each source by its stored hash, merge per target
+    for fam, arr_cls in (("windows", WindowArrangement),
+                         ("spines", JoinArrangement)):
+        pieces: dict[str, list] = {}
+        for st in states:
+            for name, arr in (st.get(fam) or {}).items():
+                pieces.setdefault(name, []).append(arr.split(m))
+        for name, splits in pieces.items():
+            for i in range(m):
+                out[i][fam][name] = arr_cls.merge([sp[i] for sp in splits])
 
     # graphs: one logical graph per name on its designated shard
     for st in states:
@@ -2255,47 +2130,5 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
             umb[t] = max(umb.get(t, -float("inf")), float(v))
     for o in out:
         o["asof_um_bound"] = dict(umb)
-
-    # join buffers: re-split rows by the shard_payloads hash rule
-    for st in states:
-        for name, buf in (st.get("joins") or {}).items():
-            keys_of = {"left": buf.get("lk"), "right": buf.get("rk")}
-            for side in ("left", "right"):
-                df = buf.get(side)
-                if df is None or not len(df):
-                    continue
-                keys = keys_of[side]
-                if not keys:
-                    raise ValueError(
-                        f"cannot rescale join '{name}': checkpoint predates "
-                        "key-column tracking (re-checkpoint at the old shard "
-                        "count first)")
-                h = pd.util.hash_pandas_object(
-                    df[list(keys)], index=False).to_numpy()
-                sid = (h % np.uint64(m)).astype(np.int64)
-                for s in np.unique(sid):
-                    tbuf = out[int(s)]["joins"].setdefault(
-                        name, {"left": None, "right": None,
-                               "lk": buf.get("lk"), "rk": buf.get("rk")})
-                    part = df[sid == s]
-                    tbuf[side] = (part if tbuf[side] is None
-                                  else pd.concat([tbuf[side], part]))
-    for o in out:
-        for name, buf in o["joins"].items():
-            for side, idc, ctr in (("left", "__lid", "join_lid"),
-                                   ("right", "__rid", "join_rid")):
-                df = buf.get(side)
-                if df is None:
-                    continue
-                df = df.reset_index(drop=True)
-                if idc in df.columns:
-                    # deterministic order, then fresh contiguous ids: the
-                    # tags only need uniqueness within (shard, name)
-                    df = df.sort_values(
-                        [f"__ts_{side}", idc], kind="stable"
-                    ).reset_index(drop=True)
-                    df[idc] = np.arange(len(df), dtype=np.int64)
-                    o[ctr][name] = len(df)
-                buf[side] = df
 
     return {i: _dumps(o) for i, o in enumerate(out)}

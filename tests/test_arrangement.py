@@ -1,0 +1,221 @@
+"""Columnar arrangements (``streaming/arrangement.py``): the shard state of
+windowed aggregates and the stream join, plus the engine surfaces around
+them — typed empty emissions, the Arrow event-time max, the O(closed
+windows) sweep, hash collisions and pre-columnar checkpoints."""
+
+import math
+import pickle
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from diffdataflowmlpipelines_ray.state.aggregates import SumCountAgg
+from diffdataflowmlpipelines_ray.streaming.arrangement import (
+    Partials, Slab, WindowArrangement)
+from diffdataflowmlpipelines_ray.streaming.engine import (
+    KeyedAggregation, StreamJoin, StreamSession, WindowSpec, _block_max_ts,
+    _ts_to_float)
+from diffdataflowmlpipelines_ray.streaming.sink import CheckpointManager
+from diffdataflowmlpipelines_ray.streaming.state_store import StateShard
+
+
+def win_op(**kw):
+    return KeyedAggregation(name="win", input="ev", key_cols=["k"],
+                            value_col="v", ts_col="ts", aggs=("count", "sum"),
+                            window=WindowSpec.tumbling(10.0), **kw)
+
+
+def join_op():
+    return StreamJoin(name="j", left_input="ev", right_input="ref",
+                      left_key=["k"], right_key=["k"], left_cols=["eid"],
+                      right_cols=["rid"], left_ts="ts", right_ts="rts",
+                      retention=20.0)
+
+
+def ev(rows):  # (k, ts, v, eid)
+    k, ts, v, eid = zip(*rows)
+    return pa.table({"k": pa.array(k, pa.int64()),
+                     "ts": pa.array(ts, pa.float64()),
+                     "v": pa.array(v, pa.float64()),
+                     "eid": pa.array(eid, pa.int64())})
+
+
+def ref(rows):  # (k, rts, rid)
+    k, rts, rid = zip(*rows)
+    return pa.table({"k": pa.array(k, pa.int64()),
+                     "rts": pa.array(rts, pa.float64()),
+                     "rid": pa.array(rid, pa.int64())})
+
+
+class TestTypedEmptyEmissions:
+    def test_epoch_without_output_commits_typed_parts(self, ray_session,
+                                                      tmp_path):
+        """Epoch 0 closes no window and finds no join match; epoch 1 closes
+        [0, 10) and matches.  Every committed part carries the typed
+        schema, so the sink directories read as one dataset."""
+        s = StreamSession(tmp_path / "s", num_shards=2)
+        s.add(win_op())
+        s.add(join_op())
+        s.process_epoch(0, {"ev": ev([(1, 2.0, 5.0, 10)]),
+                            "ref": ref([(2, 3.0, 20)])}, watermark=5.0)
+        s.process_epoch(1, {"ev": ev([(2, 12.0, 7.0, 11)]),
+                            "ref": ref([(1, 13.0, 21)])}, watermark=15.0)
+        s.store.shutdown()
+        win = pq.read_table(tmp_path / "s" / "win" / "data",
+                            partitioning=None)
+        assert win.schema.field("k").type == pa.int64()
+        assert win.schema.field("count").type == pa.int64()
+        assert win.schema.field("sum").type == pa.float64()
+        assert win.to_pylist() == [
+            {"k": 1, "window_start": 0.0, "window_end": 10.0, "count": 1,
+             "sum": 5.0, "epoch": 1}]
+        j = pq.read_table(tmp_path / "s" / "j" / "data", partitioning=None)
+        assert not any(pa.types.is_null(f.type) for f in j.schema)
+        assert sorted(map(tuple, j.select(["k", "eid", "rid", "diff"])
+                          .to_pandas().to_numpy().tolist())) == [
+            (1, 10, 21, 1), (2, 11, 20, 1)]
+
+
+class TestBlockMaxTs:
+    @staticmethod
+    def pandas_rule(tbl, col):
+        """The rule ``_block_max_ts`` must keep: pandas conversion, then
+        ``_ts_to_float``, then the max."""
+        if not tbl.num_rows:
+            return -math.inf
+        return float(_ts_to_float(tbl.select([col]).to_pandas()[col]).max())
+
+    @pytest.mark.parametrize("arr", [
+        pa.array([3.25, -1.5, 7.75]),
+        pa.array([5, -2, 40], type=pa.int64()),
+        pa.array([1_700_000_000_123_456, 5, 1_699_999_999_000_001],
+                 type=pa.timestamp("us")),
+        pa.array([1_700_000_000_123_456_789, -5_000_000_001,
+                  1_700_000_000_123_456_001], type=pa.timestamp("ns")),
+        pa.chunked_array([pa.array([1.0, 9.5]), pa.array([4.0])]),
+        pa.chunked_array([pa.array([7], type=pa.timestamp("ns")),
+                          pa.array([1_000_000_999], type=pa.timestamp("ns"))]),
+        pa.array([], type=pa.float64()),
+        pa.array([], type=pa.timestamp("us")),
+    ])
+    def test_matches_pandas_rule(self, arr):
+        tbl = pa.table({"ts": arr})
+        assert _block_max_ts(tbl, "ts") == self.pandas_rule(tbl, "ts")
+
+    def test_missing_column_is_minus_inf(self):
+        assert _block_max_ts(pa.table({"x": [1.0]}), "ts") == -math.inf
+        assert _block_max_ts(pa.table({"x": [1.0]}), None) == -math.inf
+
+
+def partials(keys, ends, s, size=10.0):
+    keys = np.asarray(keys, dtype=np.int64)
+    from diffdataflowmlpipelines_ray.streaming.arrangement import key_hash
+    import pandas as pd
+
+    end = np.asarray(ends, dtype=np.float64)
+    return Partials([keys], [pa.int64()], key_hash(pd.DataFrame({"k": keys})),
+                    end - size, end, np.asarray(s, dtype=np.float64),
+                    np.ones(len(keys), dtype=np.int64))
+
+
+class TestSweepTouchesClosedWindowsOnly:
+    def test_open_slabs_are_untouched(self, monkeypatch):
+        """One closed window beside 50 open windows of 2000 keys each: the
+        sweep reads the closed slab only and leaves every open slab the
+        very same object with the very same columns — live keys do not
+        enter the sweep's cost."""
+        arr = WindowArrangement([pa.int64()], obj=False)
+        n_keys = 2000
+        for w in range(51):
+            keys = np.arange(n_keys)
+            arr.apply(partials(keys, np.full(n_keys, 10.0 * (w + 1)),
+                               np.ones(n_keys)))
+        open_slabs = {e: (sl, sl.h, sl.keys[0], sl.s, sl.c, sl.index)
+                      for e, sl in arr.slabs.items() if e > 10.0}
+        read = []
+        for meth in ("rows", "live_rows", "identity", "locate", "take"):
+            orig = getattr(Slab, meth)
+
+            def spy(self, *a, _orig=orig, **k):
+                read.append(id(self))
+                return _orig(self, *a, **k)
+            monkeypatch.setattr(Slab, meth, spy)
+        closed = arr.slabs[10.0]
+        out = arr.sweep(10.0)
+        monkeypatch.undo()
+        assert len(out) == n_keys and set(out.end) == {10.0}
+        assert set(read) == {id(closed)}
+        assert set(arr.slabs) == set(open_slabs)
+        for e, (sl, h, k, s, c, index) in open_slabs.items():
+            assert arr.slabs[e] is sl
+            assert sl.h is h and sl.keys[0] is k and sl.s is s and sl.c is c
+            assert sl.index is index and len(index) == n_keys
+
+
+class TestSlabCollisions:
+    def test_distinct_keys_with_equal_hash_get_own_slots(self):
+        """Force a 64-bit collision: two keys, one hash.  The key-value check
+        gives each its own slot, through apply, a checkpoint round trip and
+        a later apply."""
+        keys = np.array([7, 8, 7], dtype=np.int64)
+        h = np.full(3, 12345, dtype=np.uint64)
+        p = Partials([keys], [pa.int64()], h, np.zeros(3), np.full(3, 10.0),
+                     np.array([1.0, 2.0, 4.0]), np.ones(3, dtype=np.int64))
+        arr = WindowArrangement([pa.int64()], obj=False)
+        arr.apply(p)
+        arr = pickle.loads(pickle.dumps(arr))
+        arr.apply(p.take(np.array([1])))
+        out = arr.sweep(10.0)
+        got = sorted(zip(out.keys[0].tolist(), out.s.tolist(),
+                         out.c.tolist()))
+        assert got == [(7, 5.0, 2), (8, 4.0, 2)]
+
+
+class TestChangelogIdentity:
+    def test_retraction_to_identity_emits_only_the_retraction(self):
+        """Early firing: a window whose key nets back to the identity leaves
+        the speculative set (−1, no +1), exactly as a key absent before."""
+        op = win_op(weight_col="w", early_firing=True)
+        shard = StateShard(0, 1)
+        t0 = ev([(1, 2.0, 5.0, 0)]).append_column("w", pa.array([1]))
+        t1 = ev([(1, 2.0, 5.0, 0)]).append_column("w", pa.array([-1]))
+        rows = []
+        for e, t in enumerate((t0, t1)):
+            part, _ = op.partial_batch(t, -math.inf)
+            out = shard.apply_window_partials("win", e, part, changelog=True)
+            rows += op.changelog_to_table([out], e).select(
+                ["k", "count", "sum", "diff"]).to_pylist()
+        assert rows == [{"k": 1, "count": 1, "sum": 5.0, "diff": 1},
+                        {"k": 1, "count": 1, "sum": 5.0, "diff": -1}]
+        assert shard.stats()["agg_keys"] == {"win": 0}
+
+
+class TestLegacyCheckpoint:
+    @pytest.mark.parametrize("family,state,op", [
+        ("aggs", {"win": {pickle.dumps((1, 0.0, 10.0)): SumCountAgg(1.0, 1)}},
+         win_op),
+        ("joins", {"j": {"left": object(), "right": None,
+                         "lk": ["k"], "rk": ["k"]}}, join_op),
+    ])
+    def test_resume_names_the_op(self, ray_session, tmp_path, family, state,
+                                 op):
+        """A checkpoint holding a ported op's state in the per-key format
+        refuses to resume (it must not load as empty state)."""
+        blob = {"shard_id": 0, "aggs": {}, "sessions": {}, "joins": {},
+                "applied": {}}
+        blob[family] = state
+        if family == "joins":
+            import pandas as pd
+
+            state["j"]["left"] = pd.DataFrame({"k": [1], "__ts_left": [1.0]})
+        CheckpointManager(tmp_path / "s" / "_checkpoints").save(
+            0, {0: pickle.dumps(blob)}, extra={"watermark": 0.0})
+        s = StreamSession(tmp_path / "s", num_shards=1)
+        s.add(op())
+        try:
+            with pytest.raises(ValueError, match=f"'{op().name}'"):
+                s.resume()
+        finally:
+            s.store.shutdown()

@@ -3,6 +3,7 @@ session-interval merge invariance, pattern sweep vs brute force, window
 assignment coverage.  Pure functions — no Ray session needed."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -440,3 +441,197 @@ class TestAsofAlgebra:
         got_set = set(acc.index.tolist())
         assert got_set == exp_set
         assert (acc == 1).all()
+
+
+class TestArrangementAlgebra:
+    """Columnar arrangements on pure ``StateShard``s (no Ray): for ANY
+    epoch split, with ``weight_col`` retractions, and an N→M
+    ``rescale_blobs`` mid-stream, the emissions of a tumbling aggregate, a
+    pane-mode sliding aggregate, a ``make_acc`` monoid and a left outer
+    interval join equal a 1-shard run and a pandas recompute.  Timestamps
+    and values are small integers, so every float sum is exact; the
+    watermark trails the earliest future row, so no row is ever late."""
+
+    MAX_DT = 5.0
+
+    @staticmethod
+    def ops():
+        from diffdataflowmlpipelines_ray.state.aggregates import SumCountAgg
+        from diffdataflowmlpipelines_ray.streaming.engine import (
+            KeyedAggregation, StreamJoin)
+
+        common = dict(input="ev", key_cols=["k"], value_col="v", ts_col="ts",
+                      weight_col="w")
+        aggs = {
+            "tum": KeyedAggregation(name="tum", aggs=("count", "sum"),
+                                    window=WindowSpec.tumbling(10.0),
+                                    **common),
+            "sli": KeyedAggregation(name="sli", aggs=("count", "sum"),
+                                    window=WindowSpec.sliding(30.0, 10.0),
+                                    **common),
+            "mx": KeyedAggregation(
+                name="mx", aggs=("count", "max"),
+                window=WindowSpec.tumbling(20.0),
+                make_acc=lambda v, w: SumCountAgg.from_numpy(
+                    v, w, track_extremes=True),
+                finalize=lambda a: {"count": a.count,
+                                    "max": a.min_max()[1]}, **common),
+        }
+        join = StreamJoin(name="j", left_input="L", right_input="R",
+                          left_key=["k"], right_key=["k"], left_cols=["lid"],
+                          right_cols=["rid"], left_ts="ts", right_ts="ts",
+                          max_dt=TestArrangementAlgebra.MAX_DT,
+                          emit_unmatched="left")
+        return aggs, join
+
+    def run(self, epochs, n0, n1, cut):
+        from diffdataflowmlpipelines_ray.streaming.state_store import (
+            rescale_blobs)
+
+        aggs, join = self.ops()
+        shards = [StateShard(i, n0) for i in range(n0)]
+        out = {n: [] for n in list(aggs) + ["j", "j__unmatched"]}
+        wm_prev = -np.inf
+
+        def sweep(e, wm):
+            for name, op in aggs.items():
+                panes = op.window.use_panes
+                parts = [sh.sweep_windows(
+                    name, wm, *((op.window.size, op.window.slide)
+                                if panes else ())) for sh in shards]
+                out[name].append(op.rows_to_table(
+                    [p for p in parts if p is not None], e))
+            um = [sh.sweep_join_unmatched("j", wm - self.MAX_DT, "left")
+                  for sh in shards]
+            out["j__unmatched"].append(join.unmatched_to_table(
+                [u for u in um if u is not None], e, side="left"))
+
+        for e, (ev, left, right, wm) in enumerate(epochs):
+            if e == cut:
+                blobs = {i: sh.dump() for i, sh in enumerate(shards)}
+                shards = [StateShard(i, n1) for i in range(n1)]
+                for sid, blob in rescale_blobs(blobs, n1).items():
+                    shards[sid].load(blob)
+            n = len(shards)
+            for name, op in aggs.items():
+                part, late = op.partial_batch(ev, wm_prev)
+                assert late == 0
+                for sid, rows in part.split(n).items():
+                    shards[sid].apply_window_partials(name, e, rows)
+            payloads = join.shard_payloads(left, right, n)
+            tables = [shards[sid].join_insert_probe("j", e, p)
+                      for sid, p in payloads.items()]
+            if payloads:  # the session commits a join epoch with input
+                out["j"].append(join.matches_to_table(
+                    [t for t in tables if t is not None], e))
+            sweep(e, wm)
+            wm_prev = wm
+        sweep(len(epochs), np.inf)
+        return {n: pa.concat_tables(ts) if ts else None
+                for n, ts in out.items()}
+
+    @staticmethod
+    def canon(tbl, cols):
+        if tbl is None:
+            return []
+        df = tbl.to_pandas()[cols]
+        return sorted(map(tuple, df.to_numpy(dtype=np.float64).tolist()))
+
+    @staticmethod
+    def expected(ev, left, right):
+        import pandas as pd
+
+        ev = ev.to_pandas()
+        out = {}
+        for name, size, slide in (("tum", 10.0, 10.0), ("sli", 30.0, 10.0),
+                                  ("mx", 20.0, 20.0)):
+            parts = []
+            for j in range(int(size // slide)):
+                ws = (np.floor(ev["ts"] / slide) - j) * slide
+                parts.append(ev.assign(window_start=ws))
+            rows = pd.concat(parts)
+            rows = rows[rows["ts"] < rows["window_start"] + size]
+            if name == "mx":
+                rows = rows.assign(n=rows["w"])
+                net = rows.groupby(["k", "window_start", "ts", "v"])["n"].sum()
+                net = net[net != 0].reset_index()
+                g = net.groupby(["k", "window_start"])
+                res = pd.DataFrame({"count": g["n"].sum(), "max": g["v"].max()})
+                out[name] = sorted(map(tuple, res.reset_index()
+                                       .to_numpy(dtype=np.float64).tolist()))
+                continue
+            rows = rows.assign(wv=rows["v"] * rows["w"])
+            g = rows.groupby(["k", "window_start"])
+            res = pd.DataFrame({"count": g["w"].sum(), "sum": g["wv"].sum()})
+            res = res[(res["count"] != 0) | (res["sum"] != 0)]
+            out[name] = sorted(map(tuple, res.reset_index()
+                                   .to_numpy(dtype=np.float64).tolist()))
+        lf, rf = left.to_pandas(), right.to_pandas()
+        m = lf.merge(rf, on="k", suffixes=("", "_r"))
+        m = m[(m["ts"] - m["ts_r"]).abs() <= TestArrangementAlgebra.MAX_DT]
+        out["j"] = sorted(map(tuple, m[["k", "lid", "rid"]]
+                              .to_numpy(dtype=np.float64).tolist()))
+        um = lf[~lf["lid"].isin(m["lid"])]
+        out["j__unmatched"] = sorted(map(tuple, um[["k", "lid", "ts"]]
+                                         .to_numpy(dtype=np.float64)
+                                         .tolist()))
+        return out
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_any_split_and_rescale_equals_one_shard_and_pandas(self, data):
+        row = st.tuples(st.integers(0, 3), st.integers(0, 60),
+                        st.integers(1, 5))
+        ins = data.draw(st.lists(row, min_size=1, max_size=40))
+        rets = data.draw(st.lists(st.booleans(), min_size=len(ins),
+                                  max_size=len(ins)))
+        refs = data.draw(st.lists(st.tuples(st.integers(0, 3),
+                                            st.integers(0, 60)),
+                                  max_size=20))
+        n_ep = data.draw(st.integers(1, 5))
+        ep = lambda n: data.draw(st.lists(  # noqa: E731
+            st.integers(0, n_ep - 1), min_size=n, max_size=n))
+        ins_ep, ref_ep = ep(len(ins)), ep(len(refs))
+        # a retraction arrives in its insert's epoch or later
+        ret_ep = [data.draw(st.integers(e, n_ep - 1)) for e in ins_ep]
+        n0, n1 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cut = data.draw(st.integers(0, n_ep))
+
+        ev_rows = ([(k, t, v, 1, e) for (k, t, v), e in zip(ins, ins_ep)]
+                   + [(k, t, v, -1, e) for (k, t, v), r, e
+                      in zip(ins, rets, ret_ep) if r])
+        ev = pa.table({c: pa.array([r[i] for r in ev_rows], type=typ)
+                       for i, (c, typ) in enumerate(
+                           (("k", pa.int64()), ("ts", pa.float64()),
+                            ("v", pa.float64()), ("w", pa.int64()),
+                            ("e", pa.int64())))})
+        left = pa.table({"k": pa.array([k for k, _, _ in ins], pa.int64()),
+                         "ts": pa.array([t for _, t, _ in ins], pa.float64()),
+                         "lid": pa.array(range(len(ins)), pa.int64()),
+                         "e": pa.array(ins_ep, pa.int64())})
+        right = pa.table({"k": pa.array([k for k, _ in refs], pa.int64()),
+                          "ts": pa.array([t for _, t in refs], pa.float64()),
+                          "rid": pa.array(range(100, 100 + len(refs)),
+                                          pa.int64()),
+                          "e": pa.array(ref_ep, pa.int64())})
+        epochs = []
+        for e in range(n_ep):
+            later = np.concatenate([
+                t["ts"].to_numpy()[t["e"].to_numpy() > e]
+                for t in (ev, left, right)])
+            # one below the earliest future event: no future row can be late
+            # or match a swept left row
+            wm = float(later.min()) - 1 if len(later) else 1000.0
+            pick = lambda t: t.filter(pa.array(t["e"].to_numpy() == e))  # noqa: E731
+            epochs.append((pick(ev), pick(left), pick(right), wm))
+
+        cols = {"tum": ["k", "window_start", "count", "sum"],
+                "sli": ["k", "window_start", "count", "sum"],
+                "mx": ["k", "window_start", "count", "max"],
+                "j": ["k", "lid", "rid"], "j__unmatched": ["k", "lid", "ts"]}
+        got = self.run(epochs, n0, n1, cut)
+        ref = self.run(epochs, 1, 1, n_ep + 1)
+        want = self.expected(ev, left, right)
+        for name, c in cols.items():
+            assert self.canon(got[name], c) == self.canon(ref[name], c), name
+            assert self.canon(got[name], c) == want[name], name
