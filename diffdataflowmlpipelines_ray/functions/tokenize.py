@@ -1,9 +1,23 @@
 r"""Tokenization utilities (vectorized over Arrow batches).
 
 Reference tokenizer: split on any whitespace, drop empties
-(`src/feature_encoders/feature_extraction/utils.rs:3-9`).  The Arrow kernel
-``pc.split_pattern_regex(col, r"\s+")`` matches those semantics after
-filtering empty strings (a leading separator yields one empty token).
+(`src/feature_encoders/feature_extraction/utils.rs:3-9`).
+
+The whitespace rule is **Python ``str`` whitespace**: the 29 code points for
+which ``str.isspace()`` is true, which is also what Python ``re``'s ``\s``
+matches, so ``default_tokenizer`` is the scalar form.  Three paths follow it:
+
+- ``default_tokenizer`` (scalar, Python ``re``);
+- ``tokenize_column`` (vector, Arrow ``utf8_split_whitespace``);
+- ``WS_SQL``, the pattern every DuckDB twin splits on.
+
+Two near rules differ.  Rust's ``str::split_whitespace`` (the reference's
+rule) uses Unicode ``White_Space``, which lacks the separators
+``\x1c``-``\x1f`` that Python splits on.  RE2's ``\s`` (DuckDB
+``string_split_regex(text, '\s+')``, Arrow ``split_pattern_regex``) is
+only ``[\t\n\f\r ]``: it misses ``\v``, ``\x1c``-``\x1f``, ``\x85``, NBSP,
+U+1680, U+2000-200A, U+2028/2029, U+202F, U+205F and U+3000.  ``WS_SQL``
+adds exactly those to RE2's ``\s``.
 """
 
 from __future__ import annotations
@@ -14,9 +28,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-__all__ = ["default_tokenizer", "tokenize_column", "flatten_tokens"]
+__all__ = ["WS_SQL", "default_tokenizer", "tokenize_column", "flatten_tokens"]
 
 _WS = re.compile(r"\s+")
+
+# RE2 pattern (DuckDB ``string_split_regex``) for one run of Python ``str``
+# whitespace: RE2 ``\s`` plus ``\v``, ``\x1c``-``\x1f``, ``\x85`` and the
+# Unicode separators ``\p{Z}``
+WS_SQL = r"[\s\x{0b}\x{1c}-\x{1f}\x{85}\p{Z}]+"
 
 
 def default_tokenizer(s: str) -> list[str]:
@@ -27,10 +46,12 @@ def default_tokenizer(s: str) -> list[str]:
 def tokenize_column(col: pa.ChunkedArray | pa.Array) -> pa.ListArray:
     """string column → list<string> of whitespace tokens (vectorized).
 
-    Empty tokens (from leading/trailing/multiple whitespace) are removed so the
-    result matches ``default_tokenizer`` row-wise.
+    ``utf8_split_whitespace`` splits on runs of Python ``str`` whitespace but
+    keeps an empty token for a leading or trailing run (``""`` → ``[""]``,
+    ``" "`` → ``["", ""]``); those are dropped, so the result matches
+    ``default_tokenizer`` row-wise.  A null row yields ``[]``.
     """
-    toks = pc.split_pattern_regex(col, pattern=r"\s+")
+    toks = pc.utf8_split_whitespace(col)
     if isinstance(toks, pa.ChunkedArray):
         toks = toks.combine_chunks()
     # drop empty strings: flatten, mask, rebuild offsets

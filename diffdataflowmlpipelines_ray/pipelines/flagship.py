@@ -52,29 +52,23 @@ def token_features_table(tbl: pa.Table, n_buckets: int = 64) -> pa.Table:
     row_ids = np.repeat(np.arange(n), lengths)
     # float32: bucket counts are small integers (exact < 2^24) and the
     # buckets column dominates sink bytes — half-width halves the write
-    dense = np.zeros((n, n_buckets), dtype=np.float32)
-    if flat.size:
-        np.add.at(dense, (row_ids, flat % n_buckets), 1.0)
-    # rolling hash: h = (h ^ t) * prime per token, segmented per row
+    dense = np.bincount(row_ids * n_buckets + flat % n_buckets,
+                        minlength=n * n_buckets).astype(np.float32)
+    # rolling hash: h = (h ^ t) * prime per token, segmented per row; rows
+    # are independent, so vectorize over the *position within row*: iterate
+    # max_len times over columns of the ragged matrix
     fp = np.full(n, _FNV_OFFSET, dtype=np.uint64)
     if flat.size:
-        h = _FNV_OFFSET
-        # segmented scan in one pass over the flat token array (C-speed via
-        # np.multiply/xor on per-row slices would need a loop; rows are
-        # independent, so vectorize over the *position within row* instead:
-        # iterate max_len times over columns of the ragged matrix)
-        max_len = int(lengths.max()) if n else 0
-        fp = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+        max_len = int(lengths.max())
         tok_u64 = flat.astype(np.uint64)
         starts = offsets[:-1]
         for j in range(max_len):
             live = lengths > j
             idx = starts[live] + j
             fp[live] = (fp[live] ^ tok_u64[idx]) * _FNV_PRIME
-    n32 = np.ascontiguousarray(dense, dtype=np.float32)
     offs = pa.array(np.arange(0, (n + 1) * n_buckets, n_buckets,
                               dtype=np.int32))
-    buckets_col = pa.ListArray.from_arrays(offs, pa.array(n32.reshape(-1)))
+    buckets_col = pa.ListArray.from_arrays(offs, pa.array(dense))
     return (
         tbl.append_column("tok_buckets", buckets_col)
         .append_column("fingerprint", pa.array(fp.astype(np.int64)))

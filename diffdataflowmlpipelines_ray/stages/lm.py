@@ -68,8 +68,9 @@ def _micronats(p: np.ndarray) -> np.ndarray:
 def doc_bigram_counts(docs, id_col: str = "doc_id", text_col: str = "text"):
     """Dataset of documents → Dataset of ``(doc_id, w1, w2, k)`` rows.
 
-    Whitespace tokenization (the reference tokenizer, utils.rs:3-9 — same
-    as the SQL twin's ``string_split_regex``); consecutive token pairs
+    Whitespace tokenization (``tokenize_column``: the reference tokenizer,
+    utils.rs:3-9, on Python ``str`` whitespace — the SQL twin splits on
+    ``WS_SQL``); consecutive token pairs
     within each document, pre-aggregated per (doc, pair) inside the block
     so repeated bigrams shuffle as one weighted row.  Documents with < 2
     tokens emit nothing.

@@ -304,8 +304,8 @@ def mask_pattern(ds, col: str, pattern: str, replacement: str,
 
 # ------------------------------------------------- duplicate-span statistics
 def _dual_window_hashes(texts, k: int):
-    """SQL-parity tokenization (``\\s+`` split, empties dropped — exactly
-    ``tokenize_column``) → per-document 1-based window start positions and
+    """SQL-parity tokenization (``tokenize_column``: Python ``str``
+    whitespace split, empties dropped — the twins' ``WS_SQL``) → per-document 1-based window start positions and
     TWO independent 64-bit window hashes.
 
     Window equality must mirror word-sequence equality: each window hash is

@@ -3,7 +3,8 @@ document fingerprints.  All vectorized per Arrow batch; language ID keeps
 its model in an actor pool (compiled once per actor).
 
 SQL-oracle notes: ``n_tokens`` matches
-``len(list_filter(string_split_regex(text, '\s+'), x -> x <> ''))`` and
+``len(list_filter(string_split_regex(text, WS_SQL), x -> x <> ''))`` (the
+shared Python ``str`` whitespace rule, ``functions/tokenize.py``) and
 ``n_chars`` matches ``length(text)`` exactly; the heuristics (quality score,
 lang id) are checked by pytest determinism instead.
 """

@@ -49,6 +49,7 @@ import pyarrow as pa
 
 from ..stages.encoders import Encoder
 from ..stages.multi_column import MultiColumnEncoder
+from .arrangement import to_arrow
 from .exchange import block_refs, run_blocks
 from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
 from .state_store import ShardedStateStore
@@ -60,13 +61,35 @@ def _kb(i: int) -> bytes:
     return pickle.dumps((i,), protocol=pickle.HIGHEST_PROTOCOL)
 
 
+class _KeyTypes:
+    """Arrow types of one ``epoch_aggs`` group's key columns, carried with
+    each block's partials so an epoch without rows still commits typed key
+    columns.  Merging keeps the first block's types."""
+
+    def __init__(self, types: list):
+        self.types = types
+
+    def merge(self, other: "_KeyTypes") -> None:
+        pass
+
+
+#: ``epoch_aggs`` output columns: agg name → (accumulator getter, type)
+_EPOCH_AGG_COLS = {
+    "count": (lambda acc: acc.count, pa.int64()),
+    "sum": (lambda acc: acc.s, pa.float64()),
+    "min": (lambda acc: acc.min_max()[0], pa.float64()),
+    "max": (lambda acc: acc.min_max()[1], pa.float64()),
+}
+
+
 # ------------------------------------------------------------- block kernels
 def block_partials(tbl: pa.Table, stateful: list, weight_col: str | None,
                    epoch_aggs: list, pre=None) -> dict[bytes, object]:
     """Fit partials of one block: every stateful encoder's ``make_partial``
     (key ``(encoder_index,)``) plus one ``SumCountAgg`` per fused
-    ``epoch_aggs`` group.  ``pre`` is applied first when an encoder fits on
-    a derived column (``pre_transform_in_fit``)."""
+    ``epoch_aggs`` group and each spec's key types.  ``pre`` is applied
+    first when an encoder fits on a derived column
+    (``pre_transform_in_fit``)."""
     if pre is not None:
         tbl = pre(tbl)
     out = {
@@ -80,6 +103,9 @@ def block_partials(tbl: pa.Table, stateful: list, weight_col: str | None,
 
         for spec in epoch_aggs:
             keys = list(spec["key_cols"])
+            out[pickle.dumps(("__epoch_agg_types", spec["name"]),
+                             protocol=pickle.HIGHEST_PROTOCOL)] = _KeyTypes(
+                [tbl.schema.field(k).type for k in keys])
             pdf = tbl.select(keys + [spec["value_col"]]).to_pandas()
             vals = pdf[spec["value_col"]].to_numpy(dtype=np.float64)
             track = bool({"min", "max"} & set(spec.get("aggs", ())))
@@ -325,10 +351,14 @@ class IncrementalEncoderSession:
                 )
             if self.epoch_aggs:
                 win_items: dict[str, list] = {s["name"]: [] for s in self.epoch_aggs}
-                for k in [k for k in merged if pickle.loads(k)[0] == "__epoch_agg"]:
-                    _, name_, key_t = pickle.loads(k)
-                    win_items[name_].append((key_t, merged.pop(k)))
-                self._commit_epoch_aggs(epoch, win_items)
+                key_types: dict[str, list] = {}
+                for k in list(merged):
+                    kt = pickle.loads(k)
+                    if kt[0] == "__epoch_agg":
+                        win_items[kt[1]].append((kt[2], merged.pop(k)))
+                    elif kt[0] == "__epoch_agg_types":
+                        key_types[kt[1]] = merged.pop(k).types
+                self._commit_epoch_aggs(epoch, win_items, key_types)
             if self._local_state is not None:
                 # pipelined: ship the delta one-way (pickled NOW, before the
                 # local merge mutates shared accumulators) and fold it into
@@ -460,29 +490,30 @@ class IncrementalEncoderSession:
     def read_epoch_output(self, epoch: int) -> pa.Table:
         return self.sink.read_committed_table([epoch])
 
-    def _commit_epoch_aggs(self, epoch: int, win_items: dict[str, list]) -> None:
+    def _commit_epoch_aggs(self, epoch: int, win_items: dict[str, list],
+                           key_types: dict[str, list]) -> None:
+        """One typed table per spec: the key columns (input types), float64
+        window bounds, the agg columns (``count`` int64, the rest float64)
+        and an int64 ``epoch`` — also for an epoch without rows."""
+        import numpy as np
+
         for spec in self.epoch_aggs:
-            recs = []
-            for key_t, acc in sorted(win_items.get(spec["name"], []),
-                                     key=lambda kv: str(kv[0])):
-                rec = dict(zip(spec["key_cols"], key_t))
-                rec["window_start"] = float(epoch)
-                rec["window_end"] = float(epoch + 1)
-                for a in spec.get("aggs", ("count", "sum")):
-                    if a == "count":
-                        rec["count"] = acc.count
-                    elif a == "sum":
-                        rec["sum"] = acc.s
-                    elif a == "min":
-                        rec["min"] = acc.min_max()[0]
-                    elif a == "max":
-                        rec["max"] = acc.min_max()[1]
-                rec["epoch"] = epoch
-                recs.append(rec)
-            tbl = (pa.Table.from_pylist(recs) if recs
-                   else pa.table({"epoch": pa.array([], type=pa.int64())}))
+            items = sorted(win_items.get(spec["name"], []),
+                           key=lambda kv: str(kv[0]))
+            keys = spec["key_cols"]
+            types = key_types.get(spec["name"]) or [None] * len(keys)
+            n = len(items)
+            cols = {k: to_arrow([key_t[i] for key_t, _ in items], types[i])
+                    for i, k in enumerate(keys)}
+            cols["window_start"] = pa.array(np.full(n, float(epoch)))
+            cols["window_end"] = pa.array(np.full(n, float(epoch + 1)))
+            for a in spec.get("aggs", ("count", "sum")):
+                if a in _EPOCH_AGG_COLS:
+                    get, typ = _EPOCH_AGG_COLS[a]
+                    cols[a] = pa.array([get(acc) for _, acc in items], type=typ)
+            cols["epoch"] = pa.array(np.full(n, epoch, dtype=np.int64))
             self.epoch_agg_sinks[spec["name"]].commit_tables(
-                epoch, [tbl], meta=self._meta(kind="epoch_agg")
+                epoch, [pa.table(cols)], meta=self._meta(kind="epoch_agg")
             )
 
     def _refresh_encoder_state(self) -> None:

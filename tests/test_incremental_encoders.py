@@ -137,6 +137,79 @@ class TestFlagship:
         assert res["window_rows"] == 3 * srcs
 
 
+class TestTokenFeaturesKernel:
+    """``token_features_table`` against an ``np.add.at`` bucket count and a
+    per-row FNV-1a loop, bit for bit."""
+
+    @staticmethod
+    def _reference(rows: list, n_buckets: int):
+        dense = np.zeros((len(rows), n_buckets), dtype=np.float32)
+        fp = []
+        for i, row in enumerate(rows):
+            toks = np.asarray(row, dtype=np.int64)
+            np.add.at(dense[i], toks % n_buckets, 1.0)
+            h = 14695981039346656037
+            for t in row:
+                h = ((h ^ (t & (2**64 - 1))) * 1099511628211) % 2**64
+            fp.append(h - 2**64 if h >= 2**63 else h)
+        return dense, fp
+
+    @pytest.mark.parametrize("n_buckets", [1, 8, 64])
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 300])
+    def test_matches_add_at_reference(self, n_buckets, n_rows):
+        rng = np.random.default_rng(n_rows * 100 + n_buckets)
+        lengths = rng.integers(0, 40, n_rows) * (rng.random(n_rows) > 0.2)
+        rows = [rng.integers(-2**31, 2**31, k).tolist() for k in lengths]
+        tbl = pa.table({"tokens": pa.array(rows, type=pa.list_(pa.int32()))})
+        out = token_features_table(tbl, n_buckets)
+        dense, fp = self._reference(rows, n_buckets)
+        buckets = out["tok_buckets"].combine_chunks()
+        assert buckets.type == pa.list_(pa.float32())
+        got = buckets.flatten().to_numpy().reshape(n_rows, n_buckets)
+        assert got.tobytes() == dense.tobytes()
+        assert out["fingerprint"].type == pa.int64()
+        assert out["fingerprint"].to_pylist() == fp
+
+
+class TestEpochAggsEmptyEpoch:
+    @pytest.mark.parametrize("as_dataset", [False, True])
+    def test_empty_epoch_commits_typed_columns(self, ray_session, tmp_path,
+                                               as_dataset):
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        full = pa.table({"row_id": np.arange(6),
+                         "x": np.arange(6, dtype=np.float64),
+                         "src": pa.array([3, 1, 3, 2, 1, 3], type=pa.int32())})
+        sess = IncrementalEncoderSession(
+            [("x", StandardScaler())], tmp_path / "s", num_shards=1,
+            archive_input=False,
+            epoch_aggs=[{"name": "by_src", "key_cols": ["src"],
+                         "value_col": "x",
+                         "aggs": ("count", "sum", "min", "max")}])
+        for e, tbl in enumerate([full, full.slice(0, 0), full]):
+            sess.process_epoch(e, rd.from_arrow(tbl) if as_dataset else tbl)
+        sink = sess.epoch_agg_sinks["by_src"]
+        schemas = [pq.read_schema(sink.root / f["path"])
+                   for e in range(3) for f in sink.manifest(e)["files"]]
+        sess.close()
+        want = pa.schema([("src", pa.int32()), ("window_start", pa.float64()),
+                          ("window_end", pa.float64()), ("count", pa.int64()),
+                          ("sum", pa.float64()), ("min", pa.float64()),
+                          ("max", pa.float64()), ("epoch", pa.int64())])
+        assert [sch.names for sch in schemas] == [want.names] * 3
+        for sch in schemas:
+            assert sch.remove_metadata().equals(want), sch
+        got = sink.read_committed_table()
+        assert got.num_rows == 6
+        assert got.filter(pc.equal(got["epoch"], 2)).to_pydict() == {
+            "src": [1, 2, 3], "window_start": [2.0] * 3,
+            "window_end": [3.0] * 3, "count": [2, 1, 3],
+            "sum": [5.0, 3.0, 7.0], "min": [1.0, 3.0, 0.0],
+            "max": [4.0, 3.0, 5.0], "epoch": [2, 2, 2]}
+
+
 class TestSessionExtras:
     def test_retraction_through_session(self, ray_session, tmp_path):
         import numpy as np
