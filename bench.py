@@ -221,7 +221,7 @@ def run_bench() -> dict:
         "euler_path", "birthday_collisions",
         # r5 additions
         "stream_asof_join_ds", "cdc_groupby_ds", "stream_enrich_ds",
-        "assignment_lap", "path_count_matrix", "max_flow_cut")
+        "path_count_matrix", "max_flow_cut")
     for name in query_names:
         fn = Q.QUERIES[name]
         best = None

@@ -7,7 +7,7 @@ feature encoders) on idiomatic Ray Data:
 - ``state``      — invertible mergeable accumulators (the monoid algebra) and
                    the sharded actor state store.
 - ``stages``     — batch operators: feature encoders, dedup, similarity
-                   search, windows, text analysis, multimodal stubs.
+                   search, windows, text analysis.
 - ``streaming``  — epoch/micro-batch driver, watermarks, incremental keyed
                    aggregation, stateful stream-stream join, exactly-once
                    Parquet sink with manifests + checkpoint/resume.

@@ -471,63 +471,6 @@ def als_factorize(ratings, user_col: str = "user", item_col: str = "item",
     return U_df, V_df, rmse
 
 
-# ------------------------------------------------------- linear assignment
-def hungarian_min_cost(cost: list) -> tuple[list, int]:
-    """Kuhn–Munkres O(n³) minimum-cost perfect assignment on an n×n
-    INTEGER cost matrix → (col_of_row, total_cost), exact int arithmetic
-    throughout (the potentials u/v stay integral for integer costs, so
-    no float ever enters — gate-safe).
-
-    The classic shortest-augmenting-path formulation with potentials
-    (same family scipy's ``linear_sum_assignment`` implements); the
-    `assignment_lap` gate cross-proves it in-query against a full
-    permutation enumeration, and the pytest replay fuzzes random
-    matrices against brute force."""
-    n = len(cost)
-    INF = 1 << 62
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)        # p[j] = row matched to column j (1-based)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    col_of_row = [0] * n
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
-    total = sum(cost[i][col_of_row[i]] for i in range(n))
-    return col_of_row, total
-
-
 def max_flow_min_cut(cap: list, s: int, t: int) -> tuple[int, set]:
     """Edmonds–Karp max flow on an n×n INTEGER capacity matrix →
     (flow value, source-side node set of the canonical min cut).

@@ -2028,31 +2028,24 @@ class StreamSession:
             if op.dim_types is None:
                 op.dim_types = list(src.val_types)
         self.ops[op.name] = op
+        names: list[str] = []
         if isinstance(op, (KeyedAggregation, SessionWindowAggregation)) and (
             getattr(op, "window", None) is not None
             or isinstance(op, SessionWindowAggregation)
             or getattr(op, "emit_changelog", False)
         ):
-            self.sinks[op.name] = ExactlyOnceParquetSink(self.root / op.name,
-                                                         fsync=self.fsync,
-                                sync_every=self.sync_every)
+            names.append(op.name)
             if getattr(op, "early_firing", False):
-                self.sinks[f"{op.name}__early"] = ExactlyOnceParquetSink(
-                    self.root / f"{op.name}__early", fsync=self.fsync,
-                                sync_every=self.sync_every)
+                names.append(f"{op.name}__early")
             if getattr(op, "late_output", False):
-                self.sinks[f"{op.name}__late"] = ExactlyOnceParquetSink(
-                    self.root / f"{op.name}__late", fsync=self.fsync,
-                                sync_every=self.sync_every)
+                names.append(f"{op.name}__late")
         elif isinstance(op, (StreamJoin, PatternMatch, AbsenceDetect,
                              KleenePattern, IncrementalComponents,
                              IncrementalPageRank, IncrementalReachability,
                              StreamNearDup,
                              UpsertToRetract, EnrichJoin, BroadcastEnrich,
                              StreamDedup)):
-            self.sinks[op.name] = ExactlyOnceParquetSink(self.root / op.name,
-                                                         fsync=self.fsync,
-                                sync_every=self.sync_every)
+            names.append(op.name)
             if isinstance(op, StreamJoin):
                 # outer join: finalized never-matched rows get their OWN
                 # side sink per tracked side (own schema, no null padding)
@@ -2061,12 +2054,25 @@ class StreamSession:
                 for s, suffix in (("left", "__unmatched"),
                                   ("right", "__unmatched_right")):
                     if s in op.unmatched_sides():
-                        self.sinks[f"{op.name}{suffix}"] = \
-                            ExactlyOnceParquetSink(
-                                self.root / f"{op.name}{suffix}",
-                                fsync=self.fsync,
-                                sync_every=self.sync_every)
+                        names.append(f"{op.name}{suffix}")
+        for name in names:
+            self.sinks[name] = self._new_sink(name)
         return self
+
+    def _new_sink(self, name: str) -> ExactlyOnceParquetSink:
+        """The one sink constructor: ``<root>/<name>`` with the session's
+        durability settings."""
+        return ExactlyOnceParquetSink(self.root / name, fsync=self.fsync,
+                                      sync_every=self.sync_every)
+
+    def _late_sink(self, input_name: str) -> ExactlyOnceParquetSink:
+        """The late-row side sink of ``input_name`` (``route_late``),
+        opened on first use."""
+        sink = self._late_sinks.get(input_name)
+        if sink is None:
+            sink = self._late_sinks[input_name] = self._new_sink(
+                f"_late_{input_name}")
+        return sink
 
     # ------------------------------------------------------------------ resume
     def resume(self) -> int:
@@ -3225,14 +3231,8 @@ class StreamSession:
                 late_tbl = late_tbl.append_column(
                     "watermark", pa.array([self.watermark] * n_late,
                                           type=pa.float64()))
-                sink = self._late_sinks.get(name)
-                if sink is None:
-                    sink = ExactlyOnceParquetSink(
-                        self.root / f"_late_{name}", fsync=self.fsync,
-                                sync_every=self.sync_every)
-                    self._late_sinks[name] = sink
-                sink.commit_tables(epoch, [late_tbl],
-                                   meta=self._meta(kind="late"))
+                self._late_sink(name).commit_tables(
+                    epoch, [late_tbl], meta=self._meta(kind="late"))
                 self.metrics["late_routed"] = (
                     self.metrics.get("late_routed", 0) + n_late)
             out[name] = on_time
@@ -3240,13 +3240,7 @@ class StreamSession:
 
     def late_output(self, input_name: str) -> pa.Table:
         """All late rows routed off ``input_name`` so far (durable read)."""
-        sink = self._late_sinks.get(input_name)
-        if sink is None:
-            sink = ExactlyOnceParquetSink(self.root / f"_late_{input_name}",
-                                          fsync=self.fsync,
-                                sync_every=self.sync_every)
-            self._late_sinks[input_name] = sink
-        return sink.read_committed_table()
+        return self._late_sink(input_name).read_committed_table()
 
     def mark_source_idle(self, source: str) -> None:
         """Exclude a stalled source from the per-source watermark minimum
