@@ -30,16 +30,17 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     """One entry per implemented operator/pipeline from SURVEY.md §2 plus the
-    added scale operators (dedup / similarity / text analysis / windows)."""
+    added scale operators (dedup / windows / relational and graph
+    analytics)."""
     from diffdataflowmlpipelines_ray.pipelines.queries import QUERIES
 
     return dict(QUERIES)
 
 
 def oracle_sql() -> dict[str, str]:
-    """DuckDB-equivalent SQL for every SQL-expressible query; heuristic /
-    hash-seeded / approximate ops (minhash, simhash, ivf, lang-id,
-    fingerprints, feature vectors) are rows-only checked."""
+    """DuckDB-equivalent SQL for every SQL-expressible query; seeded or
+    approximate fits (k-means, GMM, ALS, PCA, logistic regression),
+    sampling and Parquet storage telemetry are rows-only checked."""
     from diffdataflowmlpipelines_ray.pipelines.queries import ORACLES
 
     return dict(ORACLES)

@@ -84,9 +84,8 @@ def run_bench() -> dict:
     per_query = {}
     query_names = () if "--scaling-child" in sys.argv else (
         "q1_pricing_summary", "standard_scaler", "tumbling_window",
-        "stream_join", "dedup_minhash", "ann_topk", "dedup_exact",
-        "token_count", "pattern_match", "top_revenue",
-        "sessionize", "line_dedup", "decontaminate",
+        "stream_join", "dedup_minhash", "dedup_exact", "pattern_match",
+        "top_revenue", "sessionize",
         # round-3 additions
         "connected_components", "absence_detect", "hash_vectorizer_fast",
         "upsert_changelog", "cdc_groupby", "agg_changelog", "cdc_scaler",
@@ -103,17 +102,13 @@ def run_bench() -> dict:
         "shared_arrangement", "broadcast_rules", "view_bootstrap",
         "window_rollup",
         # round-3 continued-session additions
-        "bloom_semi_join", "bpe_encode", "dup_spans", "fuzzy_join",
-        "ann_pq", "triangle_count", "keywords_tfidf", "grouped_entropy",
-        "grouped_linreg", "window_median", "temporal_join", "late_routing",
-        "stream_union", "kleene_pattern", "incremental_components",
-        "pack_sequences", "perplexity", "naive_bayes",
-        "repetition_filter", "balance_downsample", "pagerank_exact",
-        "kcore", "cap_per_group", "bm25_topk", "late_window_split",
-        "dsir_weights", "hist_tree", "hist_boost", "kneser_ney",
-        "chunk_tokens", "vocab_growth", "mixture_sample", "als_factors",
-        "hash_split", "kbins_quantile", "shuffle_rank", "profile_table",
-        "psi_drift", "unpivot", "hits", "weighted_sample",
+        "bloom_semi_join", "fuzzy_join", "triangle_count", "keywords_tfidf",
+        "grouped_entropy", "grouped_linreg", "window_median", "temporal_join",
+        "late_routing", "stream_union", "kleene_pattern",
+        "incremental_components", "pack_sequences", "pagerank_exact",
+        "kcore", "cap_per_group", "late_window_split", "hist_tree",
+        "hist_boost", "als_factors", "kbins_quantile", "shuffle_rank",
+        "profile_table", "psi_drift", "unpivot", "hits",
         "validate_rules", "kaplan_meier", "gini", "isotonic",
         "markov_transitions", "auc", "assoc_rules", "info_gain",
         "cohort_retention", "chi_square", "funnel", "gmm_fit",
@@ -169,7 +164,7 @@ def run_bench() -> dict:
         "join_blame", "except_all", "consistent_hash_rebalance",
         "graph_modularity", "fd_discovery", "vocab_coverage",
         "table_diff", "nearest_event", "sample_calibration",
-        "retrieval_ndcg", "dominant_period", "transition_gaps",
+        "dominant_period", "transition_gaps",
         "lead_lag", "edge_support", "dup_histogram",
         "t_closeness", "cohens_kappa", "heatmap_residuals",
         "mann_kendall", "capture_recapture", "hapax_rate",
@@ -191,7 +186,7 @@ def run_bench() -> dict:
         "haar_energy", "session_sensitivity", "mde",
         "factorial_interaction", "sn_scale", "centralization",
         "pacing", "lm_comparison", "quadratic_contrast",
-        "ann_coverage", "return_curve", "daily_range",
+        "return_curve", "daily_range",
         "odds_ratio", "value_at_risk", "dedup_funnel",
         "risk_ratio_nnt", "user_halflife", "symm_diff",
         "type_comovement", "token_length_by_position", "round_number_bias",
@@ -202,7 +197,7 @@ def run_bench() -> dict:
         "tumbling_window_ds", "stream_join_ds", "hll_registers",
         "cms_counters", "bloom_bits", "adamic_adar_capped",
         "bottomk_sketch", "jsonl_roundtrip", "csv_roundtrip",
-        "simhash_codes", "fingerprint", "lang_id", "pivot_wide",
+        "simhash_codes", "pivot_wide",
         "regex_extract", "incremental_reachability",
         # r4 session-2 batches (all oracle-backed)
         "dedup_simhash", "token_id_freq_topk",

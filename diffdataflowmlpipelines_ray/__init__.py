@@ -6,15 +6,15 @@ feature encoders) on idiomatic Ray Data:
 
 - ``state``      — invertible mergeable accumulators (the monoid algebra) and
                    the sharded actor state store.
-- ``stages``     — batch operators: feature encoders, dedup, similarity
-                   search, windows, text analysis.
+- ``stages``     — batch operators: feature encoders, dedup, windows,
+                   relational and graph analytics.
 - ``streaming``  — epoch/micro-batch driver, watermarks, incremental keyed
                    aggregation, stateful stream-stream join, exactly-once
                    Parquet sink with manifests + checkpoint/resume.
 - ``sources``    — parquet readers / tokenized-sequence derivation / epoch
                    directory source.
-- ``functions``  — stateless vectorized kernels (tokenize, hashing, text
-                   quality).
+- ``functions``  — stateless vectorized kernels (tokenize, hashing,
+                   vectors).
 - ``pipelines``  — end-to-end composed pipelines (flagship tokenized-sequence
                    stream).
 

@@ -1,13 +1,12 @@
 """Distributed k-means (Lloyd's) over an embedding column.
 
 The reference has no clustering; this is part of the added LLM-data-pipeline
-surface (SURVEY §2.7) — `ivf_topk` (stages/similarity.py) already builds
-centroids from a driver-side sample, while this module is the full
-distributed fit: every Lloyd iteration is ONE `map_batches` pass emitting
-per-block per-cluster partial sums (k×(dim+2) floats per block — never rows),
-merged on the driver in O(blocks · k · dim).  No shuffle at all: the only
-data movement is the centroid broadcast down (one `ray.put` per iteration)
-and the tiny partials up.
+surface (SURVEY §2.7): the full distributed fit, where every Lloyd
+iteration is ONE `map_batches` pass emitting per-block per-cluster partial
+sums (k×(dim+2) floats per block — never rows), merged on the driver in
+O(blocks · k · dim).  No shuffle at all: the only data movement is the
+centroid broadcast down (one `ray.put` per iteration) and the tiny partials
+up.
 
 Determinism: centroids are initialized from the k rows with the smallest
 stable content hash of their id (a global partial top-k, no RNG state), so

@@ -717,10 +717,6 @@ def minhash_lsh_candidates(ds, col: str = "text", id_col: str = "doc_id",
     return pairs_ds, sig_ds
 
 
-def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float((sig_a == sig_b).mean())
-
-
 #: verified-pair count above which component resolution switches from the
 #: driver pandas fixpoint to the Dataset-native bucketed rounds
 _CC_DRIVER_MAX_PAIRS = 2_000_000

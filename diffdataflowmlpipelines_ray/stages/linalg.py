@@ -273,10 +273,9 @@ def _als_init_factors(ids: np.ndarray, k: int, tag: str) -> np.ndarray:
     return out
 
 
-#: users+items ceiling for the ALS broadcast tier — same tiering contract
-#: as ``LM_BROADCAST_MAX`` (stages/lm.py): under it both factor tables are
-#: one ``ray.put`` and each half-step is ONE groupby; above it nothing
-#: factor-shaped touches the driver and the join-exchange plan runs.
+#: users+items ceiling for the ALS broadcast tier: under it both factor
+#: tables are one ``ray.put`` and each half-step is ONE groupby; above it
+#: nothing factor-shaped touches the driver and the join-exchange plan runs.
 ALS_BROADCAST_MAX = 500_000
 
 

@@ -3170,9 +3170,6 @@ class StreamSession:
                                   type=pa.int64())
         return pa.table(arrays)
 
-    def read_output(self, name: str) -> pa.Table:
-        return self.sinks[name].read_committed_table()
-
     def stats(self) -> dict:
         """Observability: driver metrics + per-shard state sizes (keys per
         table, session keys, join buffer sizes) — the ``inspect`` surface."""

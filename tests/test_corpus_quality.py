@@ -1,11 +1,10 @@
-"""Corpus-quality operators: Gopher repetition stats, hash-stratified
-balance downsample, integer-exact PageRank.
+"""Graph and per-group operators: integer-exact PageRank, k-core,
+per-group caps and BFS.
 
 Each gates against an exact pure-Python/numpy reference at more than one
 partitioning, proving the distributed plans partition-invariant."""
 
 import hashlib
-from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -13,89 +12,6 @@ import pyarrow as pa
 import pytest
 
 import ray
-
-
-# ----------------------------------------------------------- repetition stats
-_REP_DOCS = pd.DataFrame({
-    "doc_id": [0, 1, 2, 3, 4],
-    "text": ["a a a a",            # dup 3/4, top bigram (a,a)=3/3
-             "w x y z",            # dup 0, top 1/3
-             "q",                  # 1 token: no bigrams
-             "",                   # no tokens at all
-             "go go stop go go"],  # dup 3/5, (go,go)=2 of 4 bigrams
-})
-
-
-def _ref_repetition(docs: pd.DataFrame) -> dict:
-    out = {}
-    for r in docs.itertuples():
-        v = r.text.split()
-        n = len(v)
-        dup = (n - len(set(v))) / n if n else 0.0
-        bg = Counter(zip(v, v[1:]))
-        top = (max(bg.values()) / (n - 1)) if n > 1 and bg else 0.0
-        keep = 1 if (dup <= 0.6 and top <= 0.05) else 0
-        out[r.doc_id] = (n, dup, top, keep)
-    return out
-
-
-@pytest.mark.parametrize("blocks", [1, 3])
-def test_repetition_stats_match_reference(ray_session, blocks):
-    from diffdataflowmlpipelines_ray.stages.text_stats import (
-        add_repetition_stats)
-
-    ds = ray.data.from_pandas(_REP_DOCS).repartition(blocks)
-    got = add_repetition_stats(ds).to_pandas()
-    gotd = {int(r.doc_id): (int(r.n_tokens), r.dup_token_frac,
-                            r.top_bigram_frac, int(r.keep))
-            for r in got.itertuples()}
-    assert gotd == _ref_repetition(_REP_DOCS)
-    assert gotd[0] == (4, 0.75, 1.0, 0)
-    assert gotd[1] == (4, 0.0, 1 / 3, 0)   # top bigram 1/3 > 0.05
-    assert gotd[2] == (1, 0.0, 0.0, 1)
-    assert gotd[3] == (0, 0.0, 0.0, 1)
-
-
-# --------------------------------------------------------- balance downsample
-def _h60(s: str) -> int:
-    return int(hashlib.md5(s.encode()).hexdigest()[:15], 16)
-
-
-@pytest.mark.parametrize("blocks", [1, 4])
-def test_balance_downsample_matches_reference(ray_session, blocks):
-    from diffdataflowmlpipelines_ray.stages.text_clean import (
-        balance_downsample)
-
-    rng = np.random.default_rng(7)
-    n = 600
-    docs = pd.DataFrame({
-        "doc_id": np.arange(n, dtype=np.int64),
-        "lang": rng.choice(["en"] * 8 + ["de", "fr"], size=n),
-    })
-    cnt = Counter(docs["lang"])
-    m = min(cnt.values())
-    expect = {int(r.doc_id) for r in docs.itertuples()
-              if (_h60(str(r.doc_id)) % 1_000_000) * cnt[r.lang]
-              < m * 1_000_000}
-
-    ds = ray.data.from_pandas(docs).repartition(blocks)
-    got = balance_downsample(ds, group_col="lang").to_pandas()
-    assert set(got["doc_id"].astype(int)) == expect
-    # the dominant group is actually thinned toward the smallest's size
-    kept = Counter(got["lang"])
-    assert kept["en"] < cnt["en"] / 3
-    assert kept["en"] <= 3 * m and kept["de"] <= 3 * m
-
-
-def test_balance_downsample_uniform_groups_keep_most(ray_session):
-    from diffdataflowmlpipelines_ray.stages.text_clean import (
-        balance_downsample)
-
-    docs = pd.DataFrame({"doc_id": np.arange(100, dtype=np.int64),
-                         "lang": ["en", "de"] * 50})
-    got = balance_downsample(ray.data.from_pandas(docs)).to_pandas()
-    # equal-size groups: rate = 1, every row survives
-    assert len(got) == 100
 
 
 # ----------------------------------------------------------- integer PageRank
@@ -172,6 +88,10 @@ def test_kcore_tree_peels_to_empty(ray_session):
 
 
 # ------------------------------------------------------------- per-group cap
+def _h60(s: str) -> int:
+    return int(hashlib.md5(s.encode()).hexdigest()[:15], 16)
+
+
 @pytest.mark.parametrize("blocks", [1, 5])
 def test_cap_per_group_matches_reference(ray_session, blocks):
     from diffdataflowmlpipelines_ray.stages.relational import cap_per_group

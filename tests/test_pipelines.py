@@ -108,21 +108,6 @@ class TestDiabetesPipeline:
         )
 
 
-class TestDataPrep:
-    def test_funnel_end_to_end(self, ray_session, tmp_path):
-        from diffdataflowmlpipelines_ray.pipelines.dataprep import run_dataprep
-
-        res = run_dataprep("/root/testdata/sf0.001", tmp_path / "prep",
-                           min_quality=0.2)
-        assert res["input_docs"] == 500
-        assert 0 < res["after_quality_lang"] <= 500
-        # decontamination drops at least the held-out docs (self-overlap)
-        assert 0 < res["after_decontamination"] < res["after_quality_lang"]
-        assert 0 < res["after_exact_dedup"] <= res["after_decontamination"]
-        assert res["output_rows"] == res["after_exact_dedup"] - res["near_dup_dropped"]
-        assert res["committed_epochs"] == [0, 1]
-
-
 class TestDemoPresentation:
     def test_demo_shape_and_corrections(self, ray_session, tmp_path):
         from diffdataflowmlpipelines_ray.pipelines.demo import run_demo
@@ -137,26 +122,3 @@ class TestDemoPresentation:
         assert cols == {"c0", "c1", "c2", "c3"}
 
 
-class TestJsonlSource:
-    def test_read_jsonl_null_padding(self, ray_session, tmp_path):
-        from diffdataflowmlpipelines_ray.sources.jsonl import read_jsonl_documents
-
-        p = tmp_path / "docs.jsonl"
-        p.write_text('{"doc_id": 1, "text": "hello world", "source": "web"}\n'
-                     '{"doc_id": 2, "text": "two"}\n')
-        rows = sorted(read_jsonl_documents(str(p),
-                                           columns=["doc_id", "text", "source"])
-                      .take_all(), key=lambda r: r["doc_id"])
-        assert rows[0]["source"] == "web"
-        assert rows[1]["source"] is None  # missing field null-padded
-
-    def test_extract_json_field(self, ray_session, tmp_path):
-        import ray.data as rd
-        from diffdataflowmlpipelines_ray.sources.jsonl import extract_json_field
-
-        ds = rd.from_arrow(pa.table({"props": ['{"k": 87}', '{"k": -3}',
-                                               '{"other": 1}']}))
-        out = extract_json_field(ds, "props", "k", "k_val").take_all()
-        vals = [r["k_val"] for r in out]
-        assert sorted(v for v in vals if v is not None) == [-3, 87]
-        assert None in vals  # missing field → null

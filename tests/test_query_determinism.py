@@ -18,9 +18,8 @@ def canon(res) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("name", [
-    "dedup_minhash", "dedup_simhash", "fingerprint", "lang_id",
-    "ngram_jaccard", "ann_ivf", "token_freq_topk",
-    "bpe_train", "bpe_encode", "als_factors", "isotonic",
+    "dedup_minhash", "dedup_simhash", "ngram_jaccard", "token_freq_topk",
+    "als_factors", "isotonic",
 ])
 def test_rows_only_queries_deterministic(ray_session, name):
     from diffdataflowmlpipelines_ray.pipelines.queries import QUERIES
@@ -3558,40 +3557,6 @@ def test_sample_calibration_replay(ray_session):
     assert int(r["cents_err_micro"]) == serr(Q._SAMPLE_MOD * sc, tot)
 
 
-def test_retrieval_ndcg_replay(ray_session):
-    """Scalar cosine re-rank + literal discount walk; NDCG must sit
-    in (0, 10^6] and at least one query must be imperfect."""
-    import pyarrow.parquet as pq
-
-    import diffdataflowmlpipelines_ray.pipelines.queries as Q
-
-    out = Q.q_retrieval_ndcg(SF)
-    emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
-    ids = emb["vec_id"].to_numpy(np.int64)
-    mat = np.asarray(emb["embedding"].tolist(), dtype=np.float64)
-    lab = emb["label"].to_numpy(np.int64)
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    lab_counts = pd.Series(lab).value_counts().to_dict()
-    assert len(out) == Q._NDCG_QUERIES
-    for qi in range(Q._NDCG_QUERIES):
-        sims = mat @ mat[qi]
-        order = sorted(
-            (i for i in range(len(ids)) if i != qi),
-            key=lambda i: (-sims[i], ids[i]))[:Q._NDCG_K]
-        rel = [int(lab[i] == lab[qi]) for i in order]
-        dcg = sum(r * d for r, d in zip(rel, Q._NDCG_DISC))
-        total_rel = lab_counts[int(lab[qi])] - 1
-        idcg = sum(Q._NDCG_DISC[:min(Q._NDCG_K, total_rel)])
-        r = out[out["query_id"] == int(ids[qi])].iloc[0]
-        assert int(r["rel_at_k"]) == sum(rel)
-        assert int(r["total_rel"]) == total_rel
-        assert int(r["dcg_units"]) == dcg
-        assert int(r["ndcg_micro"]) == (1_000_000 * dcg // idcg
-                                        if idcg else 0)
-    nd = out["ndcg_micro"].to_numpy()
-    assert (nd > 0).any() and (nd < 1_000_000).any()
-
-
 def test_dominant_period_replay(ray_session):
     """Literal circular walk; scores must replay and exactly one
     peak must be flagged."""
@@ -5865,37 +5830,6 @@ def test_quadratic_contrast_replay(ray_session):
                 int(row["rate_micro"])) == (n, k, m[b])
     assert int(out["linear_x"].iat[0]) == m[2] - m[0]
     assert int(out["quadratic_x"].iat[0]) == m[0] - 2 * m[1] + m[2]
-
-
-def test_ann_coverage_replay(ray_session):
-    """Scalar retrieval census; slot conservation and bounded
-    coverage."""
-    import pyarrow.parquet as pq
-
-    import diffdataflowmlpipelines_ray.pipelines.queries as Q
-
-    out = Q.q_ann_coverage(SF)
-    emb = pq.read_table(f"{SF}/embeddings.parquet").to_pandas()
-    ids = emb["vec_id"].to_numpy(np.int64)
-    mat = np.asarray(emb["embedding"].tolist(), dtype=np.float64)
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    retrieved = set()
-    slots = 0
-    for qi in range(Q._COVERAGE_QUERIES):
-        sims = mat @ mat[qi]
-        order = sorted((i for i in range(len(ids)) if i != qi),
-                       key=lambda i: (-sims[i], ids[i]))
-        for i in order[:Q._COVERAGE_TOPK]:
-            retrieved.add(int(ids[i]))
-            slots += 1
-    r = out.iloc[0]
-    assert int(r["slots"]) == slots
-    assert int(r["distinct_retrieved"]) == len(retrieved)
-    assert int(r["corpus"]) == len(ids)
-    assert int(r["coverage_micro"]) == \
-        1_000_000 * len(retrieved) // len(ids)
-    assert int(r["redundancy_micro"]) == \
-        1_000_000 * slots // len(retrieved)
 
 
 def test_return_curve_replay(ray_session):

@@ -2,7 +2,7 @@
 
 Two halves: the inventory of this checkout (every entry point reached, the
 module list equal to the tree, the static registry parse equal to the live
-``QUERIES``), and the walk's rules pinned on small synthetic packages
+``QUERIES``, every ``ORACLES`` key a query), and the walk's rules pinned on small synthetic packages
 written to ``tmp_path`` (relative and absolute imports, function-local
 imports, parent packages, the gate-only walk inside ``queries.py``)."""
 
@@ -94,6 +94,14 @@ def test_static_registry_equals_live_queries():
     assert set(registry) == set(queries.QUERIES)
     for name, fn in registry.items():
         assert queries.QUERIES[name].__name__ == fn
+
+
+def test_every_oracle_names_a_query():
+    """No orphan oracle: each ``ORACLES`` key is a registered query, so
+    deleting a query cannot leave its SQL twin behind."""
+    from diffdataflowmlpipelines_ray.pipelines import queries
+
+    assert set(queries.ORACLES) - set(queries.QUERIES) == set()
 
 
 def test_main_prints_one_line_per_module(capsys, monkeypatch):

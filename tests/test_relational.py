@@ -1,5 +1,6 @@
-"""Partitioned hash join, salted aggregation, skew behavior, and
-hypothesis-based algebra properties."""
+"""Partitioned hash join, salted aggregation, skew behavior,
+hypothesis-based algebra properties, sessionization, exact
+distinct-per-group, grouped/global quantiles and heavy hitters."""
 
 import numpy as np
 import pandas as pd
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 import ray.data as rd
 
 from diffdataflowmlpipelines_ray.stages.relational import (
+    distinct_count_per_group,
     hash_join,
     salted_two_phase_sum,
+    sessionize,
 )
 from diffdataflowmlpipelines_ray.state.aggregates import (
     MeanVarAgg,
@@ -910,3 +913,162 @@ def test_ordered_prefix_min_blockless_input(ray_session):
                                  "v": pa.array([5, 3], pa.int64())})).limit(0)
     assert ds.materialize().num_blocks() == 0
     assert ordered_prefix_min(ds, "k", "v", out_col="m").count() == 0
+
+
+class TestSessionize:
+    def test_gap_boundary_exact(self, ray_session):
+        # gaps of exactly 1800 s stay in-session (strict >), 1800.000001 splits
+        base = pd.Timestamp("2024-01-01")
+        ts = [base,
+              base + pd.Timedelta(seconds=1800),            # same session
+              base + pd.Timedelta(seconds=3600, microseconds=1),  # splits
+              base + pd.Timedelta(seconds=3700)]
+        ds = rd.from_arrow(pa.table({
+            "u": pa.array([7, 7, 7, 7], type=pa.int64()),
+            "eid": pa.array([0, 1, 2, 3], type=pa.int64()),
+            "ts": pa.array(ts, type=pa.timestamp("us")),
+        }))
+        df = sessionize(ds, ["u"], "ts", gap=1800.0, order_cols=["eid"]
+                        ).to_pandas().sort_values("eid")
+        assert list(df["session_no"]) == [1, 1, 2, 2]
+
+    def test_multi_key_numbering(self, ray_session):
+        ds = rd.from_arrow(pa.table({
+            "u": pa.array([1, 1, 1, 2, 2], type=pa.int64()),
+            "eid": pa.array([0, 1, 2, 3, 4], type=pa.int64()),
+            "ts": pa.array([0.0, 10.0, 5000.0, 0.0, 9000.0]),
+        }))
+        df = sessionize(ds, ["u"], "ts", gap=1800.0, order_cols=["eid"]
+                        ).to_pandas().sort_values("eid")
+        assert list(df["session_no"]) == [1, 1, 2, 1, 2]
+
+    def test_matches_pandas_reference(self, ray_session):
+        rng = np.random.default_rng(3)
+        n = 3000
+        pdf = pd.DataFrame({
+            "u": rng.integers(0, 40, n),
+            "eid": np.arange(n),
+            "ts": rng.uniform(0, 500_000, n),
+        })
+        got = sessionize(rd.from_pandas(pdf), ["u"], "ts", gap=1800.0,
+                         order_cols=["eid"], buckets=8).to_pandas()
+        ref = pdf.sort_values(["u", "ts", "eid"]).copy()
+        new = (ref.groupby("u")["ts"].diff() > 1800.0) | \
+            ref.groupby("u")["ts"].diff().isna()
+        ref["session_no"] = new.astype(np.int64).groupby(ref["u"]).cumsum()
+        merged = got.merge(ref[["eid", "session_no"]], on="eid",
+                           suffixes=("", "_ref"))
+        assert (merged["session_no"] == merged["session_no_ref"]).all()
+
+
+class TestDistinctPerGroup:
+    def test_matches_pandas(self, ray_session):
+        rng = np.random.default_rng(11)
+        pdf = pd.DataFrame({"g": rng.integers(0, 20, 5000),
+                            "v": rng.integers(0, 400, 5000)})
+        got = distinct_count_per_group(rd.from_pandas(pdf), ["g"], "v",
+                                       buckets=16)
+        ref = (pdf.groupby("g")["v"].nunique().reset_index()
+               .rename(columns={"v": "n_distinct"}))
+        merged = got.merge(ref, on="g", suffixes=("", "_ref"))
+        assert len(merged) == len(ref)
+        assert (merged["n_distinct"] == merged["n_distinct_ref"]).all()
+
+
+class TestAnalytics:
+    def test_grouped_quantiles_match_pandas(self, ray_session):
+        from diffdataflowmlpipelines_ray.stages.relational import (
+            grouped_quantiles,
+        )
+        rng = np.random.default_rng(5)
+        pdf = pd.DataFrame({"g": rng.integers(0, 6, 4000),
+                            "v": rng.uniform(0, 100, 4000)})
+        got = grouped_quantiles(rd.from_pandas(pdf), ["g"], "v",
+                                qs=(0.25, 0.5), buckets=8)
+        ref = pdf.groupby("g")["v"].quantile([0.25, 0.5]).unstack()
+        for _, r in got.iterrows():
+            assert r["q0_25"] == pytest.approx(ref.loc[r["g"], 0.25])
+            assert r["q0_5"] == pytest.approx(ref.loc[r["g"], 0.5])
+
+    def test_running_total_exact_cents(self, ray_session):
+        from diffdataflowmlpipelines_ray.stages.relational import (
+            running_total,
+        )
+        pdf = pd.DataFrame({
+            "u": [1, 1, 1, 2], "eid": [0, 1, 2, 3],
+            "ts": [0.0, 1.0, 2.0, 0.0],
+            "value": [0.1, 0.2, 0.3, 5.05],
+        })
+        got = (running_total(rd.from_pandas(pdf), ["u"], "ts", "value",
+                             order_cols=["eid"], buckets=4)
+               .to_pandas().sort_values("eid"))
+        # float 0.1+0.2 != 0.3 — cents accumulation must be exact
+        assert list(got["running"]) == [0.1, 0.3, 0.6, 5.05]
+
+    def test_latest_per_key(self, ray_session):
+        from diffdataflowmlpipelines_ray.stages.relational import (
+            latest_per_key,
+        )
+        rng = np.random.default_rng(9)
+        n = 2000
+        pdf = pd.DataFrame({
+            "u": rng.integers(0, 30, n), "eid": np.arange(n),
+            "ts": rng.uniform(0, 1000, n),
+            "val": rng.uniform(0, 10, n),
+        })
+        got = latest_per_key(rd.from_pandas(pdf), ["u"], "ts",
+                             order_cols=["eid"])
+        ref = (pdf.sort_values(["ts", "eid"]).groupby("u", as_index=False)
+               .tail(1).sort_values("u").reset_index(drop=True))
+        assert list(got["eid"]) == list(ref["eid"])
+
+
+class TestExactGlobalQuantiles:
+    def test_matches_numpy(self, ray_session):
+        from diffdataflowmlpipelines_ray.stages.relational import (
+            exact_global_quantiles,
+        )
+        rng = np.random.default_rng(0)
+        for data in (rng.uniform(0, 1000, 50_000),
+                     np.repeat([5.0, 7.0], [30_000, 20_000]),  # heavy dups
+                     rng.normal(0, 1, 30_001)):
+            ds = rd.from_pandas(pd.DataFrame({"x": data})).repartition(8)
+            got = exact_global_quantiles(ds, "x", qs=(0.25, 0.5, 0.9),
+                                         cap=2000)
+            ref = np.quantile(data, [0.25, 0.5, 0.9], method="linear")
+            for q, r in zip((0.25, 0.5, 0.9), ref):
+                assert got[q] == pytest.approx(r, abs=1e-9)
+
+    def test_small_input_single_fetch(self, ray_session):
+        from diffdataflowmlpipelines_ray.stages.relational import (
+            exact_global_quantiles,
+        )
+        data = np.array([3.0, 1.0, 2.0, 4.0])
+        ds = rd.from_pandas(pd.DataFrame({"x": data}))
+        got = exact_global_quantiles(ds, "x", qs=(0.5,))
+        assert got[0.5] == pytest.approx(2.5)
+
+
+class TestHeavyHitters:
+    def test_exact_on_zipf(self, ray_session):
+        from diffdataflowmlpipelines_ray.state.sketches import heavy_hitters
+        rng = np.random.default_rng(1)
+        vals = np.minimum(rng.zipf(1.5, 30_000), 5000).astype(str)
+        ds = rd.from_pandas(pd.DataFrame({"v": vals})).repartition(8)
+        got = heavy_hitters(ds, "v", k=10, m=64)
+        ref = (pd.Series(vals).value_counts().reset_index())
+        ref.columns = ["v", "cnt"]
+        ref = ref.sort_values(["cnt", "v"],
+                              ascending=[False, True]).head(10)
+        assert list(got["v"]) == list(ref["v"])
+        assert list(got["cnt"]) == list(ref["cnt"])
+
+    def test_raises_when_unprovable(self, ray_session):
+        from diffdataflowmlpipelines_ray.state.sketches import heavy_hitters
+        # near-uniform over many values with tiny m: dropped mass swamps
+        # the k-th count → must refuse rather than return a guess
+        rng = np.random.default_rng(2)
+        vals = rng.integers(0, 5000, 20_000).astype(str)
+        ds = rd.from_pandas(pd.DataFrame({"v": vals})).repartition(8)
+        with pytest.raises(RuntimeError, match="not provably exact"):
+            heavy_hitters(ds, "v", k=5, m=8)

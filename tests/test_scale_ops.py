@@ -1,4 +1,4 @@
-"""Dedup family, ANN and text analysis tests."""
+"""Dedup family, relational, graph and numeric-analytics tests."""
 
 import numpy as np
 import pandas as pd
@@ -16,12 +16,6 @@ from diffdataflowmlpipelines_ray.stages.dedup import (
     ngram_jaccard_pairs,
     simhash_dedup_groups,
     union_find_components,
-)
-from diffdataflowmlpipelines_ray.stages.similarity import brute_force_topk, ivf_topk
-from diffdataflowmlpipelines_ray.stages.text_stats import (
-    LangId,
-    add_lang_id,
-    add_text_stats,
 )
 
 SF = "/root/testdata/sf0.001"
@@ -95,140 +89,6 @@ class TestEmbeddingDedup:
                       "embedding": [v.tolist(), near.tolist(), far.tolist()]})
         pairs = embedding_dedup_pairs(ds, threshold=0.99)
         assert (1, 2) in set(zip(pairs["id_lo"].to_pylist(), pairs["id_hi"].to_pylist()))
-
-
-class TestSimilarity:
-    def test_brute_force_matches_numpy(self, ray_session):
-        import pyarrow.parquet as pq
-
-        tbl = pq.read_table(f"{SF}/embeddings.parquet")
-        ds = rd.from_arrow(tbl).repartition(3)
-        mat = np.array(tbl["embedding"].to_pylist(), dtype=np.float64)
-        ids = np.array(tbl["vec_id"].to_pylist())
-        q = mat[:3]
-        out = brute_force_topk(ds, q, k=5, query_ids=ids[:3]).to_pandas()
-        # reference: plain numpy
-        qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-        mn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        sims = mn @ qn.T
-        for c, qid in enumerate(ids[:3]):
-            col = sims[:, c]
-            order = np.lexsort((ids, -col))
-            expect = [ids[i] for i in order if ids[i] != qid][:5]
-            got = out[out["query_id"] == qid].sort_values("rank")["vec_id"].tolist()
-            assert got == expect
-
-    def test_ivf_recall_reasonable(self, ray_session):
-        import pyarrow.parquet as pq
-
-        tbl = pq.read_table(f"{SF}/embeddings.parquet")
-        ds = rd.from_arrow(tbl).repartition(3)
-        mat = np.array(tbl["embedding"].to_pylist(), dtype=np.float64)
-        ids = np.array(tbl["vec_id"].to_pylist())
-        q = mat[:5]
-        exact = brute_force_topk(ds, q, k=5, query_ids=ids[:5]).to_pandas()
-        approx = ivf_topk(ds, q, k=5, n_clusters=8, nprobe=4,
-                          query_ids=ids[:5]).to_pandas()
-        # recall@5 over 5 queries ≥ 0.5 (probing half the lists)
-        hits = 0
-        for qid in ids[:5]:
-            e = set(exact[exact["query_id"] == qid]["vec_id"])
-            a = set(approx[approx["query_id"] == qid]["vec_id"])
-            hits += len(e & a)
-        assert hits / 25 >= 0.5
-
-
-class TestProductQuantization:
-    def _load(self):
-        import pyarrow.parquet as pq
-
-        tbl = pq.read_table(f"{SF}/embeddings.parquet")
-        ds = rd.from_arrow(tbl).repartition(3)
-        mat = np.array(tbl["embedding"].to_pylist(), dtype=np.float64)
-        ids = np.array(tbl["vec_id"].to_pylist())
-        return ds, mat, ids
-
-    def test_refined_recall_bound(self, ray_session):
-        from diffdataflowmlpipelines_ray.stages.similarity import pq_topk
-
-        ds, mat, ids = self._load()
-        exact = brute_force_topk(ds, mat[:8], k=10,
-                                 query_ids=ids[:8]).to_pandas()
-        approx = pq_topk(ds, mat[:8], k=10, m=16, n_codes=64, refine=4,
-                         query_ids=ids[:8]).to_pandas()
-        hits = sum(
-            len(set(exact[exact["query_id"] == q]["vec_id"])
-                & set(approx[approx["query_id"] == q]["vec_id"]))
-            for q in ids[:8])
-        assert hits / 80 >= 0.9  # seeded → deterministic (observed 0.95)
-
-    def test_partitioning_invariant(self, ray_session):
-        from diffdataflowmlpipelines_ray.stages.similarity import pq_topk
-
-        ds, mat, ids = self._load()
-        a = pq_topk(ds.repartition(2), mat[:6], k=8, m=16, n_codes=64,
-                    refine=3, query_ids=ids[:6]).to_pandas()
-        b = pq_topk(ds.repartition(8), mat[:6], k=8, m=16, n_codes=64,
-                    refine=3, query_ids=ids[:6]).to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_full_refine_equals_brute_force(self, ray_session):
-        from diffdataflowmlpipelines_ray.stages.similarity import pq_topk
-
-        ds, mat, ids = self._load()
-        n = len(ids)
-        exact = brute_force_topk(ds, mat[:4], k=5,
-                                 query_ids=ids[:4]).to_pandas()
-        full = pq_topk(ds, mat[:4], k=5, m=16, n_codes=64,
-                       refine=n // 5 + 1, query_ids=ids[:4]).to_pandas()
-        pd.testing.assert_frame_equal(
-            exact[["query_id", "vec_id", "rank"]].reset_index(drop=True),
-            full[["query_id", "vec_id", "rank"]].reset_index(drop=True))
-
-    def test_memorizing_codebook_is_exact_adc(self, ray_session):
-        # n distinct vectors ≤ n_codes: seeded init picks every point as
-        # its own centroid and Lloyd's is a fixed point → ADC scores ARE
-        # the exact dot products, so even refine=0 equals brute force
-        from diffdataflowmlpipelines_ray.stages.similarity import pq_topk
-
-        rng = np.random.default_rng(5)
-        mat = rng.normal(size=(24, 16))
-        tbl = pa.table({
-            "vec_id": pa.array(np.arange(24, dtype=np.int64)),
-            "embedding": pa.array(list(mat.astype(np.float32)),
-                                  type=pa.list_(pa.float32()))})
-        ds = rd.from_arrow(tbl).repartition(2)
-        q = mat[:3].astype(np.float64)
-        exact = brute_force_topk(ds, q, k=4,
-                                 query_ids=np.arange(3)).to_pandas()
-        adc = pq_topk(ds, q, k=4, m=4, n_codes=24, refine=0,
-                      sample_size=10_000,
-                      query_ids=np.arange(3)).to_pandas()
-        pd.testing.assert_frame_equal(
-            exact[["query_id", "vec_id", "rank"]].reset_index(drop=True),
-            adc[["query_id", "vec_id", "rank"]].reset_index(drop=True))
-
-
-class TestTextStats:
-    def test_counts_match_python(self, ray_session):
-        ds = docs_ds({"doc_id": [1, 2],
-                      "text": ["The quick  brown fox 42", "a"]})
-        out = {r["doc_id"]: r for r in add_text_stats(ds).take_all()}
-        assert out[1]["n_tokens"] == 5
-        assert out[1]["n_chars_calc"] == len("The quick  brown fox 42")
-        assert out[1]["digit_ratio"] == pytest.approx(2 / 23)
-        assert out[2]["n_tokens"] == 1
-        assert 0.0 <= out[1]["quality_score"] <= 1.0
-
-    def test_lang_id(self, ray_session):
-        ds = docs_ds({"doc_id": [1, 2, 3],
-                      "text": ["the cat and the dog is happy that it",
-                               "der hund und die katze ist nicht da",
-                               "这是中文文本"]})
-        out = {r["doc_id"]: r["lang_pred"] for r in add_lang_id(ds).take_all()}
-        assert out[1] == "en"
-        assert out[2] == "de"
-        assert out[3] == "zh"
 
 
 class TestRound2ScalePaths:
@@ -828,141 +688,6 @@ class TestPairVerifyExchangeTier:
         assert len(out) == 2  # deterministic sorted survivors
 
 
-class TestBm25:
-    K1, B = 1.2, 0.75
-
-    def _brute(self, texts, ids, queries, k):
-        """Independent scalar BM25 reference (same Lucene idf variant)."""
-        import math
-
-        toks = [t.split() for t in texts]
-        n = len(texts)
-        avgdl = sum(len(t) for t in toks) / n
-        out = []
-        for qid, terms in sorted(queries.items()):
-            scored = []
-            for did, tk in zip(ids, toks):
-                s = 0.0
-                hit = False
-                for term in set(terms):
-                    tf = tk.count(term)
-                    if tf == 0:
-                        continue
-                    hit = True
-                    df = sum(1 for t2 in toks if term in t2)
-                    idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-                    s += idf * tf * (self.K1 + 1) / (
-                        tf + self.K1 * (1 - self.B + self.B * len(tk) / avgdl))
-                if hit:
-                    scored.append((round(s, 6), did))
-            scored.sort(key=lambda p: (-p[0], p[1]))
-            for r, (s, did) in enumerate(scored[:k], 1):
-                out.append((qid, did, s, r))
-        return out
-
-    def _run(self, texts, ids, queries, k, parts):
-        from diffdataflowmlpipelines_ray.stages.retrieval import bm25_topk
-
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "text": pa.array(texts)})).repartition(parts)
-        got = bm25_topk(ds, queries, k=k)
-        return [(int(r.query_id), int(r.doc_id), float(r.score), int(r.rank))
-                for r in got.itertuples()]
-
-    def test_matches_reference_any_partitioning(self, ray_session):
-        texts = ["hash join hash", "join filter scan", "", "sort merge",
-                 "hash hash hash join", "filter filter", "scan",
-                 "merge sort order hash", "the quick brown fox"]
-        ids = [3, 1, 4, 1 + 10, 5, 9, 2, 6, 8]
-        queries = {0: ["hash", "join"], 1: ["filter", "scan"],
-                   2: ["sort", "merge", "order"]}
-        want = self._brute(texts, ids, queries, 4)
-        assert self._run(texts, ids, queries, 4, 1) == want
-        assert self._run(texts, ids, queries, 4, 5) == want
-
-    def test_no_matching_docs_empty(self, ray_session):
-        got = self._run(["aa bb", "cc"], [1, 2], {7: ["zz"]}, 3, 2)
-        assert got == []
-
-    def test_tie_break_by_doc_id(self, ray_session):
-        # identical docs → identical scores; winners must be ascending ids
-        got = self._run(["x y", "x y", "x y"], [30, 10, 20],
-                        {0: ["x"]}, 2, 3)
-        assert [(d, r) for _, d, _, r in got] == [(10, 1), (20, 2)]
-
-    def test_duplicate_query_terms_count_once(self, ray_session):
-        a = self._run(["x x y", "y"], [1, 2], {0: ["x", "x", "y"]}, 2, 1)
-        b = self._run(["x x y", "y"], [1, 2], {0: ["x", "y"]}, 2, 1)
-        assert a == b
-
-
-class TestDsir:
-    def _brute(self, texts, langs, ids, m=64):
-        """Independent scalar DSIR reference."""
-        import math
-
-        from diffdataflowmlpipelines_ray.functions.hashing import stable_hash60
-
-        feats = []
-        for t in texts:
-            tk = t.split()
-            fs = list(tk) + [f"{a} {b}" for a, b in zip(tk, tk[1:])]
-            feats.append([stable_hash60(f) % m for f in fs])
-        raw = [0] * m
-        tgt = [0] * m
-        for fs, lg in zip(feats, langs):
-            for b in fs:
-                raw[b] += 1
-                if lg == "en":
-                    tgt[b] += 1
-        T, R = sum(tgt), sum(raw)
-        ratio = [round(abs(x)) * (1 if x >= 0 else -1) if abs(
-            x - int(x)) != 0.5 else int(math.copysign(math.ceil(abs(x)), x))
-            for x in ((math.log((tc + 1) / (T + m))
-                       - math.log((rc + 1) / (R + m))) * 1e6
-                      for tc, rc in zip(tgt, raw))]
-        out = []
-        for did, fs in zip(ids, feats):
-            if fs:
-                out.append((did, len(fs), sum(ratio[b] for b in fs)))
-        return sorted(out)
-
-    def _run(self, texts, langs, ids, parts, m=64):
-        from diffdataflowmlpipelines_ray.stages.dsir import dsir_weights
-
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array(ids, type=pa.int64()),
-            "text": pa.array(texts),
-            "lang": pa.array(langs)})).repartition(parts)
-        got = dsir_weights(ds, "lang", "en", m=m)
-        return [(int(r.doc_id), int(r.n_feats), int(r.weight_micro))
-                for r in got.itertuples()]
-
-    def test_matches_reference_any_partitioning(self, ray_session):
-        texts = ["alpha beta alpha", "omega psi", "", "alpha omega beta",
-                 "beta beta beta gamma", "psi psi omega alpha"]
-        langs = ["en", "de", "en", "en", "de", "fr"]
-        ids = [4, 1, 9, 2, 7, 5]
-        want = self._brute(texts, langs, ids)
-        assert self._run(texts, langs, ids, 1) == want
-        assert self._run(texts, langs, ids, 5) == want
-
-    def test_target_like_doc_scores_higher(self, ray_session):
-        # target docs say alpha, non-target say omega; a fresh alpha doc
-        # must outweigh a fresh omega doc
-        texts = (["alpha alpha"] * 5 + ["omega omega"] * 5
-                 + ["alpha", "omega"])
-        langs = ["en"] * 5 + ["de"] * 5 + ["de", "en"]
-        ids = list(range(12))
-        got = dict((d, w) for d, _, w in self._run(texts, langs, ids, 3))
-        assert got[10] > got[11]  # "alpha" doc > "omega" doc
-
-    def test_empty_docs_absent(self, ray_session):
-        got = self._run(["", "x y"], ["en", "en"], [1, 2], 2)
-        assert [d for d, _, _ in got] == [2]
-
-
 class TestHistTree:
     def _brute(self, X, y, depth, bins):
         """Independent single-machine reference (plain loops)."""
@@ -1159,46 +884,6 @@ class TestHistBoost:
         assert hist["sae_micro"].tolist() == [4_000_000 * 32,
                                               2_000_000 * 32,
                                               1_000_000 * 32]
-
-
-class TestVocabGrowth:
-    def test_matches_brute_force(self, ray_session):
-        from diffdataflowmlpipelines_ray.stages.text_stats import (
-            vocab_growth,
-        )
-
-        texts = ["a b c", "a b", "d e f g", "", "a h", "i j k l m",
-                 "a a a", "n", "b d", "o p"]
-        ids = list(range(10))
-        for parts in (1, 4):
-            ds = rd.from_arrow(pa.table({
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "text": pa.array(texts)})).repartition(parts)
-            out = vocab_growth(ds, n_checkpoints=5)
-            got = [(int(r.checkpoint), int(r.n_tokens), int(r.vocab))
-                   for r in out.itertuples()]
-            want = []
-            for i in range(5):
-                k = (i + 1) * 2 - 1
-                pre = [t for d, t in zip(ids, texts) if d <= k]
-                toks = [w for t in pre for w in t.split()]
-                want.append((k, len(toks), len(set(toks))))
-            assert got == want
-
-    def test_monotone(self, ray_session):
-        from diffdataflowmlpipelines_ray.stages.text_stats import (
-            vocab_growth,
-        )
-
-        rng = np.random.default_rng(2)
-        texts = [" ".join(f"w{rng.integers(0, 50)}" for _ in range(20))
-                 for _ in range(40)]
-        ds = rd.from_arrow(pa.table({
-            "doc_id": pa.array(range(40), type=pa.int64()),
-            "text": pa.array(texts)})).repartition(3)
-        out = vocab_growth(ds, n_checkpoints=4)
-        assert out["vocab"].is_monotonic_increasing
-        assert out["n_tokens"].is_monotonic_increasing
 
 
 class TestAls:

@@ -48,15 +48,15 @@ ID_COLS = {
 # pathology.  A linear-scale soak over them needs a structure-preserving
 # replica (disjoint graphs), which the modulo-space fixture cannot give.
 DEFAULT_QUERIES = [
-    "fuzzy_join", "part_profit", "assoc_rules", "dup_spans",
+    "fuzzy_join", "part_profit", "assoc_rules",
     "merge_upsert",
     "supplier_cnt", "asof_attribution", "als_factors", "returned_items",
-    "kbins_quantile", "stickiness", "perplexity", "nelson_aalen",
+    "kbins_quantile", "stickiness", "nelson_aalen",
     "top_supplier_revenue",
     "stream_asof_join", "dormant_customers", "disjunctive_revenue",
     "pareto_share", "session_early_firing", "kaplan_meier",
     "profile_table", "market_share", "large_volume_orders",
-    "stream_join", "bloom_semi_join", "kneser_ney", "gbdt_predict",
+    "stream_join", "bloom_semi_join", "gbdt_predict",
     "cohort_retention", "weighted_median", "ks_test",
     # the star-capped wedge variant IS linear-scale safe on hubbed
     # replicas (fan-out <= C^2 per center) -- the scale path for the
