@@ -3,15 +3,15 @@
 Scale-first designs (SURVEY §2.6 lists only exact `distinct` in the
 reference; these extend the engine for training-data pipelines):
 
-- **exact_dedup** — content-hash per batch (vectorized), hash-partitioned
-  groupby, keep the minimum id per group.  Only 8-byte hashes + ids shuffle;
-  the full text never moves.
+- **exact_dedup_ids** — content-hash per batch (vectorized),
+  hash-partitioned groupby, keep the minimum id per group.  Only 8-byte
+  hashes + ids shuffle; the full text never moves.
 - **minhash_lsh** — shingle→minhash→band pipeline: signatures are computed
   per batch fully vectorized (segmented ``np.minimum.reduceat``), banded and
   exploded to (band, band_hash, doc_id) rows; one groupby over the narrow
-  band table yields candidate pairs, verified by signature-estimated (or
-  exact n-gram) Jaccard; components resolved by union-find on the (small)
-  verified-pair set — the standard web-dedup layout.
+  band table yields candidate pairs, verified by exact n-gram Jaccard;
+  components resolved by union-find on the (small) verified-pair set — the
+  standard web-dedup layout.
 - **simhash** — 64-bit hyperplane-free simhash over token hashes; exact
   simhash equality + banded sub-hash matching for near (Hamming≤k) pairs.
 - **ngram_jaccard_pairs** — exact character/word n-gram Jaccard on candidate
@@ -33,17 +33,16 @@ import pyarrow.compute as pc
 
 import ray
 
-from ..functions.hashing import fast_hash64_array, stable_hash60_array
+from ..functions.hashing import fast_hash64_array
 from ..functions.tokenize import tokenize_column
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "add_content_hash",
-    "exact_dedup",
+    "exact_dedup_ids",
     "minhash_signatures",
     "minhash_lsh_candidates",
-    "minhash_dedup_groups",
+    "minhash_dedup_groups_exact",
     "simhash_column",
     "simhash_dedup_groups",
     "ngram_set",
@@ -57,29 +56,6 @@ _P61 = (1 << 61) - 1
 
 
 # --------------------------------------------------------------------- exact
-def add_content_hash(ds, col: str = "text", out: str = "content_hash",
-                     stable: bool = False):
-    """Content-hash column per document.
-
-    ``stable=False`` (default): vectorized xxhash (``fast_hash64_array``) —
-    the production fingerprint path, ~100× faster per string; deterministic
-    per polars build + seed.  ``stable=True``: 60-bit MD5-derived hash,
-    reproducible in DuckDB (``STABLE_HASH_SQL``) — opt in ONLY where an
-    SQL twin must recompute the identical value (r4 verdict item 2: the
-    per-string MD5 loop must never be the default on the hottest
-    LLM-pipeline path).
-    """
-
-    def h(tbl: pa.Table) -> pa.Table:
-        if stable:
-            vals = tbl[col].to_pylist()
-            return tbl.append_column(out, pa.array(stable_hash60_array(vals)))
-        return tbl.append_column(
-            out, pa.array(fast_hash64_array(tbl[col]).astype(np.int64)))
-
-    return ds.map_batches(h, batch_format="pyarrow")
-
-
 def exact_dedup_ids(ds, col: str = "text", id_col: str = "doc_id",
                     buckets: int = 64):
     """Minimum id per distinct ``col`` value → Dataset of kept ids — two-phase.
@@ -147,7 +123,7 @@ def exact_dedup_ids(ds, col: str = "text", id_col: str = "doc_id",
                                       batch_format="pyarrow").take_all()
     )
     if coll:  # rare by construction: exact driver-side resolve, O(collisions)
-        logger.warning("exact_dedup: resolving %d hash-collision groups",
+        logger.warning("exact_dedup_ids: resolving %d hash-collision groups",
                        len(coll))
         coll_arr = ray.put(pa.array(sorted(coll)))
 
@@ -166,22 +142,6 @@ def exact_dedup_ids(ds, col: str = "text", id_col: str = "doc_id",
         }))
         winners = winners.union(extra)
     return winners
-
-
-def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
-                buckets: int = 64):
-    """Keep the full row with the minimum id per distinct ``col`` value.
-
-    ``exact_dedup_ids`` (hash-only shuffle) picks the winners; a partitioned
-    hash **semi-join** ships each winner id to its bucket once and filters
-    the corpus there — neither the text column nor the winner set is ever
-    materialized on the driver or broadcast whole.
-    """
-    from .relational import hash_join
-
-    winners = exact_dedup_ids(ds, col, id_col)
-    return hash_join(ds, winners, [id_col], [id_col], buckets=buckets,
-                     how="semi")
 
 
 # --------------------------------------------------- candidate-pair plumbing
@@ -754,27 +714,6 @@ def _components_table(verified, id_col: str) -> pa.Table:
     return pa.table({id_col: comp["id"], "group_id": comp["component"]})
 
 
-def minhash_dedup_groups(ds, col: str = "text", id_col: str = "doc_id",
-                         params: MinHashParams = MinHashParams(),
-                         threshold: float = 0.7) -> pa.Table:
-    """Full near-dup pipeline → (id, group_id) for docs in any dup group.
-
-    Verification (signature-estimated Jaccard ≥ threshold) runs WHERE the
-    signatures live — ``_distributed_pair_verify`` ships only O(candidates)
-    rows through one narrow shuffle; no signature dict ever materializes on
-    the driver.  Components via ``connected_components`` (min-id labels).
-    """
-    pairs_ds, sig_ds = minhash_lsh_candidates(ds, col, id_col, params)
-
-    def jaccard_ok(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-        a = np.stack(sa)
-        b = np.stack(sb)
-        return (a == b).mean(axis=1) >= threshold
-
-    verified = _distributed_pair_verify(pairs_ds, sig_ds, id_col, jaccard_ok)
-    return _components_table(verified, id_col)
-
-
 def minhash_dedup_groups_exact(ds, col: str = "text", id_col: str = "doc_id",
                                params: MinHashParams = MinHashParams(),
                                threshold: float = 0.9, n: int = 3) -> pa.Table:
@@ -791,9 +730,7 @@ def minhash_dedup_groups_exact(ds, col: str = "text", id_col: str = "doc_id",
 
     ``star_cap=None``: the exactness contract needs the FULL bucket pair
     set — a star-capped hot bucket could drop a true J ≥ threshold pair
-    whose members both fail the verify against the hub (ADVICE r4 fix;
-    the estimated-Jaccard ``minhash_dedup_groups`` keeps the cap as its
-    production skew guard).
+    whose members both fail the verify against the hub (ADVICE r4 fix).
     """
     pairs_ds, _sig_ds = minhash_lsh_candidates(ds, col, id_col, params,
                                                star_cap=None)

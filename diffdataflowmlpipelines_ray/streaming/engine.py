@@ -20,7 +20,11 @@ Data path per epoch:
    which is also the shard (hash % num_shards); every other op keys its
    state by the pickled key tuple (``shard_of``).  A ``pa.Table`` epoch is
    folded on the driver, which scatters per-shard deltas to the
-   ``ShardedStateStore`` actors.  A ``ray.data.Dataset`` epoch is
+   ``ShardedStateStore`` actors; the two columnar families queue theirs,
+   and the watermark's sweeps and the due snapshot, into one
+   ``StateShard.step`` call per touched shard at the end of the epoch
+   (sent earlier only when a later op reads one of their outputs).  A
+   ``ray.data.Dataset`` epoch is
    shard-direct: its upstream runs once per epoch for its block refs, and
    one ``exchange.shard_exchange`` runs a route task per block (the block's
    payload split by shard, plus a summary: late rows, max event time, parts
@@ -40,6 +44,7 @@ Data path per epoch:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -166,6 +171,14 @@ def _keyed_parts(items, num_shards: int) -> dict[int, list]:
         parts.setdefault(shard_of(k, num_shards), []).append(
             (k, pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL)))
     return parts
+
+
+def _shard_step(shard, epoch: int, kernel: str, name: str, *args):
+    """One arrangement kernel from a reduce task, as a ``StateShard.step``
+    of its own: the kernel's result and the reply's stats."""
+    reply = ray.get(shard.step.remote(epoch, [(kernel, name, *args)]))
+    return reply["out"][0], {"kernel_s": reply["kernel_s"],
+                             "live_keys": reply["live_keys"]}
 
 
 def _merged_payload(parts: list, merge) -> bytes:
@@ -1934,6 +1947,50 @@ class BroadcastEnrich:
         return rules
 
 
+#: the op attributes that name an epoch input
+_INPUT_ATTRS = ("input", "left_input", "right_input", "dim_input",
+                "stream_input", "rules_input")
+
+
+class _ChainedEmits(dict):
+    """One epoch's emissions, mirrored into its available inputs so that ops
+    declared later read them in the same ``process_epoch`` call.  The
+    epoch's dicts are attributes, not a per-call closure, so its input
+    tables are freed with the epoch instead of waiting for a cycle
+    collection."""
+
+    def __init__(self, inputs: dict, avail: dict):
+        super().__init__()
+        self.inputs, self.avail = inputs, avail
+
+    def __setitem__(self, k, v):
+        # feeding an op's OUTPUT name from the caller is the view-bootstrap
+        # pattern (hydrate a new downstream op from a snapshot) — legal
+        # exactly when the op emits nothing that epoch; if it DOES emit,
+        # silently replacing the caller's rows (or theirs replacing ours)
+        # would corrupt the chain
+        if k in self.inputs:
+            raise ValueError(
+                f"input {k!r} was fed by the caller AND emitted by an op "
+                "this epoch — hydrate in an epoch where the op has no input "
+                "of its own")
+        super().__setitem__(k, v)
+        self.avail[k] = v
+
+
+class _StepBatch:
+    """One epoch's arrangement work, sent as one ``ShardedStateStore.step``
+    call: requests in op order, each ``(kernel, name, [(shard, args)],
+    done)`` where ``done`` takes those shards' results; the outputs the
+    callbacks will publish; and whether the shards snapshot."""
+
+    def __init__(self, epoch: int):
+        self.epoch = epoch
+        self.requests: list[tuple] = []
+        self.outputs: set[str] = set()
+        self.snapshot = False
+
+
 class StreamSession:
     """The per-job driver: owns the state store, per-op sinks, watermark and
     checkpoints.  See module docstring for the epoch data path."""
@@ -1959,9 +2016,11 @@ class StreamSession:
         self.consolidate_every = consolidate_every
         #: pipelined=True submits Table-epoch state applies WITHOUT blocking
         #: (per-actor submission order keeps shard state serialized); every
-        #: read surface — sweeps, collect, checkpoint, join probe — fences
+        #: read surface — sweeps, collect, checkpoint, probes — fences
         #: first, so emissions and snapshots always observe a consistent
         #: frontier.  Cuts per-epoch latency for high-rate micro-batches.
+        #: Windowed aggregates and stream joins ignore it: their whole epoch
+        #: is already one ``step`` call per shard.
         self.pipelined = pipelined
         #: fsync=False relaxes commit durability (no power-loss guarantee)
         #: for latency-sensitive jobs; exactly-once vs process crashes keeps
@@ -2002,6 +2061,12 @@ class StreamSession:
                         "input_rows": 0, "emitted_rows": 0}
         #: {id(input): (input, block refs)} for the epoch being processed
         self._epoch_blocks: dict[int, tuple] = {}
+        #: the open epoch's ``store.step`` batch (None between epochs)
+        self._batch: _StepBatch | None = None
+        #: what the ``step`` replies report: shard calls, compute seconds
+        #: per kernel, live keys per shard (``stats()["store"]``; kept out
+        #: of ``metrics``, which manifests and checkpoints carry)
+        self._store_stats = {"calls": 0, "kernel_s": {}, "live_keys": {}}
 
     def _meta(self, **kw) -> dict:
         if self.current_lineage is not None:
@@ -2201,6 +2266,77 @@ class StreamSession:
                                       meta=self._meta(kind=kind))
         return sum(e["rows"] for e in entries)
 
+    # ------------------------------------------------ the epoch's step batch
+    # Windowed aggregates and stream joins send their epoch's shard work as
+    # one ``store.step`` call per touched shard: the ops and the watermark
+    # queue requests, and the flush runs their callbacks, which commit the
+    # emissions, in op order.
+    @contextlib.contextmanager
+    def _epoch_step(self, epoch: int):
+        """Open a step batch for ``epoch``, flushed (and its snapshot
+        saved) on exit; inside an open batch, defer to that batch's
+        flush."""
+        if self._batch is not None:
+            yield
+            return
+        self._batch = _StepBatch(epoch)
+        try:
+            yield
+            blobs = self._flush()
+            if blobs is not None:
+                self._save_checkpoint(epoch, blobs)
+        finally:
+            self._batch = None
+
+    def _request(self, kernel: str, name: str, args: dict[int, tuple],
+                 done: Callable | None = None, emits: Sequence[str] = ()
+                 ) -> None:
+        """Queue ``kernel(name, *args[shard])`` for each shard in ``args``;
+        ``done(results)`` gets their results in shard order at the flush,
+        and ``emits`` names the outputs it publishes."""
+        self._batch.requests.append((kernel, name, sorted(args.items()),
+                                     done))
+        self._batch.outputs.update(emits)
+
+    def _all_shards(self, *args) -> dict[int, tuple]:
+        return dict.fromkeys(range(self.store.num_shards), args)
+
+    def _flush(self) -> dict[int, bytes] | None:
+        """Send the open batch as one ``store.step`` and run its callbacks
+        in request order; returns the shards' snapshots when it asked for
+        them.  The batch stays open, empty, for the rest of the epoch."""
+        b = self._batch
+        self._batch = _StepBatch(b.epoch)
+        msgs: dict[int, list] = {}
+        for kernel, name, args, _ in b.requests:
+            for sid, a in args:
+                msgs.setdefault(sid, []).append((kernel, name, *a))
+        replies = (self.store.step(b.epoch, msgs, b.snapshot)
+                   if msgs or b.snapshot else {})
+        self._note_step(replies)
+        outs = {sid: iter(r["out"]) for sid, r in replies.items()}
+        for _, _, args, done in b.requests:
+            results = [next(outs[sid]) for sid, _ in args]
+            if done is not None:
+                done(results)
+        if not b.snapshot:
+            return None
+        return {sid: r["snapshot"] for sid, r in replies.items()}
+
+    def _note_step(self, replies: dict[int, dict]) -> None:
+        """Fold ``step`` replies (shard id → reply) into ``_store_stats``."""
+        st = self._store_stats
+        st["calls"] += len(replies)
+        for sid, r in replies.items():
+            for k, v in r["kernel_s"].items():
+                st["kernel_s"][k] = st["kernel_s"].get(k, 0.0) + v
+            st["live_keys"][sid] = r["live_keys"]
+
+    def _pending_input(self, op) -> bool:
+        """Whether ``op`` reads an output the open batch has yet to emit."""
+        return any(getattr(op, a, None) in self._batch.outputs
+                   for a in _INPUT_ATTRS)
+
     def _partials_route(self, op):
         """Route kernel of the keyed partials (``partial_batch``): each
         block's per-key partials go to their shards."""
@@ -2245,15 +2381,18 @@ class StreamSession:
                                 meta=self._meta(kind="late_rows"))
             emitted[f"{name}__late"] = late_tbl
         part = self._merged_partials(op, data, self.watermark)
-        if op.early_firing:
-            changes = self.store.apply_window_partials(name, epoch, part,
-                                                       changelog=True)
-            self._emit(f"{name}__early", epoch,
-                       op.changelog_to_table(changes, epoch), emitted,
-                       kind="early_firing")
-        else:
-            self.store.apply_window_partials(name, epoch, part,
-                                             wait=not self.pipelined)
+        early = op.early_firing
+
+        def done(changes: list) -> None:
+            if early:
+                self._emit(f"{name}__early", epoch, op.changelog_to_table(
+                    [c for c in changes if c is not None], epoch), emitted,
+                    kind="early_firing")
+
+        self._request("apply_window_partials", name,
+                      {sid: (rows, early) for sid, rows in
+                       part.split(self.store.num_shards).items()},
+                      done, emits=[f"{name}__early"] if early else ())
 
     def _window_epoch_distributed(self, op: "KeyedAggregation", name: str,
                                   epoch: int, data, emitted: dict) -> None:
@@ -2282,21 +2421,25 @@ class StreamSession:
             return part.split(num_shards), Summary(late, max_ts, entries)
 
         def reduce(sid: int, parts: list):
-            out = ray.get(shards[sid].apply_window_partials.remote(
-                name, epoch, Partials.concat(parts).canonical(), early))
+            out, stats = _shard_step(
+                shards[sid], epoch, "apply_window_partials", name,
+                Partials.concat(parts).canonical(), early)
             if not early:
-                return None
+                return None, (sid, stats)
             tbl = op.changelog_to_table([out] if out else [], epoch)
             # empty parts add nothing; skip the file
-            return write(tbl, tag=f"shard{sid:04d}") if tbl.num_rows else None
+            return (write(tbl, tag=f"shard{sid:04d}") if tbl.num_rows
+                    else None), (sid, stats)
 
         entries, results = self._exchange([(route, data)], reduce)
+        self._note_step(dict(st for _, st in results))
         if late_write is not None:
             self.metrics["late_routed"] += self._commit_parts(
                 f"{name}__late", epoch, entries, "late_rows")
         if early:
             n = self._commit_parts(f"{name}__early", epoch,
-                                   [e for e in results if e], "early_firing")
+                                   [e for e, _ in results if e],
+                                   "early_firing")
             self._emit_committed(f"{name}__early", epoch, n, emitted)
 
     def _changelog_distributed(self, op, name: str, epoch: int, data,
@@ -2382,7 +2525,7 @@ class StreamSession:
         """Dataset-epoch StreamJoin / AsofStreamJoin: both sides' blocks
         route by the Table path's key hash (``side_shards``) and report
         their max event time; each shard's reduce makes the one
-        ``join_insert_probe`` / ``asof_insert_probe`` call and writes its
+        ``join_insert_probe`` step / ``asof_insert_probe`` call and writes its
         matches (and as-of unmatched ± rows) as the shard's sink parts.
         Per-epoch input and output never reside in driver memory.  Returns
         committed match rows."""
@@ -2416,24 +2559,28 @@ class StreamSession:
                         ignore_index=True)
                 elif got:
                     payload[side] = Rows.concat(got)
+            step = None
             if asof:
                 r = pickle.loads(ray.get(shards[sid].asof_insert_probe.remote(
                     name, epoch,
                     pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))))
             else:
-                r = ray.get(shards[sid].join_insert_probe.remote(
-                    name, epoch, payload))
+                r, stats = _shard_step(shards[sid], epoch,
+                                       "join_insert_probe", name, payload)
+                step = (sid, stats)
             m, u = (r.get("m"), r.get("u")) if isinstance(r, dict) else (r, None)
             tag = f"shard{sid:04d}"
             return {
                 "m": (write(to_table([m], epoch), tag=tag)
                       if m is not None and len(m) else None),
                 "u": (uwrite(op.unmatched_asof_to_table([u], epoch), tag=tag)
-                      if u is not None and len(u) else None)}
+                      if u is not None and len(u) else None),
+                "step": step}
 
         _, results = self._exchange(
             [(side_route(s), d) for s, d in (("left", left), ("right", right))
              if d is not None], reduce)
+        self._note_step(dict(r["step"] for r in results if r["step"]))
         n = self._commit_parts(name, epoch, [r["m"] for r in results if r["m"]],
                                "asof_join" if asof else "join")
         ufiles = [r["u"] for r in results if r["u"]]
@@ -2638,7 +2785,19 @@ class StreamSession:
         into every sink manifest this epoch commits (and into subsequent
         watermark-advance commits until the next epoch), giving each output
         partition a durable input-lineage record.
+
+        Windowed aggregates and stream joins queue their shard work and
+        send it, with the watermark's sweeps and the due checkpoint's
+        snapshot, as one ``store.step`` call per touched shard at the end
+        of the epoch; an op that reads an output still in that batch sends
+        it first.
         """
+        with self._epoch_step(epoch):
+            return self._process_epoch(epoch, inputs, watermark, lineage,
+                                       source_watermarks)
+
+    def _process_epoch(self, epoch: int, inputs: dict, watermark, lineage,
+                       source_watermarks) -> dict:
         self.current_lineage = lineage
         self._epoch_blocks = {}
         # In-session dataflow chaining: an op that emits DURING the epoch
@@ -2658,25 +2817,10 @@ class StreamSession:
         # recorded per-op in the sink manifests instead
         self.metrics["input_rows"] += sum(
             t.num_rows for t in inputs.values() if isinstance(t, pa.Table))
-        chain_to = avail  # close over for the mirroring dict below
-
-        class _ChainedEmits(dict):
-            def __setitem__(self, k, v):
-                # feeding an op's OUTPUT name from the caller is the view-
-                # bootstrap pattern (hydrate a new downstream op from a
-                # snapshot) — legal exactly when the op emits nothing that
-                # epoch; if it DOES emit, silently replacing the caller's
-                # rows (or theirs replacing ours) would corrupt the chain
-                if k in inputs:
-                    raise ValueError(
-                        f"input {k!r} was fed by the caller AND emitted by "
-                        "an op this epoch — hydrate in an epoch where the "
-                        "op has no input of its own")
-                super().__setitem__(k, v)
-                chain_to[k] = v
-
-        emitted: dict[str, pa.Table] = _ChainedEmits()
+        emitted: dict[str, pa.Table] = _ChainedEmits(inputs, avail)
         for name, op in self.ops.items():
+            if self._pending_input(op):
+                self._flush()  # publish the outputs this op reads
             if isinstance(op, KeyedAggregation):
                 if op.input not in avail:
                     continue
@@ -2917,9 +3061,7 @@ class StreamSession:
                         self._emit(f"{name}__unmatched", epoch, utbl, emitted,
                                    kind="asof_unmatched")
                 elif payloads:
-                    tables = self.store.join_insert_probe(name, epoch, payloads)
-                    tbl = op.matches_to_table(tables, epoch)
-                    self._emit(name, epoch, tbl, emitted, kind="join")
+                    self._join_probe(op, name, epoch, payloads, emitted)
 
         if source_watermarks:
             for s, wm in source_watermarks.items():
@@ -2942,10 +3084,13 @@ class StreamSession:
         if watermark is not None:
             self.advance_watermark(epoch, watermark, emitted)
 
+        self._batch.snapshot = bool(self.checkpoint_every) and (
+            epoch % self.checkpoint_every == 0)
+        blobs = self._flush()
         self.last_epoch = epoch
         self.metrics["epochs"] += 1
-        if self.checkpoint_every and (epoch % self.checkpoint_every == 0):
-            self.checkpoint(epoch)
+        if blobs is not None:
+            self._save_checkpoint(epoch, blobs)
         if (self.consolidate_every
                 and epoch >= self._replay_floor
                 and (epoch + 1) % self.consolidate_every == 0):
@@ -2958,6 +3103,19 @@ class StreamSession:
                 self.sinks[name].consolidate(upto_epoch=epoch)
         self._epoch_blocks = {}
         return emitted
+
+    def _join_probe(self, op: "StreamJoin", name: str, epoch: int,
+                    payloads: dict[int, dict], emitted: dict) -> None:
+        """Table-epoch StreamJoin: queue each shard's insert-probe; the
+        flush commits the shards' matches as the epoch's join output."""
+        def done(tables: list) -> None:
+            self._emit(name, epoch, op.matches_to_table(
+                [t for t in tables if t is not None and t.num_rows], epoch),
+                emitted, kind="join")
+
+        self._request("join_insert_probe", name,
+                      {sid: (p,) for sid, p in payloads.items()}, done,
+                      emits=[name])
 
     def _changelog_sink_names(self) -> list[str]:
         """Sinks holding pure ±diff changelogs (safe to consolidate):
@@ -3023,17 +3181,20 @@ class StreamSession:
                     "watermark; advancing further must use a new epoch id"
                 )
         self.watermark = max(self.watermark, watermark)
+        with self._epoch_step(epoch):
+            self._sweep(epoch, emitted)
+        return emitted
+
+    def _sweep(self, epoch: int, emitted: dict) -> None:
+        """The watermark's sweeps and expiry, in op order; windowed
+        aggregates and stream joins queue theirs in the step batch."""
         for name, op in self.ops.items():
             if isinstance(op, KeyedAggregation) and op.window is not None:
                 bound = self.watermark - op.window.allowed_lateness
                 panes = op.window.use_panes and not op.early_firing
-                items = self.store.sweep_windows(
-                    name, bound, *((op.window.size, op.window.slide)
-                                   if panes else ()))
-                tbl = op.rows_to_table(items, epoch)
-                self._emit(name, epoch, tbl, emitted,
-                           watermark=self.watermark, op=name,
-                           metrics=dict(self.metrics))
+                self._sweep_windows(
+                    op, name, epoch, emitted, bound,
+                    *((op.window.size, op.window.slide) if panes else ()))
             elif isinstance(op, SessionWindowAggregation):
                 bound = self.watermark - op.allowed_lateness
                 if op.retractable:
@@ -3110,14 +3271,11 @@ class StreamSession:
                         continue
                     # sweep BEFORE expiry so retention == max_dt cannot
                     # silently delete a row owed an unmatched emission
-                    swept = self.store.sweep_join_unmatched(
-                        name, self.watermark - op.max_dt, side=s)
-                    tbl = op.unmatched_to_table(swept, epoch, side=s)
-                    self._emit(f"{name}{suffix}", epoch, tbl, emitted,
-                               watermark=self.watermark, op=name,
-                               kind="join_unmatched")
+                    self._sweep_unmatched(op, name, epoch, emitted, s,
+                                          f"{name}{suffix}")
                 if op.retention is not None:
-                    self.store.join_expire(name, self.watermark - op.retention)
+                    self._request("join_expire", name, self._all_shards(
+                        self.watermark - op.retention))
             elif isinstance(op, TemporalEnrichJoin) and op.dim_ttl is not None:
                 # compact, don't drop: the latest below-horizon version stays
                 # probe-able for event times at/after the horizon
@@ -3129,7 +3287,34 @@ class StreamSession:
             elif isinstance(op, StreamDedup) and op.ttl is not None:
                 self.store.sweep_stale_registers(
                     name, self.watermark - op.ttl)
-        return emitted
+
+    def _sweep_windows(self, op: "KeyedAggregation", name: str, epoch: int,
+                       emitted: dict, bound: float, *panes) -> None:
+        """Queue every shard's sweep of the windows closed at ``bound``
+        (pane mode with ``panes`` = (size, slide)); the flush commits them."""
+        wm = self.watermark
+
+        def done(parts: list) -> None:
+            self._emit(name, epoch, op.rows_to_table(
+                [p for p in parts if p is not None], epoch), emitted,
+                watermark=wm, op=name, metrics=dict(self.metrics))
+
+        self._request("sweep_windows", name, self._all_shards(bound, *panes),
+                      done)
+
+    def _sweep_unmatched(self, op: "StreamJoin", name: str, epoch: int,
+                         emitted: dict, side: str, sink: str) -> None:
+        """Queue every shard's sweep of ``side``'s finalized never-matched
+        rows; the flush commits them to ``sink``."""
+        wm = self.watermark
+
+        def done(swept: list) -> None:
+            self._emit(sink, epoch, op.unmatched_to_table(
+                [r for r in swept if r is not None], epoch, side=side),
+                emitted, watermark=wm, op=name, kind="join_unmatched")
+
+        self._request("sweep_join_unmatched", name,
+                      self._all_shards(wm - op.max_dt, side), done)
 
     # ------------------------------------------------------------- inspection
     def state_table(self, name: str) -> pa.Table:
@@ -3172,9 +3357,17 @@ class StreamSession:
 
     def stats(self) -> dict:
         """Observability: driver metrics + per-shard state sizes (keys per
-        table, session keys, join buffer sizes) — the ``inspect`` surface."""
+        table, session keys, join buffer sizes) — the ``inspect`` surface —
+        and, under ``store``, what the shards' ``step`` replies reported:
+        ``calls`` (shard calls), ``kernel_s`` (compute seconds per kernel,
+        summed over shards) and ``live_keys`` (per shard, as of its last
+        step)."""
+        st = self._store_stats
         return {"metrics": dict(self.metrics), "watermark": self.watermark,
-                "shards": self.store.stats()}
+                "shards": self.store.stats(),
+                "store": {"calls": st["calls"],
+                          "kernel_s": dict(st["kernel_s"]),
+                          "live_keys": dict(st["live_keys"])}}
 
     def route_late(self, epoch: int, inputs: dict,
                    ts_cols: dict[str, str], lateness: float = 0.0) -> dict:
@@ -3247,12 +3440,17 @@ class StreamSession:
         self.idle_sources.add(source)
 
     def checkpoint(self, epoch: int) -> None:
+        """Snapshot every shard in one ``step`` and save the checkpoint
+        once the sinks are durable; inside an open batch, at its end."""
+        with self._epoch_step(epoch):
+            self._batch.snapshot = True
+
+    def _save_checkpoint(self, epoch: int, blobs: dict[int, bytes]) -> None:
         # a checkpoint must never outrun the sinks' durable watermark:
         # resume skips every epoch it covers
         self.sync()
         self.chk.save(
-            epoch,
-            self.store.dump_all(),
+            epoch, blobs,
             extra={"watermark": self.watermark, "metrics": dict(self.metrics),
                    "source_watermarks": dict(self.source_watermarks),
                    "idle_sources": sorted(self.idle_sources)},
@@ -3274,7 +3472,8 @@ class StreamSession:
         via ``state_table`` BEFORE closing; sink outputs are durable files
         and stay readable afterwards."""
         e = self.last_epoch + 1 if epoch is None else epoch
-        out = self.advance_watermark(e, math.inf)
-        self.checkpoint(e)  # takes the final group-commit barrier first
+        with self._epoch_step(e):  # one step: the final sweeps + snapshot
+            out = self.advance_watermark(e, math.inf)
+            self.checkpoint(e)  # takes the final group-commit barrier first
         self.store.shutdown()
         return out

@@ -26,7 +26,11 @@ exist:
 
 Deltas arrive pre-combined per key per epoch (the two-phase aggregation fix
 for the reference's key=`1` hot spot); each ``apply_*`` call is **idempotent
-per (table, epoch)** so a restarted driver can replay epochs blindly.
+per (table, epoch)** so a restarted driver can replay epochs blindly.  The
+arrangement families run one epoch per shard in one ``StateShard.step``
+call (the Differential Dataflow worker's local progress step): applies and
+probes in op order, then the watermark's sweeps and expiry, then the
+snapshot when a checkpoint is due.
 ``dump``/``load`` serialize a shard for checkpointing (arrangements as whole
 columns); the applied-epoch marks are part of the snapshot, keeping
 idempotency across restarts.
@@ -43,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import time
 from typing import Any
 
 import numpy as np
@@ -84,7 +89,10 @@ class StateShard:
     """One shard of every state table.  Runs as a Ray actor (see
     ``ShardedStateStore``); the arrangement methods take and return columns
     (``Partials``, ``Rows``, Arrow tables), the others pickled payloads, to
-    keep actor-call overhead flat."""
+    keep actor-call overhead flat.  The driver reaches the arrangement
+    kernels (windowed aggregates, stream joins) only through ``step``,
+    which runs a whole epoch of them, and the snapshot when one is due, in
+    one call; each kernel is also callable on its own, in process."""
 
     def __init__(self, shard_id: int, num_shards: int):
         self.shard_id = shard_id
@@ -1433,6 +1441,44 @@ class StateShard:
                 buf["right"] = kept if len(kept) else None
         return dropped
 
+    # ------------------------------------------------------------ epoch step
+    def step(self, epoch: int, msgs: list, snapshot: bool = False) -> dict:
+        """One epoch of this shard's arrangement work in one call.
+
+        ``msgs`` is the driver's ordered list of ``(kernel, name, *args)``
+        for the ``STEP_KERNELS``: the epoch's window partial applies and
+        join insert-probes in op order, then the watermark's window sweeps
+        and join unmatched sweeps and expiry.  A kernel marked as taking
+        the epoch gets it after ``name`` (its idempotency key).  With
+        ``snapshot`` the shard's ``dump`` follows them.
+
+        Returns ``{"out": [each kernel's result, in msgs order],
+        "kernel_s": {kernel: seconds}, "live_keys": n, "snapshot": bytes
+        | None}``: the compute time of each kernel and of the dump, and
+        ``live_keys()`` after the step."""
+        out, secs = [], {}
+        for kernel, name, *args in msgs:
+            takes_epoch = STEP_KERNELS[kernel]
+            t = time.perf_counter()
+            fn = getattr(self, kernel)
+            out.append(fn(name, epoch, *args) if takes_epoch
+                       else fn(name, *args))
+            secs[kernel] = secs.get(kernel, 0.0) + time.perf_counter() - t
+        blob = None
+        if snapshot:
+            t = time.perf_counter()
+            blob = self.dump()
+            secs["dump"] = time.perf_counter() - t
+        return {"out": out, "kernel_s": secs, "live_keys": self.live_keys(),
+                "snapshot": blob}
+
+    def live_keys(self) -> int:
+        """Live rows of this shard's keyed state: aggregate keys, open
+        window rows and buffered join rows."""
+        return (sum(len(d) for d in self.aggs.values())
+                + sum(a.live() for a in self.windows.values())
+                + sum(sum(a.live().values()) for a in self.spines.values()))
+
     # ------------------------------------------------------------ checkpoint
     def dump(self) -> bytes:
         return _dumps(
@@ -1496,6 +1542,16 @@ class StateShard:
         }
 
 
+#: the kernels ``StateShard.step`` runs, and whether each takes the epoch
+STEP_KERNELS = {
+    "apply_window_partials": True,
+    "join_insert_probe": True,
+    "sweep_windows": False,
+    "sweep_join_unmatched": False,
+    "join_expire": False,
+}
+
+
 def check_cpu_headroom(total_cpus: float, num_shards: int,
                        num_cpus_per_shard: float) -> None:
     """Refuse a shard pool whose CPU reservation leaves Ray less than one
@@ -1514,7 +1570,12 @@ def check_cpu_headroom(total_cpus: float, num_shards: int,
 class ShardedStateStore:
     """Driver-side handle on the actor pool; scatters per-shard payloads and
     gathers results.  All remote calls for one step are issued concurrently
-    (one round-trip per step, not per shard)."""
+    (one round-trip per step, not per shard).
+
+    Windowed aggregates and stream joins go through ``step`` alone: the
+    session collects their epoch's applies, probes, sweeps, expiry and
+    snapshot request into one message per touched shard.  Every other
+    family still has one method per operation."""
 
     def __init__(self, num_shards: int = 8, num_cpus_per_shard: float = 0.25):
         if ray.is_initialized():  # else the first actor starts Ray locally
@@ -1596,36 +1657,10 @@ class ShardedStateStore:
         return out
 
     # ---------------------------------------------------- windowed aggregates
-    def apply_window_partials(self, name: str, epoch: int, part: Partials,
-                              changelog: bool = False, wait: bool = True):
-        """Scatter window partials by key hash; with ``changelog`` gather
-        every shard's ``(before, after)`` rows (see StateShard)."""
-        if changelog:
-            self.fence()
-        refs = [self.shards[sid].apply_window_partials.remote(
-                    name, epoch, rows, changelog)
-                for sid, rows in sorted(part.split(self.num_shards).items())]
-        if changelog:
-            return [r for r in ray.get(refs) if r is not None]
-        if not wait:  # pipelined: reads fence later
-            self._pending.extend(refs)
-            return None
-        return sum(ray.get(refs)) if refs else 0
-
     def collect_windows(self, name: str) -> list[Partials]:
         self.fence()
         return [p for p in ray.get([s.collect_windows.remote(name)
                                     for s in self.shards]) if p is not None]
-
-    def sweep_windows(self, name: str, close_before: float,
-                      size: float | None = None,
-                      slide: float | None = None) -> list[Partials]:
-        """Every shard's closed windows (pane mode with ``size``/``slide``):
-        a key's panes share its shard, so shards never merge partials."""
-        self.fence()
-        return [p for p in ray.get([
-            s.sweep_windows.remote(name, close_before, size, slide)
-            for s in self.shards]) if p is not None]
 
     # --------------------------------------------------------------- sessions
     def apply_session_points(self, name: str, epoch: int,
@@ -1894,19 +1929,7 @@ class ShardedStateStore:
         out.sort(key=lambda kv: (kv[0], kv[1]))
         return out
 
-    # --------------------------------------------------------------- join
-    def join_insert_probe(self, name: str, epoch: int,
-                          per_shard: dict[int, dict]) -> list:
-        """per_shard: sid → probe payload (``StreamJoin.shard_payloads``) →
-        the shards' non-empty match tables."""
-        self.fence()
-        refs = [self.shards[sid].join_insert_probe.remote(name, epoch, payload)
-                for sid, payload in sorted(per_shard.items())]
-        return [t for t in ray.get(refs) if t is not None and t.num_rows]
-
-    def join_expire(self, name: str, expire_before: float) -> int:
-        return sum(ray.get([s.join_expire.remote(name, expire_before) for s in self.shards]))
-
+    # --------------------------------------------------------------- as-of join
     def asof_insert_probe(self, name: str, epoch: int,
                           per_shard: dict[int, dict]) -> dict:
         """per_shard: sid → {"left"/"right": DataFrame|None, "key": [...],
@@ -1946,14 +1969,20 @@ class ShardedStateStore:
         return sum(ray.get([s.asof_expire.remote(name, before)
                             for s in self.shards]))
 
-    def sweep_join_unmatched(self, name: str, bound: float,
-                             side: str = "left") -> list:
-        """Finalized never-matched rows of ``side`` from every shard, as
-        (carried columns, event times) pairs."""
-        self.fence()
-        return [r for r in ray.get([
-            s.sweep_join_unmatched.remote(name, bound, side)
-            for s in self.shards]) if r is not None]
+    # --------------------------------------------------------------- epoch step
+    def step(self, epoch: int, msgs: dict[int, list],
+             snapshot: bool = False) -> dict[int, dict]:
+        """One epoch's arrangement work: ``msgs`` is shard id → that
+        shard's ``StateShard.step`` message list.  Makes one concurrent
+        actor call per shard in ``msgs``, or per shard of the pool with
+        ``snapshot``, and returns shard id → reply."""
+        if self._pending:  # pipelined applies of the other families
+            self.fence()
+        sids = range(self.num_shards) if snapshot else sorted(msgs)
+        refs = [self.shards[sid].step.remote(epoch, msgs.get(sid, []),
+                                             snapshot)
+                for sid in sids]
+        return dict(zip(sids, ray.get(refs)))
 
     # --------------------------------------------------------------- checkpoint
     def dump_all(self) -> dict[int, bytes]:

@@ -1,0 +1,200 @@
+"""Windowed aggregates and stream joins send each epoch's shard work as one
+``ShardedStateStore.step`` call: one actor call per touched shard, an
+earlier flush when a later op reads a pending output, checkpoints that
+never get ahead of the sinks, and per-kernel stats in ``stats()``."""
+
+import gc
+import weakref
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from diffdataflowmlpipelines_ray.streaming.engine import (
+    KeyedAggregation,
+    StreamJoin,
+    StreamSession,
+    WindowSpec,
+)
+from diffdataflowmlpipelines_ray.streaming.state_store import (
+    ShardedStateStore,
+)
+
+EPOCHS = 5
+
+
+def epoch_inputs(e: int, n: int = 40) -> dict:
+    rng = np.random.default_rng(e)
+    ev = pa.table({
+        "k": rng.integers(0, 12, n),
+        "ts": e * 10.0 + rng.uniform(0, 10, n),
+        "v": rng.integers(1, 9, n).astype(np.float64),
+        "eid": np.arange(n) + 1000 * e,
+    })
+    ref = pa.table({
+        "k": rng.integers(0, 12, 8),
+        "rts": e * 10.0 + rng.uniform(0, 10, 8),
+        "rid": np.arange(8) + 1000 * e,
+    })
+    return {"ev": ev, "ref": ref}
+
+
+def watermark(e: int) -> float:
+    return e * 10.0 + 5.0
+
+
+def session(root, **kw) -> StreamSession:
+    s = StreamSession(root, num_shards=2, **kw)
+    s.add(KeyedAggregation(name="win", input="ev", key_cols=["k"],
+                           value_col="v", ts_col="ts", aggs=("count", "sum"),
+                           window=WindowSpec.tumbling(10.0)))
+    s.add(StreamJoin(name="j", left_input="ev", right_input="ref",
+                     left_key=["k"], right_key=["k"], left_cols=["eid"],
+                     right_cols=["rid"], left_ts="ts", right_ts="rts",
+                     retention=20.0))
+    return s
+
+
+def spy(sess: StreamSession) -> tuple[list, list]:
+    """Record each ``store.step`` call as (epoch, shards, snapshot), and
+    the name of every other store method that makes actor calls."""
+    steps, others = [], []
+    step = sess.store.step
+
+    def counted(epoch, msgs, snapshot=False):
+        steps.append((epoch, sorted(msgs), snapshot))
+        return step(epoch, msgs, snapshot)
+
+    for attr, fn in vars(ShardedStateStore).items():
+        if callable(fn) and not attr.startswith("_") and attr not in (
+                "step", "fence", "stats", "shutdown"):
+            bound = getattr(sess.store, attr)
+            setattr(sess.store, attr,
+                    lambda *a, _n=attr, _f=bound, **k: (others.append(_n),
+                                                        _f(*a, **k))[1])
+    sess.store.step = counted
+    return steps, others
+
+
+def canon(tbl: pa.Table) -> list:
+    df = tbl.to_pandas()
+    df = df[sorted(df.columns)]
+    return sorted(map(tuple, df.to_numpy().tolist()))
+
+
+def test_one_step_call_per_epoch(ray_session, tmp_path):
+    sess = session(tmp_path / "s", checkpoint_every=1)
+    steps, others = spy(sess)
+    for e in range(EPOCHS):
+        sess.process_epoch(e, epoch_inputs(e), watermark=watermark(e))
+    stats = sess.stats()
+    sess.store.shutdown()
+    # applies, probes, sweeps, expiry and the due snapshot: one call per
+    # shard (the sweeps touch both) and no other store call
+    assert steps == [(e, [0, 1], True) for e in range(EPOCHS)]
+    assert others == []
+    st = stats["store"]
+    assert st["calls"] == 2 * EPOCHS
+    assert set(st["kernel_s"]) == {"apply_window_partials",
+                                   "join_insert_probe", "sweep_windows",
+                                   "join_expire", "dump"}
+    assert all(v >= 0 for v in st["kernel_s"].values())
+    assert set(st["live_keys"]) == {0, 1}
+    assert sum(st["live_keys"].values()) > 0
+    # the replies' stats stay out of the metrics manifests carry
+    assert set(stats["metrics"]) == {"late_dropped", "late_routed", "epochs",
+                                     "input_rows", "emitted_rows"}
+
+
+def test_untouched_shard_gets_no_call(ray_session, tmp_path):
+    sess = session(tmp_path / "u", checkpoint_every=0)
+    steps, _ = spy(sess)
+    one_key = pa.table({"k": [3, 3], "ts": [1.0, 2.0], "v": [1.0, 2.0],
+                        "eid": [1, 2]})
+    sess.process_epoch(0, {"ev": one_key})
+    sess.store.shutdown()
+    # no watermark, no checkpoint: the window apply and the join insert
+    # of key 3 go to its one shard, in one call
+    assert len(steps) == 1
+    epoch, shards, snapshot = steps[0]
+    assert epoch == 0 and len(shards) == 1 and not snapshot
+
+
+def test_op_chained_off_the_join_sees_its_matches(ray_session, tmp_path):
+    sess = session(tmp_path / "c", checkpoint_every=0)
+    sess.add(KeyedAggregation(name="per_k", input="j", key_cols=["k"],
+                              value_col="rid", aggs=("count",),
+                              weight_col="diff", emit_changelog=True))
+    steps, _ = spy(sess)
+    out = sess.process_epoch(0, epoch_inputs(0))
+    sess.store.shutdown()
+    j = out["j"].to_pandas()
+    assert len(j)
+    # per_k read "j" while its probe was queued: the batch flushed before
+    # per_k ran, and nothing was left for the end of the epoch
+    assert len(steps) == 1
+    got = out["per_k"].to_pandas()
+    assert (got["diff"] == 1).all()
+    assert dict(zip(got["k"], got["count"])) == \
+        j.groupby("k").size().to_dict()
+
+
+@pytest.mark.parametrize("crash", ["after_epoch", "before_save"])
+def test_kill_resume_replays_identically(ray_session, tmp_path, crash):
+    """A crash after an epoch, or between its sink commits and its
+    checkpoint save, resumes to the outputs of a run without one."""
+
+    def run(root, crash_at=None):
+        sess = session(root, checkpoint_every=1)
+        start = sess.resume()
+        if crash == "before_save" and crash_at is not None:
+            save = sess.chk.save
+
+            def failing(epoch, *a, **k):
+                if epoch == crash_at:
+                    raise OSError("power loss")
+                return save(epoch, *a, **k)
+            sess.chk.save = failing
+        for e in range(start, EPOCHS):
+            try:
+                sess.process_epoch(e, epoch_inputs(e), watermark=watermark(e))
+            except OSError:
+                sess.store.shutdown()
+                return sess, start
+            if e == crash_at:
+                sess.store.shutdown()
+                return sess, start
+        sess.close()
+        return sess, start
+
+    run(tmp_path / "cr", crash_at=2)
+    resumed, start = run(tmp_path / "cr")
+    clean, _ = run(tmp_path / "clean")
+    assert start == (3 if crash == "after_epoch" else 2)
+    for name in ("win", "j"):
+        assert canon(resumed.sinks[name].read_committed_table()) == \
+            canon(clean.sinks[name].read_committed_table())
+        assert resumed.sinks[name].verify()
+
+
+def test_process_epoch_returns_one_class(ray_session, tmp_path):
+    sess = session(tmp_path / "t", checkpoint_every=0)
+    first = sess.process_epoch(0, epoch_inputs(0))
+    second = sess.process_epoch(1, epoch_inputs(1))
+    sess.store.shutdown()
+    assert type(first) is type(second)
+
+
+def test_epoch_inputs_freed_without_cycle_collection(ray_session, tmp_path):
+    sess = session(tmp_path / "g", checkpoint_every=0)
+    gc.disable()
+    try:
+        inputs = epoch_inputs(0)
+        ref = weakref.ref(inputs["ev"])
+        sess.process_epoch(0, inputs)
+        del inputs
+        alive = ref() is not None
+    finally:
+        gc.enable()
+        sess.store.shutdown()
+    assert not alive

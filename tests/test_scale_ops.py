@@ -10,8 +10,7 @@ import ray.data as rd
 from diffdataflowmlpipelines_ray.stages.dedup import (
     MinHashParams,
     embedding_dedup_pairs,
-    exact_dedup,
-    minhash_dedup_groups,
+    minhash_dedup_groups_exact,
     minhash_signatures,
     ngram_jaccard_pairs,
     simhash_dedup_groups,
@@ -23,17 +22,6 @@ SF = "/root/testdata/sf0.001"
 
 def docs_ds(rows):
     return rd.from_arrow(pa.table(rows)).repartition(2)
-
-
-class TestExactDedup:
-    def test_keeps_min_id(self, ray_session):
-        ds = docs_ds({
-            "doc_id": [5, 3, 1, 2, 4],
-            "text": ["aa", "bb", "aa", "cc", "bb"],
-        })
-        out = exact_dedup(ds, "text", "doc_id").take_all()
-        got = sorted((r["text"], r["doc_id"]) for r in out)
-        assert got == [("aa", 1), ("bb", 3), ("cc", 2)]
 
 
 class TestMinHash:
@@ -48,7 +36,7 @@ class TestMinHash:
         near = base.replace("today", "tomorrow")
         other = "completely different content about spark streams and arrow batches ok"
         ds = docs_ds({"doc_id": [1, 2, 3], "text": [base, near, other]})
-        groups = minhash_dedup_groups(ds, threshold=0.5)
+        groups = minhash_dedup_groups_exact(ds, threshold=0.5)
         g = dict(zip(groups["doc_id"].to_pylist(), groups["group_id"].to_pylist()))
         assert g.get(1) == g.get(2)
         assert 3 not in g  # unique doc not in any dup group
@@ -108,11 +96,11 @@ class TestRound2ScalePaths:
             for t in templates:
                 ids.append(k)
                 # same text per template (suffix varies only every 40 reps →
-                # big exact-dup groups exercise the hot-bucket star path)
+                # big exact-dup groups fill hot buckets, all pairs verified)
                 texts.append(t % (rep // 40))
                 k += 1
         ds = docs_ds({"doc_id": ids, "text": texts})
-        groups = minhash_dedup_groups(ds, threshold=0.9)
+        groups = minhash_dedup_groups_exact(ds, threshold=0.9)
         g = dict(zip(groups["doc_id"].to_pylist(),
                      groups["group_id"].to_pylist()))
         # every doc belongs to a group (all texts replicated ≥ 40×)
@@ -636,9 +624,9 @@ class TestPairVerifyExchangeTier:
         from diffdataflowmlpipelines_ray.stages import dedup as D
 
         ds = self._corpus()
-        broadcast = D.minhash_dedup_groups(ds, threshold=0.5)
+        broadcast = D.minhash_dedup_groups_exact(ds, threshold=0.5)
         monkeypatch.setattr(D, "_PAIR_BROADCAST_MAX", 0)
-        exchange = D.minhash_dedup_groups(self._corpus(), threshold=0.5)
+        exchange = D.minhash_dedup_groups_exact(self._corpus(), threshold=0.5)
         b = sorted(zip(broadcast["doc_id"].to_pylist(),
                        broadcast["group_id"].to_pylist()))
         e = sorted(zip(exchange["doc_id"].to_pylist(),
