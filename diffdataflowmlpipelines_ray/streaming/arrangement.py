@@ -430,12 +430,18 @@ class Rows:
         self.ts_min = float(ts.min()) if len(ts) else math.inf
         self._keys = keys
 
+    # the pickled form (a step request's join rows) leaves out an all-ones
+    # diff and an all-false matched flag, which the receiver rebuilds
     def __getstate__(self):
-        return (self.tbl, self.key_names, self.h, self.ts, self.diff,
-                self.matched)
+        return (self.tbl, self.key_names, self.h, self.ts,
+                None if (self.diff == 1).all() else self.diff,
+                self.matched if self.matched.any() else None)
 
     def __setstate__(self, state):
-        self.__init__(*state)
+        tbl, key_names, h, ts, diff, matched = state
+        self.__init__(tbl, key_names, h, ts,
+                      np.ones(len(h), dtype=np.int64) if diff is None
+                      else diff, matched)
 
     def __len__(self) -> int:
         return len(self.h)

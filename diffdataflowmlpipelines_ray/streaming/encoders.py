@@ -239,12 +239,13 @@ class IncrementalEncoderSession:
                                                        fsync=fsync, sync_every=se)
         self.effective_sink = ExactlyOnceParquetSink(self.root / "_effective",
                                                      fsync=fsync, sync_every=se)
-        self.store = ShardedStateStore(num_shards=num_shards)
+        self.chk = CheckpointManager(self.root / "_checkpoints")
+        self.store = ShardedStateStore(num_shards=num_shards,
+                                       checkpoints=self.chk)
         self.sink = ExactlyOnceParquetSink(self.root / "encoded", fsync=fsync,
                                            sync_every=se)
         self.input_archive = ExactlyOnceParquetSink(self.root / "input",
                                                     fsync=fsync, sync_every=se)
-        self.chk = CheckpointManager(self.root / "_checkpoints")
         self.checkpoint_every = checkpoint_every
         self.last_epoch = -1
         self._stateful = [
@@ -424,9 +425,12 @@ class IncrementalEncoderSession:
         self.last_epoch = epoch
         if self.checkpoint_every and epoch % self.checkpoint_every == 0:
             # a checkpoint must never outrun the sinks' durable watermark:
-            # resume skips every epoch it covers
+            # resume skips every epoch it covers.  The shards write their
+            # own snapshot files; the save commits them.
             self.sync()
-            self.chk.save(epoch, self.store.dump_all(), extra={})
+            replies = self.store.step(epoch, {}, snapshot=True)
+            self.chk.save(epoch, [sid for sid, r in replies.items()
+                                  if r["snapshot"] is not None], extra={})
             self.chk.prune(keep_last=2)
         return out_tbl if small else result
 

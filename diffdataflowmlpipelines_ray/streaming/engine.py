@@ -23,14 +23,19 @@ Data path per epoch:
    ``ShardedStateStore`` actors; the two columnar families queue theirs,
    and the watermark's sweeps and the due snapshot, into one
    ``StateShard.step`` call per touched shard at the end of the epoch
-   (sent earlier only when a later op reads one of their outputs).  A
+   (sent earlier only when a later op reads one of their outputs).  Each
+   request is its own call argument; the shard writes the rows its kernels
+   emit as sink parts and its snapshot as a checkpoint file, and replies
+   with manifest entries, which the driver commits (``commit_files``)
+   before it reads the parts back for later ops.  A
    ``ray.data.Dataset`` epoch is
    shard-direct: its upstream runs once per epoch for its block refs, and
    one ``exchange.shard_exchange`` runs a route task per block (the block's
    payload split by shard, plus a summary: late rows, max event time, parts
    written) and a reduce task per touched shard, which merges that shard's
-   payloads in a fixed sorted order, makes the shard's one actor call and
-   writes the shard's sink part.  Map-only plans (broadcast rules, block-mode enrich) run one task
+   payloads in a fixed sorted order and makes the shard's one actor call;
+   the shard's sink part is written by the reduce task, or, for windowed
+   aggregates and joins, by the shard itself.  Map-only plans (broadcast rules, block-mode enrich) run one task
    per block through ``exchange.run_blocks``.  The driver only sums the
    summaries and commits the parts; shard calls are idempotent per epoch;
 2. chaining — an op's epoch output feeds ops declared after it in the same
@@ -58,6 +63,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 
@@ -66,8 +72,8 @@ from .exchange import (Summary, block_refs, blocks_to_table, combine,
                        run_blocks, shard_exchange)
 from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
 from .arrangement import Partials, Rows, key_hash, to_arrow
-from .state_store import (ShardedStateStore, StateShard, legacy_state,
-                          rescale_blobs, shard_of)
+from .state_store import (Emit, ShardedStateStore, StateShard,
+                          legacy_state, rescale_blobs, shard_of)
 
 __all__ = [
     "WindowSpec",
@@ -173,12 +179,22 @@ def _keyed_parts(items, num_shards: int) -> dict[int, list]:
     return parts
 
 
-def _shard_step(shard, epoch: int, kernel: str, name: str, *args):
+def _shard_step(shard, epoch: int, kernel: str, name: str, args: tuple,
+                emit: Emit | None = None):
     """One arrangement kernel from a reduce task, as a ``StateShard.step``
-    of its own: the kernel's result and the reply's stats."""
-    reply = ray.get(shard.step.remote(epoch, [(kernel, name, *args)]))
-    return reply["out"][0], {"kernel_s": reply["kernel_s"],
-                             "live_keys": reply["live_keys"]}
+    of its own: the kernel's result (with ``emit``, the entry of the part
+    the shard wrote) and the reply's stats."""
+    reply = ray.get(shard.step.remote(epoch, None, (kernel, name, args, emit)))
+    return reply["out"][0], {k: reply[k] for k in
+                             ("kernel_s", "live_keys", "part_bytes")}
+
+
+def _read_parts(root: Path, entries: list) -> pa.Table:
+    """The rows of parts just written into a sink, in entry order."""
+    tbls = [pq.ParquetFile(root / e["path"]).read(use_threads=False)
+            for e in entries]
+    return (tbls[0] if len(tbls) == 1
+            else pa.concat_tables(tbls, promote_options="default"))
 
 
 def _merged_payload(parts: list, merge) -> bytes:
@@ -1981,8 +1997,9 @@ class _ChainedEmits(dict):
 class _StepBatch:
     """One epoch's arrangement work, sent as one ``ShardedStateStore.step``
     call: requests in op order, each ``(kernel, name, [(shard, args)],
-    done)`` where ``done`` takes those shards' results; the outputs the
-    callbacks will publish; and whether the shards snapshot."""
+    emit, done)`` where ``emit`` is the ``Emit`` of a row-emitting kernel
+    and ``done`` takes those shards' results; the outputs the callbacks
+    will publish; and whether the shards snapshot."""
 
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -2027,7 +2044,9 @@ class StreamSession:
         #: holding either way (manifest atomicity needs only rename)
         self.fsync = fsync
         self.root = Path(root)
-        self.store = ShardedStateStore(num_shards=num_shards)
+        self.chk = CheckpointManager(self.root / "_checkpoints")
+        self.store = ShardedStateStore(num_shards=num_shards,
+                                       checkpoints=self.chk)
         self.checkpoint_every = checkpoint_every
         #: when set and ``process_epoch`` gets no explicit watermark, advance
         #: it to (max event time seen − delay) — the standard bounded-
@@ -2049,7 +2068,6 @@ class StreamSession:
         self.sinks: dict[str, ExactlyOnceParquetSink] = {}
         #: late-data side-output sinks, one per routed input (``route_late``)
         self._late_sinks: dict[str, ExactlyOnceParquetSink] = {}
-        self.chk = CheckpointManager(self.root / "_checkpoints")
         self.watermark = -math.inf
         self.last_epoch = -1
         self._replay_floor = 0  # raised by resume(); see advance_watermark
@@ -2064,9 +2082,11 @@ class StreamSession:
         #: the open epoch's ``store.step`` batch (None between epochs)
         self._batch: _StepBatch | None = None
         #: what the ``step`` replies report: shard calls, compute seconds
-        #: per kernel, live keys per shard (``stats()["store"]``; kept out
-        #: of ``metrics``, which manifests and checkpoints carry)
-        self._store_stats = {"calls": 0, "kernel_s": {}, "live_keys": {}}
+        #: per kernel, live keys per shard, bytes of the parts and snapshot
+        #: files the shards wrote (``stats()["store"]``; kept out of
+        #: ``metrics``, which manifests and checkpoints carry)
+        self._store_stats = {"calls": 0, "kernel_s": {}, "live_keys": {},
+                             "part_bytes": 0, "snapshot_bytes": 0}
 
     def _meta(self, **kw) -> dict:
         if self.current_lineage is not None:
@@ -2266,6 +2286,35 @@ class StreamSession:
                                       meta=self._meta(kind=kind))
         return sum(e["rows"] for e in entries)
 
+    def _emit_to(self, sink_name: str, epoch: int, finalize) -> Emit:
+        """Where a row-emitting step kernel's shards write ``epoch``'s
+        rows: sink ``sink_name``, unless it already committed the epoch
+        (a replay), whose parts are never rewritten."""
+        sink = self.sinks[sink_name]
+        if sink.is_committed(epoch):
+            return Emit(None, None)
+        return Emit(finalize, str(sink.root), sink.part_fsync)
+
+    def _commit_emission(self, sink_name: str, epoch: int, entries: list,
+                         finalize, emitted: dict, **meta) -> None:
+        """Commit the parts the shards wrote for a step kernel's epoch
+        output (``_emit_to``) and publish their rows to later ops; an
+        epoch without rows commits ``finalize([])``'s typed columns.  A
+        replayed epoch publishes what its committed manifest lists."""
+        sink = self.sinks[sink_name]
+        if sink.is_committed(epoch):
+            tbl = sink.read_committed_table([epoch])
+        else:
+            entries = [e for e in entries if e]
+            if not entries:
+                entries = [write_epoch_part(
+                    sink.root, epoch, finalize([], epoch),
+                    tag=f"d-{uuid.uuid4().hex[:12]}", fsync=sink.part_fsync)]
+            sink.commit_files(epoch, entries, meta=self._meta(**meta))
+            tbl = _read_parts(sink.root, entries)
+        emitted[sink_name] = tbl
+        self.metrics["emitted_rows"] += tbl.num_rows
+
     # ------------------------------------------------ the epoch's step batch
     # Windowed aggregates and stream joins send their epoch's shard work as
     # one ``store.step`` call per touched shard: the ops and the watermark
@@ -2282,46 +2331,64 @@ class StreamSession:
         self._batch = _StepBatch(epoch)
         try:
             yield
-            blobs = self._flush()
-            if blobs is not None:
-                self._save_checkpoint(epoch, blobs)
+            shards = self._flush()
+            if shards is not None:
+                self._save_checkpoint(epoch, shards)
         finally:
             self._batch = None
 
     def _request(self, kernel: str, name: str, args: dict[int, tuple],
-                 done: Callable | None = None, emits: Sequence[str] = ()
-                 ) -> None:
-        """Queue ``kernel(name, *args[shard])`` for each shard in ``args``;
-        ``done(results)`` gets their results in shard order at the flush,
-        and ``emits`` names the outputs it publishes."""
+                 done: Callable | None = None, emits: Sequence[str] = (),
+                 emit: Emit | None = None) -> None:
+        """Queue ``kernel(name, *args[shard])`` for each shard in ``args``,
+        its rows written by the shards as ``emit`` says; ``done(results)``
+        gets their results in shard order at the flush, and ``emits`` names
+        the outputs it publishes."""
         self._batch.requests.append((kernel, name, sorted(args.items()),
-                                     done))
+                                     emit, done))
         self._batch.outputs.update(emits)
+
+    def _request_rows(self, kernel: str, name: str, args: dict[int, tuple],
+                      sink_name: str, finalize, emitted: dict,
+                      meta: Callable[[], dict]) -> None:
+        """Queue a row-emitting kernel: the shards finalize and write their
+        rows into sink ``sink_name``, and the flush commits those parts
+        with ``meta()`` and publishes them."""
+        epoch = self._batch.epoch
+
+        def done(entries: list) -> None:
+            self._commit_emission(sink_name, epoch, entries, finalize,
+                                  emitted, **meta())
+
+        self._request(kernel, name, args, done, emits=[sink_name],
+                      emit=self._emit_to(sink_name, epoch, finalize))
 
     def _all_shards(self, *args) -> dict[int, tuple]:
         return dict.fromkeys(range(self.store.num_shards), args)
 
-    def _flush(self) -> dict[int, bytes] | None:
+    def _flush(self) -> list[int] | None:
         """Send the open batch as one ``store.step`` and run its callbacks
-        in request order; returns the shards' snapshots when it asked for
-        them.  The batch stays open, empty, for the rest of the epoch."""
+        in request order; returns the shards that wrote their snapshot
+        files when it asked for them.  The batch stays open, empty, for the
+        rest of the epoch."""
         b = self._batch
         self._batch = _StepBatch(b.epoch)
         msgs: dict[int, list] = {}
-        for kernel, name, args, _ in b.requests:
+        for kernel, name, args, emit, _ in b.requests:
             for sid, a in args:
-                msgs.setdefault(sid, []).append((kernel, name, *a))
+                msgs.setdefault(sid, []).append((kernel, name, a, emit))
         replies = (self.store.step(b.epoch, msgs, b.snapshot)
                    if msgs or b.snapshot else {})
         self._note_step(replies)
         outs = {sid: iter(r["out"]) for sid, r in replies.items()}
-        for _, _, args, done in b.requests:
+        for _, _, args, _, done in b.requests:
             results = [next(outs[sid]) for sid, _ in args]
             if done is not None:
                 done(results)
         if not b.snapshot:
             return None
-        return {sid: r["snapshot"] for sid, r in replies.items()}
+        return sorted(sid for sid, r in replies.items()
+                      if r["snapshot"] is not None)
 
     def _note_step(self, replies: dict[int, dict]) -> None:
         """Fold ``step`` replies (shard id → reply) into ``_store_stats``."""
@@ -2331,6 +2398,8 @@ class StreamSession:
             for k, v in r["kernel_s"].items():
                 st["kernel_s"][k] = st["kernel_s"].get(k, 0.0) + v
             st["live_keys"][sid] = r["live_keys"]
+            st["part_bytes"] += r["part_bytes"]
+            st["snapshot_bytes"] += r.get("snapshot") or 0
 
     def _pending_input(self, op) -> bool:
         """Whether ``op`` reads an output the open batch has yet to emit."""
@@ -2382,31 +2451,29 @@ class StreamSession:
             emitted[f"{name}__late"] = late_tbl
         part = self._merged_partials(op, data, self.watermark)
         early = op.early_firing
-
-        def done(changes: list) -> None:
-            if early:
-                self._emit(f"{name}__early", epoch, op.changelog_to_table(
-                    [c for c in changes if c is not None], epoch), emitted,
-                    kind="early_firing")
-
-        self._request("apply_window_partials", name,
-                      {sid: (rows, early) for sid, rows in
-                       part.split(self.store.num_shards).items()},
-                      done, emits=[f"{name}__early"] if early else ())
+        args = {sid: (rows, early) for sid, rows in
+                part.split(self.store.num_shards).items()}
+        if early:
+            self._request_rows("apply_window_partials", name, args,
+                               f"{name}__early", op.changelog_to_table,
+                               emitted, lambda: {"kind": "early_firing"})
+        else:
+            self._request("apply_window_partials", name, args)
 
     def _window_epoch_distributed(self, op: "KeyedAggregation", name: str,
                                   epoch: int, data, emitted: dict) -> None:
         """Dataset epoch of ``_window_epoch``: route tasks split off late
         rows (writing ``<op>__late`` parts) and send each shard its
         partials; a shard's reduce merges them in (end, hash, value) order,
-        makes the one apply call and, with ``early_firing``, writes the
-        shard's changelog part."""
+        makes the one apply call and, with ``early_firing``, the shard
+        writes its changelog part."""
         early = op.early_firing
         late_write = None
         if op.late_output and not self.sinks[f"{name}__late"].is_committed(
                 epoch):
             late_write = self._part_writer(f"{name}__late", epoch)
-        write = self._part_writer(f"{name}__early", epoch) if early else None
+        emit = (self._emit_to(f"{name}__early", epoch, op.changelog_to_table)
+                if early else None)
         num_shards, shards, wm = (self.store.num_shards, self.store.shards,
                                   self.watermark)
 
@@ -2423,13 +2490,8 @@ class StreamSession:
         def reduce(sid: int, parts: list):
             out, stats = _shard_step(
                 shards[sid], epoch, "apply_window_partials", name,
-                Partials.concat(parts).canonical(), early)
-            if not early:
-                return None, (sid, stats)
-            tbl = op.changelog_to_table([out] if out else [], epoch)
-            # empty parts add nothing; skip the file
-            return (write(tbl, tag=f"shard{sid:04d}") if tbl.num_rows
-                    else None), (sid, stats)
+                (Partials.concat(parts).canonical(), early), emit)
+            return (out if early else None), (sid, stats)
 
         entries, results = self._exchange([(route, data)], reduce)
         self._note_step(dict(st for _, st in results))
@@ -2531,10 +2593,13 @@ class StreamSession:
         committed match rows."""
         asof = isinstance(op, AsofStreamJoin)
         num_shards, shards = self.store.num_shards, self.store.shards
-        to_table = op.asof_to_table if asof else op.matches_to_table
-        write, uname = self._part_writer(name, epoch), f"{name}__unmatched"
-        uwrite = (self._part_writer(uname, epoch)
-                  if asof and op.emit_unmatched else None)
+        uname = f"{name}__unmatched"
+        if asof:
+            write = self._part_writer(name, epoch)
+            uwrite = (self._part_writer(uname, epoch)
+                      if op.emit_unmatched else None)
+        else:
+            emit = self._emit_to(name, epoch, op.matches_to_table)
 
         def side_route(side: str):
             ts_col = op.left_ts if side == "left" else op.right_ts
@@ -2559,23 +2624,22 @@ class StreamSession:
                         ignore_index=True)
                 elif got:
                     payload[side] = Rows.concat(got)
-            step = None
-            if asof:
-                r = pickle.loads(ray.get(shards[sid].asof_insert_probe.remote(
-                    name, epoch,
-                    pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))))
-            else:
-                r, stats = _shard_step(shards[sid], epoch,
-                                       "join_insert_probe", name, payload)
-                step = (sid, stats)
+            if not asof:
+                m, stats = _shard_step(shards[sid], epoch,
+                                       "join_insert_probe", name, (payload,),
+                                       emit)
+                return {"m": m, "u": None, "step": (sid, stats)}
+            r = pickle.loads(ray.get(shards[sid].asof_insert_probe.remote(
+                name, epoch,
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))))
             m, u = (r.get("m"), r.get("u")) if isinstance(r, dict) else (r, None)
             tag = f"shard{sid:04d}"
             return {
-                "m": (write(to_table([m], epoch), tag=tag)
+                "m": (write(op.asof_to_table([m], epoch), tag=tag)
                       if m is not None and len(m) else None),
                 "u": (uwrite(op.unmatched_asof_to_table([u], epoch), tag=tag)
                       if u is not None and len(u) else None),
-                "step": step}
+                "step": None}
 
         _, results = self._exchange(
             [(side_route(s), d) for s, d in (("left", left), ("right", right))
@@ -3086,11 +3150,11 @@ class StreamSession:
 
         self._batch.snapshot = bool(self.checkpoint_every) and (
             epoch % self.checkpoint_every == 0)
-        blobs = self._flush()
+        shards = self._flush()
         self.last_epoch = epoch
         self.metrics["epochs"] += 1
-        if blobs is not None:
-            self._save_checkpoint(epoch, blobs)
+        if shards is not None:
+            self._save_checkpoint(epoch, shards)
         if (self.consolidate_every
                 and epoch >= self._replay_floor
                 and (epoch + 1) % self.consolidate_every == 0):
@@ -3107,15 +3171,12 @@ class StreamSession:
     def _join_probe(self, op: "StreamJoin", name: str, epoch: int,
                     payloads: dict[int, dict], emitted: dict) -> None:
         """Table-epoch StreamJoin: queue each shard's insert-probe; the
-        flush commits the shards' matches as the epoch's join output."""
-        def done(tables: list) -> None:
-            self._emit(name, epoch, op.matches_to_table(
-                [t for t in tables if t is not None and t.num_rows], epoch),
-                emitted, kind="join")
-
-        self._request("join_insert_probe", name,
-                      {sid: (p,) for sid, p in payloads.items()}, done,
-                      emits=[name])
+        shards write their matches, and the flush commits them as the
+        epoch's join output."""
+        self._request_rows("join_insert_probe", name,
+                           {sid: (p,) for sid, p in payloads.items()},
+                           name, op.matches_to_table, emitted,
+                           lambda: {"kind": "join"})
 
     def _changelog_sink_names(self) -> list[str]:
         """Sinks holding pure ±diff changelogs (safe to consolidate):
@@ -3135,12 +3196,16 @@ class StreamSession:
         """Frontier advance: close windows/sessions whose end (+ lateness)
         ≤ the new watermark, commit emissions under this epoch.
 
-        Guard: a FRESH epoch whose sink manifest already exists means a
-        second ``advance_watermark`` call under the same epoch — sweeping
-        would drain state into a no-op commit and lose the emissions forever,
-        so we raise BEFORE touching any shard.  Replayed epochs (below the
-        resume floor) re-sweep deterministically into their existing
-        manifests, which is the exactly-once path.
+        Guard: a FRESH epoch whose sweep sink's manifest already exists
+        means a second ``advance_watermark`` call under the same epoch —
+        sweeping would drain state into a no-op commit and lose the
+        emissions forever, so we raise BEFORE touching any shard.  Only the
+        sinks a sweep commits are checked (windowed aggregates, session
+        windows, patterns, outer-join unmatched sides): the in-epoch
+        commits of changelogs, joins, upserts or graph ops are not a
+        sweep.  Replayed epochs (below the resume floor) re-sweep
+        deterministically into their existing manifests, which is the
+        exactly-once path.
         """
         emitted = emitted if emitted is not None else {}
         if epoch >= self._replay_floor:
@@ -3154,7 +3219,10 @@ class StreamSession:
                         sweep_sinks.append((n, f"{n}__unmatched"))
                     if "right" in o.unmatched_sides():
                         sweep_sinks.append((n, f"{n}__unmatched_right"))
-                elif not isinstance(o, (EnrichJoin, StreamDedup)):
+                elif (isinstance(o, KeyedAggregation) and o.window is not None
+                      or isinstance(o, (SessionWindowAggregation,
+                                        PatternMatch, KleenePattern,
+                                        AbsenceDetect))):
                     sweep_sinks.append((n, n))
                     if isinstance(o, SessionWindowAggregation) and \
                             o.early_firing:
@@ -3291,30 +3359,26 @@ class StreamSession:
     def _sweep_windows(self, op: "KeyedAggregation", name: str, epoch: int,
                        emitted: dict, bound: float, *panes) -> None:
         """Queue every shard's sweep of the windows closed at ``bound``
-        (pane mode with ``panes`` = (size, slide)); the flush commits them."""
+        (pane mode with ``panes`` = (size, slide)); the shards write the
+        closed windows and the flush commits them."""
         wm = self.watermark
-
-        def done(parts: list) -> None:
-            self._emit(name, epoch, op.rows_to_table(
-                [p for p in parts if p is not None], epoch), emitted,
-                watermark=wm, op=name, metrics=dict(self.metrics))
-
-        self._request("sweep_windows", name, self._all_shards(bound, *panes),
-                      done)
+        self._request_rows(
+            "sweep_windows", name, self._all_shards(bound, *panes), name,
+            op.rows_to_table, emitted,
+            lambda: {"watermark": wm, "op": name,
+                     "metrics": dict(self.metrics)})
 
     def _sweep_unmatched(self, op: "StreamJoin", name: str, epoch: int,
                          emitted: dict, side: str, sink: str) -> None:
         """Queue every shard's sweep of ``side``'s finalized never-matched
-        rows; the flush commits them to ``sink``."""
+        rows; the shards write them into ``sink`` and the flush commits
+        them."""
         wm = self.watermark
-
-        def done(swept: list) -> None:
-            self._emit(sink, epoch, op.unmatched_to_table(
-                [r for r in swept if r is not None], epoch, side=side),
-                emitted, watermark=wm, op=name, kind="join_unmatched")
-
-        self._request("sweep_join_unmatched", name,
-                      self._all_shards(wm - op.max_dt, side), done)
+        self._request_rows(
+            "sweep_join_unmatched", name,
+            self._all_shards(wm - op.max_dt, side), sink,
+            functools.partial(op.unmatched_to_table, side=side), emitted,
+            lambda: {"watermark": wm, "op": name, "kind": "join_unmatched"})
 
     # ------------------------------------------------------------- inspection
     def state_table(self, name: str) -> pa.Table:
@@ -3360,13 +3424,13 @@ class StreamSession:
         table, session keys, join buffer sizes) — the ``inspect`` surface —
         and, under ``store``, what the shards' ``step`` replies reported:
         ``calls`` (shard calls), ``kernel_s`` (compute seconds per kernel,
-        summed over shards) and ``live_keys`` (per shard, as of its last
-        step)."""
+        summed over shards), ``live_keys`` (per shard, as of its last
+        step), and ``part_bytes`` and ``snapshot_bytes`` (the bytes of the
+        sink parts and checkpoint files the shards wrote)."""
         st = self._store_stats
         return {"metrics": dict(self.metrics), "watermark": self.watermark,
                 "shards": self.store.stats(),
-                "store": {"calls": st["calls"],
-                          "kernel_s": dict(st["kernel_s"]),
+                "store": {**st, "kernel_s": dict(st["kernel_s"]),
                           "live_keys": dict(st["live_keys"])}}
 
     def route_late(self, epoch: int, inputs: dict,
@@ -3445,12 +3509,13 @@ class StreamSession:
         with self._epoch_step(epoch):
             self._batch.snapshot = True
 
-    def _save_checkpoint(self, epoch: int, blobs: dict[int, bytes]) -> None:
-        # a checkpoint must never outrun the sinks' durable watermark:
-        # resume skips every epoch it covers
+    def _save_checkpoint(self, epoch: int, shards: list[int]) -> None:
+        """Commit the checkpoint whose ``shards`` wrote their snapshot
+        files.  It must never outrun the sinks' durable watermark: resume
+        skips every epoch it covers."""
         self.sync()
         self.chk.save(
-            epoch, blobs,
+            epoch, shards,
             extra={"watermark": self.watermark, "metrics": dict(self.metrics),
                    "source_watermarks": dict(self.source_watermarks),
                    "idle_sources": sorted(self.idle_sources)},

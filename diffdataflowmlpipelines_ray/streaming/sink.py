@@ -17,7 +17,9 @@ Design (SURVEY §4 "Exactly-once output"):
   returning the manifest entry (path, rows, sha256).  ``commit_tables``
   runs it on the driver, once per table; ``commit_dataset`` and
   ``consolidate``'s Ray tier run it in workers, one task per block
-  (``exchange.run_blocks``); both sessions' Ray tasks call it directly.
+  (``exchange.run_blocks``); both sessions' Ray tasks call it directly, and
+  the state shards write their epoch output with it inside
+  ``StateShard.step``.
 - A **commit** is the atomic replace of ``root/_manifests/epoch-N.json``
   listing every file with row count + sha256 (entries written before
   hashing moved into the writer may carry only a size; readers accept
@@ -32,7 +34,9 @@ Design (SURVEY §4 "Exactly-once output"):
   ``committed_epochs()`` exposes it.
 - Checkpoints pair a sink frontier with a state-store snapshot so a killed
   job resumes from the last committed epoch with matching state
-  (``CheckpointManager``).
+  (``CheckpointManager``).  Each shard writes its own file
+  (``write_shard_file``); the driver's ``DONE`` marker completes the
+  checkpoint, and the files of a complete checkpoint never change.
 
 At cluster scale each epoch directory holds one file per output partition —
 a failed run skips finished epochs entirely and re-runs only uncommitted
@@ -53,7 +57,8 @@ from pathlib import Path
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-__all__ = ["ExactlyOnceParquetSink", "CheckpointManager", "write_epoch_part"]
+__all__ = ["ExactlyOnceParquetSink", "CheckpointManager", "write_epoch_part",
+           "write_shard_file"]
 
 ENGINE_VERSION = "0.1.0"
 
@@ -125,11 +130,13 @@ def write_epoch_part(root: str | os.PathLike, epoch: int, tbl: pa.Table,
     ``data/epoch=N/part-{tag}.parquet`` (serialize to memory, sha256 the
     buffer, atomic write; with ``fsync`` the file and the epoch dir are
     flushed) and returns the manifest entry.  ``commit_tables`` calls it on
-    the driver; distributed stages call it in their workers so rows never
-    route through the driver — each worker ships back only the tiny entry
-    and the driver's ``commit_files`` makes the epoch visible atomically.
-    Files without a manifest are invisible (crashed attempts leave only
-    ignorable strays)."""
+    the driver; distributed stages call it in their workers, and the state
+    shards in ``StateShard.step``, so rows never route through the driver —
+    each writer ships back only the tiny entry and the driver's
+    ``commit_files`` makes the epoch visible atomically.  Files without a
+    manifest are invisible (crashed attempts leave only ignorable strays);
+    writers whose epoch may be retried give each attempt its own ``tag``,
+    so a retry never rewrites a part a manifest lists."""
     root = Path(root)
     return _write_part(root, root / "data" / f"epoch={epoch:08d}", tbl, tag,
                        fsync)
@@ -968,27 +975,58 @@ class ExactlyOnceParquetSink:
         return {"expired_epochs": sorted(set(expired))}
 
 
+def write_shard_file(epoch_dir: str | os.PathLike, shard_id: int,
+                     blob: bytes) -> int | None:
+    """The one writer of a checkpoint's shard files: ``blob`` lands
+    atomically and fsynced as ``epoch_dir/shard-K.bin``; the state shard
+    runs it in its own process, so the snapshot never crosses to the
+    driver.  The files of a complete checkpoint never change: when
+    ``epoch_dir`` holds its ``DONE`` marker nothing is written and None is
+    returned (``CheckpointManager.reopen`` withdraws the marker first), else
+    the bytes written."""
+    d = Path(epoch_dir)
+    if (d / "DONE").exists():
+        return None
+    d.mkdir(parents=True, exist_ok=True)
+    _write_atomic(d / f"shard-{shard_id:04d}.bin", blob, True)
+    return len(blob)
+
+
 class CheckpointManager:
     """State snapshots aligned with the sink frontier.
 
     Layout: ``root/epoch-NNNNNNNN/shard-K.bin`` + ``root/epoch-NNNNNNNN/DONE``
-    (the atomic marker).  ``latest()`` returns the newest complete checkpoint.
+    (the atomic marker).  The shards write their own files
+    (``write_shard_file``); ``save`` then commits the checkpoint with the
+    marker.  ``latest()`` returns the newest complete checkpoint.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _dir(self, epoch: int) -> Path:
+    def epoch_dir(self, epoch: int) -> Path:
         return self.root / f"epoch-{epoch:08d}"
 
-    def save(self, epoch: int, shard_blobs: dict[int, bytes],
+    def reopen(self, epoch: int) -> None:
+        """Make ``epoch``'s checkpoint writable before its shards snapshot:
+        a complete one first loses its ``DONE`` marker (durably), because
+        the files of a complete checkpoint never change under it.  A crash
+        before the next ``save`` leaves it incomplete, and resume takes the
+        newest complete checkpoint before it."""
+        done = self.epoch_dir(epoch) / "DONE"
+        if done.exists():
+            done.unlink()
+            _fsync_dir(done.parent)
+
+    def save(self, epoch: int, shards: list[int],
              extra: dict | None = None) -> None:
-        d = self._dir(epoch)
-        d.mkdir(parents=True, exist_ok=True)
-        for sid, blob in shard_blobs.items():
-            _write_atomic(d / f"shard-{sid:04d}.bin", blob, True)
-        marker = {"epoch": epoch, "shards": sorted(shard_blobs), "extra": extra or {}}
+        """Commit the checkpoint of ``epoch`` whose ``shards`` (shard ids)
+        wrote their files: the ``DONE`` marker lands atomically and the
+        epoch dir is fsynced, which also persists the shard files'
+        renames."""
+        d = self.epoch_dir(epoch)
+        marker = {"epoch": epoch, "shards": sorted(shards), "extra": extra or {}}
         _write_atomic(d / "DONE", json.dumps(marker).encode(), True)
         _fsync_dir(d)
 
@@ -1007,7 +1045,7 @@ class CheckpointManager:
                       for p in self.root.glob("epoch-*/DONE"))
         drop = done[:-keep_last] if keep_last > 0 else list(done)
         for e in drop:
-            shutil.rmtree(self._dir(e), ignore_errors=True)
+            shutil.rmtree(self.epoch_dir(e), ignore_errors=True)
         if done:
             newest = done[-1]
             for d in self.root.glob("epoch-*"):
@@ -1017,7 +1055,7 @@ class CheckpointManager:
         return drop
 
     def load(self, epoch: int) -> tuple[dict[int, bytes], dict]:
-        d = self._dir(epoch)
+        d = self.epoch_dir(epoch)
         marker = json.loads((d / "DONE").read_text())
         blobs = {
             sid: (d / f"shard-{sid:04d}.bin").read_bytes() for sid in marker["shards"]

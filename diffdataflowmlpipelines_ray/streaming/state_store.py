@@ -30,7 +30,13 @@ per (table, epoch)** so a restarted driver can replay epochs blindly.  The
 arrangement families run one epoch per shard in one ``StateShard.step``
 call (the Differential Dataflow worker's local progress step): applies and
 probes in op order, then the watermark's sweeps and expiry, then the
-snapshot when a checkpoint is due.
+snapshot when a checkpoint is due.  Like a DD worker, the shard owns the
+output it produces: each request travels as its own actor-call argument,
+a row-emitting kernel's result is finalized and written as the shard's
+part of the op's sink (``write_epoch_part``), and the snapshot is written
+into the checkpoint's epoch dir (``write_shard_file``).  The reply carries
+manifest entries, timings and byte counts, never rows or snapshot bytes,
+so message and reply stay under Ray's inline-argument limit.
 ``dump``/``load`` serialize a shard for checkpointing (arrangements as whole
 columns); the applied-epoch marks are part of the snapshot, keeping
 idempotency across restarts.
@@ -46,9 +52,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import pickle
 import time
-from typing import Any
+import uuid
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -56,9 +65,10 @@ import pyarrow as pa
 import ray
 
 from .arrangement import JoinArrangement, Partials, WindowArrangement
+from .sink import CheckpointManager, write_epoch_part, write_shard_file
 
-__all__ = ["StateShard", "ShardedStateStore", "shard_of", "rescale_blobs",
-           "legacy_state", "check_cpu_headroom"]
+__all__ = ["StateShard", "ShardedStateStore", "Emit", "shard_of",
+           "rescale_blobs", "legacy_state", "check_cpu_headroom"]
 
 
 def shard_of(key_bytes: bytes, num_shards: int) -> int:
@@ -1442,35 +1452,62 @@ class StateShard:
         return dropped
 
     # ------------------------------------------------------------ epoch step
-    def step(self, epoch: int, msgs: list, snapshot: bool = False) -> dict:
+    def step(self, epoch: int, snapshot: str | None, *requests) -> dict:
         """One epoch of this shard's arrangement work in one call.
 
-        ``msgs`` is the driver's ordered list of ``(kernel, name, *args)``
-        for the ``STEP_KERNELS``: the epoch's window partial applies and
-        join insert-probes in op order, then the watermark's window sweeps
-        and join unmatched sweeps and expiry.  A kernel marked as taking
-        the epoch gets it after ``name`` (its idempotency key).  With
-        ``snapshot`` the shard's ``dump`` follows them.
+        Each request, its own actor-call argument so that each travels
+        inline, is ``(kernel, name, args, emit)`` for one of the
+        ``STEP_KERNELS``: the epoch's window partial applies and join
+        insert-probes in op order, then the watermark's window sweeps and
+        join unmatched sweeps and expiry.  A kernel marked as taking the
+        epoch gets it after ``name`` (its idempotency key).  A row-emitting
+        request carries an ``Emit``: the shard finalizes its result into the
+        op's output table and writes it as its own part of the sink
+        (``write_epoch_part``), so only the manifest entry travels back.
+        With ``snapshot`` (a checkpoint's epoch dir) the shard's ``dump``
+        follows, written there by ``write_shard_file``.
 
-        Returns ``{"out": [each kernel's result, in msgs order],
-        "kernel_s": {kernel: seconds}, "live_keys": n, "snapshot": bytes
-        | None}``: the compute time of each kernel and of the dump, and
-        ``live_keys()`` after the step."""
-        out, secs = [], {}
-        for kernel, name, *args in msgs:
-            takes_epoch = STEP_KERNELS[kernel]
+        Returns ``{"out": [per request: the part's entry for an ``Emit``
+        (None when it emitted no rows), else the kernel's result],
+        "kernel_s": {kernel: seconds}, "live_keys": n, "part_bytes": n,
+        "snapshot": bytes written | None}``: the compute time of each
+        kernel and of the dump and its write, and ``live_keys()`` after the
+        step."""
+        out, secs, part_bytes = [], {}, 0
+        for kernel, name, args, emit in requests:
             t = time.perf_counter()
             fn = getattr(self, kernel)
-            out.append(fn(name, epoch, *args) if takes_epoch
-                       else fn(name, *args))
+            res = (fn(name, epoch, *args) if STEP_KERNELS[kernel]
+                   else fn(name, *args))
+            if emit is not None:
+                res, n = self._write_emission(epoch, res, emit)
+                part_bytes += n
+            out.append(res)
             secs[kernel] = secs.get(kernel, 0.0) + time.perf_counter() - t
-        blob = None
-        if snapshot:
+        written = None
+        if snapshot is not None:
             t = time.perf_counter()
-            blob = self.dump()
+            written = write_shard_file(snapshot, self.shard_id, self.dump())
             secs["dump"] = time.perf_counter() - t
         return {"out": out, "kernel_s": secs, "live_keys": self.live_keys(),
-                "snapshot": blob}
+                "part_bytes": part_bytes, "snapshot": written}
+
+    def _write_emission(self, epoch: int, result, emit: "Emit"
+                        ) -> tuple[dict | None, int]:
+        """A row-emitting kernel's ``result`` → this shard's part of the
+        op's sink, under a tag unique to the attempt (shard id first, so
+        the parts list in shard order); the part's entry and size, or
+        (None, 0) when there are no rows or ``emit`` drops them."""
+        if emit.root is None or result is None:
+            return None, 0
+        tbl = emit.finalize([result], epoch)
+        if not tbl.num_rows:
+            return None, 0
+        entry = write_epoch_part(
+            emit.root, epoch, tbl,
+            tag=f"s{self.shard_id:04d}-{uuid.uuid4().hex[:12]}",
+            fsync=emit.fsync)
+        return entry, os.path.getsize(Path(emit.root) / entry["path"])
 
     def live_keys(self) -> int:
         """Live rows of this shard's keyed state: aggregate keys, open
@@ -1542,6 +1579,18 @@ class StateShard:
         }
 
 
+class Emit(NamedTuple):
+    """Where a row-emitting ``StateShard.step`` request's rows go: the
+    shard builds the op's output table with ``finalize([result], epoch)``
+    and writes it into the sink at ``root`` (``fsync`` as the sink's
+    ``part_fsync``).  ``root=None`` drops the rows: the sink already
+    committed the epoch, and a replay never rewrites a committed part."""
+
+    finalize: Callable | None
+    root: str | None
+    fsync: bool = True
+
+
 #: the kernels ``StateShard.step`` runs, and whether each takes the epoch
 STEP_KERNELS = {
     "apply_window_partials": True,
@@ -1574,14 +1623,20 @@ class ShardedStateStore:
 
     Windowed aggregates and stream joins go through ``step`` alone: the
     session collects their epoch's applies, probes, sweeps, expiry and
-    snapshot request into one message per touched shard.  Every other
-    family still has one method per operation."""
+    snapshot request into one call per touched shard.  Snapshots of every
+    family, both sessions' checkpoints included, are written by the shards
+    through ``step``.  Every other family still has one method per
+    operation."""
 
-    def __init__(self, num_shards: int = 8, num_cpus_per_shard: float = 0.25):
+    def __init__(self, num_shards: int = 8, num_cpus_per_shard: float = 0.25,
+                 checkpoints: CheckpointManager | None = None):
+        """``checkpoints``: where ``step(snapshot=True)`` has the shards
+        write their snapshot files."""
         if ray.is_initialized():  # else the first actor starts Ray locally
             check_cpu_headroom(ray.cluster_resources().get("CPU", 0.0),
                                num_shards, num_cpus_per_shard)
         self.num_shards = num_shards
+        self.checkpoints = checkpoints
         actor_cls = ray.remote(num_cpus=num_cpus_per_shard)(StateShard)
         self.shards = [actor_cls.remote(i, num_shards) for i in range(num_shards)]
         #: in-flight apply refs when the session pipelines epochs (writes
@@ -1973,23 +2028,23 @@ class ShardedStateStore:
     def step(self, epoch: int, msgs: dict[int, list],
              snapshot: bool = False) -> dict[int, dict]:
         """One epoch's arrangement work: ``msgs`` is shard id → that
-        shard's ``StateShard.step`` message list.  Makes one concurrent
-        actor call per shard in ``msgs``, or per shard of the pool with
-        ``snapshot``, and returns shard id → reply."""
+        shard's ``StateShard.step`` requests.  Makes one concurrent actor
+        call per shard in ``msgs``, or per shard of the pool with
+        ``snapshot``, whose shards then write their files into the
+        checkpoint dir of ``epoch`` (reopened first); returns shard id →
+        reply."""
         if self._pending:  # pipelined applies of the other families
             self.fence()
         sids = range(self.num_shards) if snapshot else sorted(msgs)
-        refs = [self.shards[sid].step.remote(epoch, msgs.get(sid, []),
-                                             snapshot)
+        sdir = None
+        if snapshot:
+            self.checkpoints.reopen(epoch)
+            sdir = str(self.checkpoints.epoch_dir(epoch))
+        refs = [self.shards[sid].step.remote(epoch, sdir, *msgs.get(sid, ()))
                 for sid in sids]
         return dict(zip(sids, ray.get(refs)))
 
     # --------------------------------------------------------------- checkpoint
-    def dump_all(self) -> dict[int, bytes]:
-        self.fence()
-        blobs = ray.get([s.dump.remote() for s in self.shards])
-        return dict(enumerate(blobs))
-
     def load_all(self, blobs: dict[int, bytes]) -> None:
         ray.get([self.shards[sid].load.remote(blob) for sid, blob in blobs.items()])
 

@@ -17,7 +17,8 @@ from diffdataflowmlpipelines_ray.streaming.arrangement import (
 from diffdataflowmlpipelines_ray.streaming.engine import (
     KeyedAggregation, StreamJoin, StreamSession, WindowSpec, _block_max_ts,
     _ts_to_float)
-from diffdataflowmlpipelines_ray.streaming.sink import CheckpointManager
+from diffdataflowmlpipelines_ray.streaming.sink import (CheckpointManager,
+                                                      write_shard_file)
 from diffdataflowmlpipelines_ray.streaming.state_store import StateShard
 
 
@@ -210,8 +211,9 @@ class TestLegacyCheckpoint:
             import pandas as pd
 
             state["j"]["left"] = pd.DataFrame({"k": [1], "__ts_left": [1.0]})
-        CheckpointManager(tmp_path / "s" / "_checkpoints").save(
-            0, {0: pickle.dumps(blob)}, extra={"watermark": 0.0})
+        chk = CheckpointManager(tmp_path / "s" / "_checkpoints")
+        write_shard_file(chk.epoch_dir(0), 0, pickle.dumps(blob))
+        chk.save(0, [0], extra={"watermark": 0.0})
         s = StreamSession(tmp_path / "s", num_shards=1)
         s.add(op())
         try:

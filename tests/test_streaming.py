@@ -22,6 +22,7 @@ from diffdataflowmlpipelines_ray.streaming.engine import (
 from diffdataflowmlpipelines_ray.streaming.sink import (
     CheckpointManager,
     ExactlyOnceParquetSink,
+    write_shard_file,
 )
 
 
@@ -360,8 +361,11 @@ class TestExactlyOnceSink:
 class TestCheckpointManager:
     def test_roundtrip(self, tmp_path):
         chk = CheckpointManager(tmp_path / "chk")
-        chk.save(3, {0: b"abc", 1: b"def"}, extra={"watermark": 5.0})
-        chk.save(5, {0: b"xyz", 1: b"uvw"}, extra={"watermark": 9.0})
+        for epoch, blobs, wm in ((3, {0: b"abc", 1: b"def"}, 5.0),
+                                 (5, {0: b"xyz", 1: b"uvw"}, 9.0)):
+            for sid, blob in blobs.items():
+                write_shard_file(chk.epoch_dir(epoch), sid, blob)
+            chk.save(epoch, list(blobs), extra={"watermark": wm})
         assert chk.latest() == 5
         blobs, extra = chk.load(5)
         assert blobs == {0: b"xyz", 1: b"uvw"}
