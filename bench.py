@@ -95,18 +95,18 @@ def run_bench() -> dict:
         "retractable_median", "retractable_ndistinct",
         "stream_full_outer_join", "token_stream_agg", "early_firing",
         "retractable_session", "cdc_tfidf", "session_early_firing",
-        "cdc_ann", "early_firing_sliding", "incremental_pagerank",
+        "early_firing_sliding", "incremental_pagerank",
         "windowed_stream_join", "retractable_quantile",
         "retractable_mode", "stream_near_dup", "early_firing_topk",
         "retractable_stringagg", "rescale_resume", "time_travel",
-        "shared_arrangement", "broadcast_rules", "view_bootstrap",
+        "shared_arrangement", "view_bootstrap",
         "window_rollup",
         # round-3 continued-session additions
         "bloom_semi_join", "fuzzy_join", "triangle_count", "keywords_tfidf",
-        "grouped_entropy", "grouped_linreg", "window_median", "temporal_join",
+        "grouped_entropy", "grouped_linreg", "window_median",
         "late_routing", "stream_union", "kleene_pattern",
         "incremental_components", "pack_sequences", "pagerank_exact",
-        "kcore", "cap_per_group", "late_window_split", "hist_tree",
+        "cap_per_group", "late_window_split", "hist_tree",
         "hist_boost", "als_factors", "kbins_quantile", "shuffle_rank",
         "profile_table", "psi_drift", "unpivot", "hits",
         "validate_rules", "kaplan_meier", "gini", "isotonic",
@@ -124,15 +124,14 @@ def run_bench() -> dict:
         "decayed_count", "stream_join3", "cusum", "item_cf", "flesch",
         "adamic_adar", "ewma", "holt_linear", "mad_outlier_days",
         "lift_curve", "session_durations", "peak_concurrency",
-        "winsorized_mean", "clustering_coeff", "stream_asof_join",
+        "winsorized_mean", "clustering_coeff",
         "ngram_containment", "grouping_sets", "bollinger_days",
-        "range_rolling", "stream_asof_retract", "asof_attribution", "dbscan",
+        "range_rolling", "dbscan",
         "local_supplier_volume", "returned_items", "silhouette",
         "funnel3", "seasonal_trend", "sssp_bounded",
-        "stream_asof_outer", "merge_upsert", "k_anonymity",
-        "stream_asof_tolerance", "twap",
+        "merge_upsert", "k_anonymity", "twap",
         "clamped_balance", "theil_sen", "funnel_timed",
-        "entity_resolution", "grouped_weighted_median", "stream_scd2",
+        "entity_resolution", "grouped_weighted_median",
         "reconcile", "table_checksum", "overlap_seconds",
         "nation_volume", "fk_audit", "gopher_rules", "time_in_state",
         "cycle_time",
@@ -198,7 +197,7 @@ def run_bench() -> dict:
         "cms_counters", "bloom_bits", "adamic_adar_capped",
         "bottomk_sketch", "jsonl_roundtrip", "csv_roundtrip",
         "simhash_codes", "pivot_wide",
-        "regex_extract", "incremental_reachability",
+        "regex_extract",
         # r4 session-2 batches (all oracle-backed)
         "dedup_simhash", "token_id_freq_topk",
         "skipgram_pairs", "sax_motifs", "business_hours",
@@ -215,7 +214,7 @@ def run_bench() -> dict:
         "exact_linear_solve", "enrichment_test",
         "euler_path", "birthday_collisions",
         # r5 additions
-        "stream_asof_join_ds", "cdc_groupby_ds", "stream_enrich_ds",
+        "cdc_groupby_ds", "stream_enrich_ds",
         "path_count_matrix", "max_flow_cut")
     for name in query_names:
         fn = Q.QUERIES[name]

@@ -22,9 +22,7 @@ import pyarrow.compute as pc
 __all__ = ["triangle_count", "local_triangle_counts",
            "connected_components", "connected_components_ds",
            "pagerank", "pagerank_ds", "pagerank_int", "pagerank_int_ds",
-           "PR_INT_DRIVER_MAX_EDGES", "kcore", "kcore_ds",
-           "KCORE_DRIVER_MAX_EDGES", "bfs_hops", "bfs_hops_ds",
-           "BFS_DRIVER_MAX_EDGES", "hits_int", "hits_int_ds",
+           "PR_INT_DRIVER_MAX_EDGES", "hits_int", "hits_int_ds",
            "HITS_DRIVER_MAX_EDGES"]
 
 
@@ -895,215 +893,6 @@ def pagerank_int(edges, iters: int = 5, total: int = 10**12,
         r = base + dshare + acc
     return pa.table({"id": pa.array(ids.astype(np.int64)),
                      "rank_micro": pa.array(r)})
-
-
-#: Same size-tiering contract as PR_INT_DRIVER_MAX_EDGES.
-KCORE_DRIVER_MAX_EDGES = 2_000_000
-
-
-def kcore(edges, k: int = 2, max_iters: int = 64) -> pa.Table:
-    """Driver-tier k-core decomposition: iteratively peel nodes of degree
-    < k until fixpoint → pa.Table ``(id, core_deg)`` of the surviving
-    subgraph (the k-core is the unique maximal subgraph of min degree ≥ k,
-    so the result is independent of peel order).  For candidate-bounded
-    graphs; ``kcore_ds`` is the unbounded twin with identical semantics."""
-    if not isinstance(edges, pa.Table):
-        edges = pa.concat_tables(list(edges.iter_batches(
-            batch_format="pyarrow")))
-    eu = edges["u"].to_numpy(zero_copy_only=False).copy()
-    ev = edges["v"].to_numpy(zero_copy_only=False).copy()
-    for _ in range(max_iters):
-        if len(eu) == 0:
-            break
-        ids, inv = np.unique(np.concatenate([eu, ev]), return_inverse=True)
-        deg = np.bincount(inv)
-        bad = ids[deg < k]
-        if len(bad) == 0:
-            return pa.table({"id": pa.array(ids.astype(np.int64)),
-                             "core_deg": pa.array(deg.astype(np.int64))})
-        live = ~(np.isin(eu, bad) | np.isin(ev, bad))
-        eu, ev = eu[live], ev[live]
-    else:
-        raise RuntimeError(f"kcore did not converge in {max_iters} rounds")
-    return pa.table({"id": pa.array([], type=pa.int64()),
-                     "core_deg": pa.array([], type=pa.int64())})
-
-
-def kcore_ds(edges, k: int = 2, buckets: int = 32, max_iters: int = 64):
-    """Distributed k-core peel over an unbounded undirected edge list
-    ``(u, v)`` → Dataset ``(id, core_deg)``.
-
-    Per round: ONE narrow groupby-sum of block-pre-aggregated
-    (endpoint, partial-count) rows computes degrees, then the edge list is
-    thinned by TWO partitioned semi-joins against the still-live node set
-    (neither side broadcast or driver-held — a 10¹⁰-node removal wave
-    stays a Dataset).  The driver sees one scalar per round (the live edge
-    count); convergence is edge-count fixpoint, ``max_iters`` raises
-    rather than returning a non-core (the ``connected_components_ds``
-    contract).  Round count is bounded by the graph's degeneracy ordering
-    depth — O(log n) for trees/web-like graphs."""
-    import ray.data as rd
-
-    from .relational import hash_join
-
-    if isinstance(edges, pa.Table):
-        edges = rd.from_arrow(edges)
-
-    def dedup_block(tbl: pa.Table) -> pa.Table:
-        pdf = tbl.select(["u", "v"]).to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(pdf, preserve_index=False)
-
-    E = edges.map_batches(dedup_block, batch_format="pyarrow").materialize()
-    n_edges = E.count()
-
-    def deg_partial(tbl: pa.Table) -> pa.Table:
-        both = np.concatenate([
-            tbl["u"].to_numpy(zero_copy_only=False),
-            tbl["v"].to_numpy(zero_copy_only=False)])
-        ids, cnt = np.unique(both, return_counts=True)
-        return pa.table({"id": pa.array(ids),
-                         "d": pa.array(cnt.astype(np.int64))})
-
-    for _ in range(max_iters):
-        deg = (E.map_batches(deg_partial, batch_format="pyarrow")
-               .groupby("id").sum("d")
-               .map_batches(lambda t: t.rename_columns(["id", "d"]),
-                            batch_format="pyarrow"))
-        live = deg.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["d"], k)),
-            batch_format="pyarrow").materialize()
-        E2 = hash_join(
-            hash_join(E, live.map_batches(
-                lambda t: t.select(["id"]), batch_format="pyarrow"),
-                ["u"], ["id"], buckets=buckets, how="semi"),
-            live.map_batches(lambda t: t.select(["id"]),
-                             batch_format="pyarrow"),
-            ["v"], ["id"], buckets=buckets, how="semi").materialize()
-        n2 = E2.count()
-        if n2 == n_edges:
-            return live.map_batches(
-                lambda t: t.rename_columns(["id", "core_deg"]),
-                batch_format="pyarrow")
-        E, n_edges = E2, n2
-        if n_edges == 0:
-            return rd.from_arrow(pa.table(
-                {"id": pa.array([], type=pa.int64()),
-                 "core_deg": pa.array([], type=pa.int64())}))
-    raise RuntimeError(f"kcore_ds did not converge in {max_iters} rounds")
-
-
-#: Driver-tier ceiling for BFS — same contract as
-#: ``KCORE_DRIVER_MAX_EDGES`` / ``PR_INT_DRIVER_MAX_EDGES``: under it the
-#: whole (narrow, two-int64-column) edge list fits one process and the
-#: level loop is pure numpy; above it nothing edge-shaped touches the
-#: driver and ``bfs_hops_ds`` runs the same frontier algebra as
-#: partitioned exchanges.
-BFS_DRIVER_MAX_EDGES = 2_000_000
-
-
-def bfs_hops(edges, source: int, max_hops: int = 64) -> pa.Table:
-    """Single-source BFS hop counts (driver numpy tier).
-
-    ``edges``: pa.Table with int64 columns ``u, v`` (undirected; direction
-    and multi-edges are irrelevant to hop counts).  Returns ``(id, hops)``
-    for every node within ``max_hops`` of ``source`` — unreachable nodes
-    are absent by contract, and ``max_hops`` is part of the operator's
-    semantics (the SQL twin carries the same cap).  O(E) numpy work per
-    level, levels = eccentricity of the source.
-    """
-    if isinstance(edges, pa.Table):
-        tbl = edges
-    else:
-        tbl = pa.concat_tables(list(edges.iter_batches(
-            batch_format="pyarrow")))
-    u = tbl["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-    v = tbl["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-    su = np.concatenate([u, v])
-    sv = np.concatenate([v, u])
-    visited = np.array([source], dtype=np.int64)
-    out_id = [np.array([source], dtype=np.int64)]
-    out_d = [np.zeros(1, dtype=np.int64)]
-    frontier = visited
-    for d in range(1, max_hops + 1):
-        nxt = np.unique(sv[np.isin(su, frontier)])
-        nxt = nxt[~np.isin(nxt, visited)]
-        if not len(nxt):
-            break
-        visited = np.concatenate([visited, nxt])
-        out_id.append(nxt)
-        out_d.append(np.full(len(nxt), d, dtype=np.int64))
-        frontier = nxt
-    ids = np.concatenate(out_id)
-    ds_ = np.concatenate(out_d)
-    order = np.argsort(ids, kind="stable")
-    return pa.table({"id": pa.array(ids[order]),
-                     "hops": pa.array(ds_[order])})
-
-
-def bfs_hops_ds(edges, source: int, max_hops: int = 64,
-                buckets: int = 16):
-    """Distributed BFS: frontier-expansion rounds as partitioned joins.
-
-    Per level: ONE partitioned hash-join of the (narrow) frontier against
-    the symmetrized edge list, a block-local + one-exchange distinct of
-    the neighbor candidates, and ONE partitioned anti-join against the
-    settled distance table — nothing broadcast, nothing driver-held; one
-    scalar (new-frontier size) reaches the driver per level.  Level-
-    synchronous BFS is exact for hop counts because every node is first
-    reached at its true distance.  Same result as :func:`bfs_hops`
-    (pytest-pinned equal).
-    """
-    import ray.data as rd
-
-    from .relational import hash_join
-
-    def sym(tbl: pa.Table) -> pa.Table:
-        uu = tbl["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-        vv = tbl["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"u": pa.array(np.concatenate([uu, vv])),
-                         "v": pa.array(np.concatenate([vv, uu]))})
-
-    E = edges.map_batches(sym, batch_format="pyarrow").materialize()
-    seed = pa.table({"id": pa.array([source], type=pa.int64()),
-                     "hops": pa.array([0], type=pa.int64())})
-    dist = rd.from_arrow(seed).materialize()
-    frontier = dist
-
-    def block_distinct(tbl: pa.Table) -> pa.Table:
-        ids = np.unique(tbl["v"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64))
-        return pa.table({"id": pa.array(ids)})
-
-    for d in range(1, max_hops + 1):
-        cand = hash_join(
-            frontier.map_batches(
-                lambda t: t.select(["id"]).rename_columns(["fid"]),
-                batch_format="pyarrow"),
-            E, ["fid"], ["u"], buckets=buckets)
-        def _nbkt(tbl: pa.Table) -> pa.Table:
-            n = tbl["id"].to_numpy(zero_copy_only=False)
-            return tbl.append_column(
-                "__b", pa.array((n % 64).astype(np.int64)))
-
-        # frontier distinct in 64 bucket groups, not one dispatch per node
-        nbr = (cand.map_batches(block_distinct, batch_format="pyarrow")
-               .map_batches(_nbkt, batch_format="pyarrow")
-               .groupby("__b")
-               .map_groups(lambda p: p.drop_duplicates(["id"])[["id"]],
-                           batch_format="pandas"))
-        new = hash_join(nbr, dist.map_batches(
-            lambda t: t.select(["id"]), batch_format="pyarrow"),
-            ["id"], ["id"], buckets=buckets, how="anti")
-        new = new.map_batches(
-            lambda t, _d=d: t.append_column(
-                "hops", pa.array(np.full(t.num_rows, _d,
-                                         dtype=np.int64))),
-            batch_format="pyarrow").materialize()
-        if new.count() == 0:
-            return dist
-        dist = dist.union(new).materialize()
-        frontier = new
-    return dist
 
 
 #: Same size-tiering contract as PR_INT_DRIVER_MAX_EDGES.

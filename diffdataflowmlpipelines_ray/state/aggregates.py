@@ -861,63 +861,6 @@ class LastValueAgg(_Mergeable):
         return self.stamp is None
 
 
-class VersionedValueAgg(_Mergeable):
-    """Event-time VERSION-HISTORY register: ``{(ts, tiebreak): value}``.
-
-    The state element of a TEMPORAL dim join (Flink temporal-table join /
-    DuckDB ASOF JOIN): where ``LastValueAgg`` keeps only the current value,
-    this keeps every versioned upsert, and ``lookup(t)`` answers "what was
-    the dim value AS OF stream event time ``t``" — the version with the
-    largest stamp whose ``ts ≤ t``.
-
-    ``merge`` is dict union over version stamps — commutative, associative
-    and idempotent (a set-union semilattice), so upsert order across blocks,
-    shards and replays cannot change any lookup.  Equal-``ts`` upserts are
-    totally ordered by the tiebreak (value bytes), same policy as
-    ``LastValueAgg``.  A delete at time ``d`` is a version with value
-    ``None`` (tombstone): lookups landing on it read a miss, exactly like a
-    never-seen key, while versions newer than ``d`` are unaffected.
-
-    Not a multiset — retraction is modeled as tombstone versions, so
-    ``negate`` is unsupported (same contract as ``LastValueAgg``).
-    State per key is O(live versions); ``StateShard.
-    compact_version_registers`` collapses versions older than the watermark
-    horizon to the single still-reachable one.
-    """
-
-    def __init__(self, versions: dict | None = None):
-        #: {(ts_float, tiebreak_bytes): value-tuple | None(tombstone)}
-        self.versions: dict = dict(versions or {})
-
-    def copy(self) -> "VersionedValueAgg":
-        return VersionedValueAgg(self.versions)
-
-    def merge(self, other: "VersionedValueAgg") -> None:
-        self.versions.update(other.versions)
-
-    def lookup(self, t: float):
-        """Value as of event time ``t``: the version with the max stamp
-        among ``ts ≤ t`` — ``None`` when there is none, or when that
-        version is a tombstone (both read as a join miss)."""
-        best = None
-        for stamp in self.versions:
-            if stamp[0] <= t and (best is None or stamp > best):
-                best = stamp
-        return None if best is None else self.versions[best]
-
-    def negate(self) -> None:
-        raise NotImplementedError(
-            "VersionedValueAgg is an upsert-history register, not a "
-            "multiset — model deletes as tombstone versions (value=None)"
-        )
-
-    def is_zero(self) -> bool:
-        return not self.versions
-
-    def is_identity(self) -> bool:
-        return not self.versions
-
-
 class CategoryMeanAgg(_Mergeable):
     """Per-category (sum, count) map — the TargetEncoder accumulator.
 

@@ -35,9 +35,10 @@ Data path per epoch:
    written) and a reduce task per touched shard, which merges that shard's
    payloads in a fixed sorted order and makes the shard's one actor call;
    the shard's sink part is written by the reduce task, or, for windowed
-   aggregates and joins, by the shard itself.  Map-only plans (broadcast rules, block-mode enrich) run one task
-   per block through ``exchange.run_blocks``.  The driver only sums the
-   summaries and commits the parts; shard calls are idempotent per epoch;
+   aggregates and joins, by the shard itself.  The block-mode enrich probe
+   runs one task per block through ``exchange.run_blocks``.  The driver
+   only sums the summaries and commits the parts; shard calls are
+   idempotent per epoch;
 2. chaining — an op's epoch output feeds ops declared after it in the same
    ``process_epoch`` call;
 3. watermark advance sweeps closed windows/sessions out of the shards (a
@@ -81,16 +82,13 @@ __all__ = [
     "SessionWindowAggregation",
     "PatternMatch",
     "AbsenceDetect",
+    "KleenePattern",
     "IncrementalComponents",
     "IncrementalPageRank",
-    "IncrementalReachability",
     "StreamNearDup",
     "UpsertToRetract",
-    "Scd2History",
     "StreamJoin",
-    "AsofStreamJoin",
     "EnrichJoin",
-    "BroadcastEnrich",
     "StreamDedup",
     "StreamSession",
 ]
@@ -1157,52 +1155,6 @@ class IncrementalPageRank:
 
 
 @dataclass
-class IncrementalReachability:
-    """Incremental multi-source reachability — the semi-naive DD
-    ``iterate`` on a DIRECTED graph, maintained across epochs WITH
-    retraction: edge ±diff deltas stream in, the designated shard keeps
-    the live edge multiset, and each epoch emits the consolidated SET
-    delta ``(+1, id)`` / ``(−1, id)`` of nodes reachable from the static
-    ``sources`` — the running sum is the current closure.  A deleted
-    bridge retracts everything downstream of it (the classic DD
-    reachability demo).  One logical graph in ONE shard: the
-    candidate-bounded regime, same contract as ``IncrementalComponents``
-    / ``IncrementalPageRank``."""
-
-    name: str
-    input: str
-    sources: tuple = ()
-    src_col: str = "src"
-    dst_col: str = "dst"
-    #: ±diff per edge row; None = insert-only stream
-    weight_col: str | None = None
-
-    def edges_from(self, tbl: pa.Table) -> list:
-        src = tbl[self.src_col].to_numpy(zero_copy_only=False)
-        dst = tbl[self.dst_col].to_numpy(zero_copy_only=False)
-        if self.weight_col and self.weight_col in tbl.column_names:
-            d = tbl[self.weight_col].to_numpy(zero_copy_only=False)
-        else:
-            d = np.ones(len(src), dtype=np.int64)
-        return list(zip(src.tolist(), dst.tolist(), d.tolist()))
-
-    def rows_to_table(self, deltas: list, epoch: int) -> pa.Table:
-        if not deltas:
-            return pa.table({
-                "diff": pa.array([], type=pa.int64()),
-                "id": pa.array([], type=pa.int64()),
-                "epoch": pa.array([], type=pa.int64()),
-            })
-        d, n = zip(*deltas)
-        k = len(deltas)
-        return pa.table({
-            "diff": pa.array(list(d), type=pa.int64()),
-            "id": pa.array(list(n), type=pa.int64()),
-            "epoch": pa.array([epoch] * k, type=pa.int64()),
-        })
-
-
-@dataclass
 class StreamNearDup:
     """Streaming MinHash-LSH near-duplicate detection: per-block (and on
     Dataset epochs, fully distributed) signature + band derivation, with
@@ -1349,59 +1301,6 @@ class UpsertToRetract:
         for i, (c, t) in enumerate(zip(self.vals, self.val_types)):
             arrays[c] = pa.array([v[i] for _, _, v in deltas], type=t)
         arrays["epoch"] = pa.array([epoch] * len(deltas), type=pa.int64())
-        return pa.table(arrays)
-
-
-@dataclass
-class Scd2History(UpsertToRetract):
-    """Incrementally-maintained type-2 slowly-changing dimension — the
-    lakehouse SCD2 MERGE as a differential operator.  Same upsert-stream
-    input and LWW partial contract as ``UpsertToRetract`` (per-epoch
-    per-key winner, stale offers shadowed), but the changelog maintains
-    the VERSION-HISTORY table: each value change closes the key's open
-    version (retract ``(v_old, from, OPEN)``, add ``(v_old, from, t)``)
-    and opens ``(v_new, t, OPEN, version+1)``; a tombstone only closes;
-    a same-value re-upsert emits nothing.  ``valid_to`` uses the −1.0
-    OPEN sentinel (the ``scd2_build`` convention).  Per-key shard state
-    is O(1) — ``[stamp, open_value, open_from, version]`` — because
-    closed versions are immutable; the history itself lives only in the
-    exactly-once sink, whose running sum IS the SCD2 table.  Batch twin:
-    ``q_scd2_build``; SQL twin: per-epoch winners deduped on consecutive
-    equal values with window functions."""
-
-    def rows_to_table(self, deltas: list, epoch: int) -> pa.Table:
-        keys = [pickle.loads(kb) for _, kb, _ in deltas]
-        arrays: dict[str, pa.Array] = {
-            "diff": pa.array([d for d, _, _ in deltas], type=pa.int64())}
-        for i, (c, t) in enumerate(zip(self.key, self.key_types)):
-            arrays[c] = pa.array([k[i] for k in keys], type=t)
-        for i, (c, t) in enumerate(zip(self.vals, self.val_types)):
-            arrays[c] = pa.array([p[0][i] for _, _, p in deltas], type=t)
-        arrays["valid_from"] = pa.array(
-            [p[1] for _, _, p in deltas], type=pa.float64())
-        arrays["valid_to"] = pa.array(
-            [-1.0 if p[2] is None else p[2] for _, _, p in deltas],
-            type=pa.float64())
-        arrays["version"] = pa.array(
-            [p[3] for _, _, p in deltas], type=pa.int64())
-        arrays["epoch"] = pa.array([epoch] * len(deltas), type=pa.int64())
-        return pa.table(arrays)
-
-    def state_to_table(self, items: list, epoch: int) -> pa.Table:
-        """``collect()`` state → the OPEN versions only (the "current"
-        dimension view); the full history is the sink's running sum."""
-        live = [(pickle.loads(kb), st) for kb, st in items
-                if st[1] is not None]
-        arrays: dict[str, pa.Array] = {}
-        for i, (c, t) in enumerate(zip(self.key, self.key_types)):
-            arrays[c] = pa.array([k[i] for k, _ in live], type=t)
-        for i, (c, t) in enumerate(zip(self.vals, self.val_types)):
-            arrays[c] = pa.array([st[1][i] for _, st in live], type=t)
-        arrays["valid_from"] = pa.array([st[2] for _, st in live],
-                                        type=pa.float64())
-        arrays["version"] = pa.array([st[3] for _, st in live],
-                                     type=pa.int64())
-        arrays["epoch"] = pa.array([epoch] * len(live), type=pa.int64())
         return pa.table(arrays)
 
 
@@ -1568,139 +1467,6 @@ class StreamJoin:
             "epoch", pa.array(np.full(tbl.num_rows, epoch, dtype=np.int64)))
 
 
-class AsofStreamJoin(StreamJoin):
-    """Incremental event-time AS-OF join — the differential form of DuckDB's
-    ``ASOF JOIN`` / Flink's event-time temporal join, as a STREAM-STREAM
-    operator: each left event matches the latest right version with
-    ``right_ts ≤ left_ts`` among the rows that have ARRIVED, and when a
-    late-but-better right version lands in ``(match_ts, left_ts]`` the old
-    pair is retracted (diff −1) and the new one emitted (diff +1), so the
-    accumulated multiset at any point equals the batch ASOF JOIN of every
-    arrived row — regardless of arrival order or epoch split.
-
-    BILINEAR like ``StreamJoin``: a ``diff`` = −1 RIGHT row deletes that
-    version — every left currently matched to it retracts its pair and
-    re-matches to the next-older surviving version; a ``diff`` = −1 LEFT
-    row removes one buffered instance (multiset subtraction) and retracts
-    its current pair — so the accumulated multiset equals the ASOF JOIN
-    of the NET input multisets.  Retracting a row not in the buffer
-    raises (retractions must arrive before their target ages past
-    retention).
-
-    Contracts: ``left_ts``/``right_ts`` required; the key columns must have
-    the SAME NAMES on both sides; right-side (key, ts) pairs unique
-    (replayed duplicates dedup last-wins).  ``retention`` expires
-    finalized lefts and COMPACTS the right version history
-    (latest-at-horizon version per key survives, so any live left's
-    current match does too).  Unmatched lefts emit nothing until a
-    version arrives (inner as-of).  ``max_dt`` doubles as a STALENESS
-    TOLERANCE (Flink's bounded temporal join): a left matches only
-    versions in ``[left_ts − max_dt, left_ts]`` — a fallback outside the
-    bound is no match (the pair dies / the left sweeps unmatched).
-
-    Distinct from ``TemporalEnrichJoin``: that op enriches a STREAM against
-    a CDC DIM whose versions are watermark-consistent at probe time (no
-    retractions); this one tolerates arbitrary interleaving of both sides
-    and repairs earlier emissions differentially."""
-
-    def __post_init__(self):
-        if not (self.left_ts and self.right_ts):
-            raise ValueError("AsofStreamJoin requires left_ts and right_ts")
-        if list(self.left_key) != list(self.right_key):
-            raise ValueError("AsofStreamJoin requires identical key column "
-                             f"names on both sides (got {self.left_key} vs "
-                             f"{self.right_key})")
-        if self.max_dt is not None and self.max_dt <= 0:
-            raise ValueError("AsofStreamJoin max_dt (staleness tolerance) "
-                             "must be positive")
-        if self.emit_unmatched not in (False, True, "left"):
-            raise ValueError("AsofStreamJoin emit_unmatched supports only "
-                             "LEFT outer (True/'left') — the right side "
-                             "is a version history, not a match partner")
-
-    def _side_frame(self, tbl: pa.Table, side: str) -> pd.DataFrame:
-        """One side's epoch rows → DataFrame of key + output cols + per-side
-        event-time and diff columns (vectorized; no per-row Python).
-
-        A ``diff`` column on the input makes the join **bilinear** like DD's:
-        a retraction row (diff = −1) matches the other side's buffered rows
-        and emits matches with diff = diff_left · diff_right, cancelling the
-        earlier emissions in multiset semantics.
-        """
-        key_cols = self.left_key if side == "left" else self.right_key
-        out_cols = self.left_cols if side == "left" else self.right_cols
-        ts_col = self.left_ts if side == "left" else self.right_ts
-        cols = list(dict.fromkeys(
-            list(key_cols) + list(out_cols)
-            + ([ts_col] if ts_col else [])
-            + (["diff"] if "diff" in tbl.column_names else [])
-        ))
-        pdf = tbl.select(cols).to_pandas()
-        ts_name = f"__ts_{side}"
-        pdf[ts_name] = _ts_to_float(pdf[ts_col]) if ts_col else 0.0
-        pdf[f"__diff_{side}"] = (
-            pdf.pop("diff").astype(np.int64) if "diff" in pdf.columns else 1
-        )
-        if ts_col and ts_col not in out_cols and ts_col not in key_cols:
-            pdf = pdf.drop(columns=[ts_col])
-        return pdf
-
-    def side_shards(self, tbl: pa.Table, side: str,
-                    num_shards: int) -> dict[int, pd.DataFrame]:
-        """One side's rows hash-partitioned to the shards: shard =
-        hash(key values) % num_shards, computed vectorized and identically
-        on both sides (pd.util.hash_pandas_object on the key columns by
-        position), so matching keys co-locate."""
-        pdf = self._side_frame(tbl, side)
-        if not len(pdf):
-            return {}
-        keys = list(self.left_key if side == "left" else self.right_key)
-        h = pd.util.hash_pandas_object(pdf[keys], index=False).to_numpy()
-        sid = (h % np.uint64(num_shards)).astype(np.int64)
-        return {int(s): pdf[sid == s].reset_index(drop=True)
-                for s in np.unique(sid)}
-
-    def out_names(self) -> list:
-        return self._names()
-
-    def payload_base(self) -> dict:
-        return {"key": list(self.left_key), "out_names": self.out_names(),
-                "right_cols": list(self.right_cols),
-                "track_unmatched": bool(self.emit_unmatched),
-                "tolerance": self.max_dt}
-
-    def asof_to_table(self, frames: list, epoch: int) -> pa.Table:
-        names = self.out_names()
-        if not frames:
-            return pa.table({n: pa.array([])
-                             for n in names + ["diff", "epoch"]})
-        cat = pd.concat(frames, ignore_index=True)
-        df = cat[names + ["diff"]].copy()
-        df["epoch"] = np.int64(epoch)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def unmatched_asof_to_table(self, frames: list, epoch: int,
-                                with_diff: bool = True) -> pa.Table:
-        """Unmatched-left ±deltas (or sweep +rows) → Arrow: left columns
-        + the left ts column (float seconds) + diff + epoch."""
-        names = [c for c in self.out_names()
-                 if c not in list(self.right_cols)]
-        if not frames:
-            cols = {n: pa.array([]) for n in names}
-            cols[self.left_ts] = pa.array([], type=pa.float64())
-            cols["diff"] = pa.array([], type=pa.int64())
-            cols["epoch"] = pa.array([], type=pa.int64())
-            return pa.table(cols)
-        cat = pd.concat(frames, ignore_index=True)
-        df = cat[names].copy()
-        if self.left_ts not in df.columns:  # else keep the carried one
-            df[self.left_ts] = cat["__ts_left"].astype(np.float64)
-        df["diff"] = (cat["diff"].astype(np.int64)
-                      if "diff" in cat.columns else np.int64(1))
-        df["epoch"] = np.int64(epoch)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-
 @dataclass
 class EnrichJoin:
     """Stream-table enrichment join: a slowly-changing dimension table kept
@@ -1795,78 +1561,6 @@ class EnrichJoin:
                              self.dim_delete_col), 0
 
 
-class TemporalEnrichJoin(EnrichJoin):
-    """Event-time TEMPORAL dim join (Flink temporal-table join; DuckDB
-    ``ASOF JOIN``): the dim side keeps a per-key VERSION HISTORY
-    (``VersionedValueAgg``) in the state shards, and each stream event is
-    enriched with the dim version valid AT ITS EVENT TIME — the version
-    with the largest ``dim_ts ≤ stream_ts`` — instead of the key's current
-    value.  Left-join semantics: events before the key's first version (or
-    landing on a tombstone) read nulls.
-
-    Inherits ``EnrichJoin``'s shape: dim epochs fold into per-key
-    accumulators before leaving the worker, stream epochs probe through the
-    same shard-of(key) partitioning with worker-written sink parts.  The
-    version-union semilattice makes results independent of block/shard/
-    replay order; they match a batch ASOF join whenever each key's probed
-    versions arrive in an epoch ≤ the probing epoch (the temporal-join
-    contract — a dim version arriving AFTER a probe it should have matched
-    is late data, exactly as in Flink).
-
-    ``stream_ts`` is REQUIRED (it is the probe time).  ``dim_ttl`` is the
-    history horizon: on each watermark advance, versions older than
-    ``watermark − dim_ttl`` are COMPACTED to the single still-reachable one
-    (not dropped like EnrichJoin's LWW registers — the latest old version
-    stays probe-able for event times at/after the horizon).
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.stream_ts:
-            raise ValueError("TemporalEnrichJoin requires stream_ts: it is "
-                             "the AS-OF probe time")
-        if self.share_from:
-            raise ValueError(
-                "share_from is LWW-register sharing (EnrichJoin); a "
-                "temporal join needs the version-history arrangement, "
-                "which UpsertToRetract does not keep")
-        if self.probe_mode == "block":
-            raise ValueError(
-                "probe_mode='block' is implemented for the LWW enrich "
-                "probe; the AS-OF probe uses the shuffle plan")
-
-    # dim side → {key_bytes: VersionedValueAgg}; same partial contract as
-    # EnrichJoin so Table and shard-direct Dataset dim epochs both work
-    def partial_batch(self, tbl: pa.Table, finalized_before: float
-                      ) -> tuple[dict, int]:
-        from ..state.aggregates import VersionedValueAgg
-
-        dk = list(self.dim_key or self.key)
-        cols = list(dict.fromkeys(
-            dk + list(self.dim_vals) + [self.dim_ts]
-            + ([self.dim_delete_col] if self.dim_delete_col else [])))
-        pdf = tbl.select(cols).to_pandas()
-        ts = _ts_to_float(pdf[self.dim_ts])
-        keys = list(zip(*[pdf[c] for c in dk])) if len(pdf) else []
-        vals = ([()] * len(pdf) if not self.dim_vals
-                else list(zip(*[pdf[c] for c in self.dim_vals]))
-                if len(pdf) else [])
-        dels = (pdf[self.dim_delete_col].to_numpy(dtype=bool)
-                if self.dim_delete_col else np.zeros(len(pdf), dtype=bool))
-        out: dict[bytes, Any] = {}
-        for k, t, v, d in zip(keys, ts, vals, dels):
-            if d:
-                v = None  # tombstone version: probes at/after t miss
-            acc = VersionedValueAgg({(float(t), _key_bytes(v)): v})
-            kb = _key_bytes(tuple(k))
-            cur = out.get(kb)
-            if cur is None:
-                out[kb] = acc
-            else:
-                cur.merge(acc)
-        return out, 0
-
-
 @dataclass
 class StreamDedup:
     """Streaming exactly-once deduplication: only the FIRST event per key
@@ -1891,81 +1585,9 @@ class StreamDedup:
     ttl: float | None = None         # dedup window in event time
 
 
-@dataclass
-class BroadcastEnrich:
-    """Flink's broadcast-state pattern: a LOW-VOLUME control/rule stream is
-    kept as per-rule LWW registers in the state shards and, each epoch, the
-    CURRENT rule set is shipped to the event stream as ONE object-store
-    broadcast (`ray.put` once, read in every task) — the event blocks
-    evaluate the rules where they already live, with **no shuffle at all**,
-    and write their sink parts worker-side.
-
-    This is the scale-correct plan for global (non-keyed) rule lookups.
-    The alternative — an ``EnrichJoin`` on a constant key — hash-routes
-    EVERY event through the one shard that owns the constant key: the
-    classic hot-key collapse.  Broadcast state inverts it: the rules move
-    (they are tiny by contract), the events never do.
-
-    Semantics: rule epochs are upserts keyed by ``rule_key`` with LWW by
-    ``(rule_ts, tiebreak)``; ``rule_delete_col`` rows retire a rule
-    (tombstone — shadows late out-of-order upserts, excluded from the
-    snapshot).  Epoch-e rule changes are visible to epoch-e events
-    (add order = processing order, as with shared arrangements).  ``apply``
-    is the user hook: ``apply(events: pa.Table, rules: list[dict]) ->
-    pa.Table`` — filter, tag, route, fan out (1→N is fine); rules arrive
-    sorted by ``rule_key`` so the hook is deterministic.  Rule registers
-    ride the normal checkpoint / resume / savepoint-rescale machinery
-    (they are ordinary keyed registers, hash-partitioned by rule key)."""
-
-    name: str
-    rules_input: str
-    stream_input: str
-    rule_key: Sequence[str]
-    rule_vals: Sequence[str]
-    #: (event_block, current_rules) -> output block.  MUST be a pure
-    #: function of its arguments (it runs in retried tasks).
-    apply: Callable[[pa.Table, list], pa.Table] = None  # type: ignore
-    rule_ts: str = "ts"
-    rule_delete_col: str | None = None
-    #: optional event-time column on the STREAM side: block maxima feed the
-    #: session auto-watermark (same plumbing as the enrich probe)
-    stream_ts: str | None = None
-    #: hard cap on materialized rule rows per epoch — broadcast state is
-    #: small BY CONTRACT; a rule stream that trips this wants EnrichJoin
-    max_rule_rows: int = 1_000_000
-
-    def __post_init__(self):
-        if not callable(self.apply):
-            raise ValueError("BroadcastEnrich requires an apply(events, "
-                             "rules) callable")
-        if not self.rule_key:
-            raise ValueError("rule_key must name at least one column")
-
-    # rule side → {key_bytes: LastValueAgg}; same partial contract as the
-    # EnrichJoin dim side so Table and Dataset rule epochs both work
-    def partial_batch(self, tbl: pa.Table, finalized_before: float
-                      ) -> tuple[dict, int]:
-        return _lww_partials(tbl, list(self.rule_key), self.rule_vals,
-                             self.rule_ts, self.rule_delete_col), 0
-
-    def rules_snapshot(self, collected: list) -> list[dict]:
-        """Live rules from the register dump: tombstones drop, order is the
-        rule-key sort (deterministic input to ``apply``)."""
-        rules = []
-        for kb, acc in collected:
-            if acc.value is None:
-                continue  # retired rule
-            k = pickle.loads(kb)
-            d = dict(zip(self.rule_key, k))
-            d.update(zip(self.rule_vals, acc.value))
-            rules.append(d)
-        rules.sort(key=lambda d: tuple(d[c] for c in self.rule_key))
-        return rules
-
-
 #: the op attributes that name an epoch input
 _INPUT_ATTRS = ("input", "left_input", "right_input", "dim_input",
-                "stream_input", "rules_input")
+                "stream_input")
 
 
 class _ChainedEmits(dict):
@@ -2098,13 +1720,11 @@ class StreamSession:
         src_name = getattr(op, "share_from", None)
         if src_name:
             src = self.ops.get(src_name)
-            if not isinstance(src, UpsertToRetract) \
-                    or isinstance(src, Scd2History):
+            if not isinstance(src, UpsertToRetract):
                 raise ValueError(
                     f"share_from={src_name!r}: add the owning "
                     "UpsertToRetract op to the session first (the shared "
-                    "arrangement is its register table; Scd2History's "
-                    "version state is not an LWW register table)")
+                    "arrangement is its register table)")
             if len(op.dim_vals) != len(src.vals):
                 raise ValueError(
                     f"share_from: dim_vals ({len(op.dim_vals)}) must name "
@@ -2126,10 +1746,8 @@ class StreamSession:
                 names.append(f"{op.name}__late")
         elif isinstance(op, (StreamJoin, PatternMatch, AbsenceDetect,
                              KleenePattern, IncrementalComponents,
-                             IncrementalPageRank, IncrementalReachability,
-                             StreamNearDup,
-                             UpsertToRetract, EnrichJoin, BroadcastEnrich,
-                             StreamDedup)):
+                             IncrementalPageRank, StreamNearDup,
+                             UpsertToRetract, EnrichJoin, StreamDedup)):
             names.append(op.name)
             if isinstance(op, StreamJoin):
                 # outer join: finalized never-matched rows get their OWN
@@ -2172,13 +1790,13 @@ class StreamSession:
             blobs,
             {n for n, o in self.ops.items()
              if isinstance(o, KeyedAggregation) and o.window is not None},
-            {n for n, o in self.ops.items()
-             if isinstance(o, StreamJoin) and not isinstance(o, AsofStreamJoin)})
+            {n for n, o in self.ops.items() if isinstance(o, StreamJoin)})
         if stale:
             raise ValueError(
-                f"checkpoint {latest} holds state of op(s) {stale} in the "
-                "per-key format that predates columnar arrangements; it "
-                "cannot be resumed — rebuild those ops from their inputs")
+                f"checkpoint {latest} holds state of op(s) {stale} that "
+                "this engine cannot load (per-key state that predates "
+                "columnar arrangements, or as-of join buffers); it cannot "
+                "be resumed — rebuild those ops from their inputs")
         if set(blobs) != set(range(self.store.num_shards)):
             # savepoint rescale: the checkpoint was taken at a different
             # shard count — re-bucket every keyed family with this
@@ -2506,11 +2124,11 @@ class StreamSession:
 
     def _changelog_distributed(self, op, name: str, epoch: int, data,
                                shard_method: str, to_table, kind: str) -> int:
-        """Shard-direct changelog (UpsertToRetract, Scd2History,
-        ``KeyedAggregation`` with ``emit_changelog``): the keyed partials
-        exchange, whose reducers make the shard's one ``shard_method`` call
-        and write the returned deltas (``to_table``) as the shard's part of
-        sink ``name``.  Returns committed delta rows."""
+        """Shard-direct changelog (UpsertToRetract, ``KeyedAggregation``
+        with ``emit_changelog``): the keyed partials exchange, whose
+        reducers make the shard's one ``shard_method`` call and write the
+        returned deltas (``to_table``) as the shard's part of sink
+        ``name``.  Returns committed delta rows."""
         shards, write = self.store.shards, self._part_writer(name, epoch)
 
         def reduce(sid: int, parts: list):
@@ -2584,95 +2202,57 @@ class StreamSession:
 
     def _join_epoch(self, op: "StreamJoin", name: str, epoch: int,
                     left, right) -> int:
-        """Dataset-epoch StreamJoin / AsofStreamJoin: both sides' blocks
-        route by the Table path's key hash (``side_shards``) and report
-        their max event time; each shard's reduce makes the one
-        ``join_insert_probe`` step / ``asof_insert_probe`` call and writes its
-        matches (and as-of unmatched ± rows) as the shard's sink parts.
-        Per-epoch input and output never reside in driver memory.  Returns
-        committed match rows."""
-        asof = isinstance(op, AsofStreamJoin)
+        """Dataset-epoch StreamJoin: both sides' blocks route by the Table
+        path's key hash (``side_shards``) and report their max event time;
+        each shard's reduce makes the one ``join_insert_probe`` step, whose
+        shard writes its matches as the shard's sink part.  Per-epoch input
+        and output never reside in driver memory.  Returns committed match
+        rows."""
         num_shards, shards = self.store.num_shards, self.store.shards
-        uname = f"{name}__unmatched"
-        if asof:
-            write = self._part_writer(name, epoch)
-            uwrite = (self._part_writer(uname, epoch)
-                      if op.emit_unmatched else None)
-        else:
-            emit = self._emit_to(name, epoch, op.matches_to_table)
+        emit = self._emit_to(name, epoch, op.matches_to_table)
 
         def side_route(side: str):
             ts_col = op.left_ts if side == "left" else op.right_ts
 
             def route(tbl: pa.Table):
                 parts = op.side_shards(tbl, side, num_shards)
-                if asof:  # frames merge in pickled-bytes order
-                    parts = {s: pickle.dumps(
-                        f, protocol=pickle.HIGHEST_PROTOCOL)
-                        for s, f in parts.items()}
                 return ({s: (side, p) for s, p in parts.items()},
                         Summary(max_ts=_block_max_ts(tbl, ts_col)))
             return route
 
-        def reduce(sid: int, parts: list) -> dict:
+        def reduce(sid: int, parts: list) -> tuple:
             payload = op.payload_base()
             for side in ("left", "right"):
                 got = [p for s, p in parts if s == side]
-                if got and asof:
-                    payload[side] = pd.concat(
-                        [pickle.loads(b) for b in sorted(got)],
-                        ignore_index=True)
-                elif got:
+                if got:
                     payload[side] = Rows.concat(got)
-            if not asof:
-                m, stats = _shard_step(shards[sid], epoch,
-                                       "join_insert_probe", name, (payload,),
-                                       emit)
-                return {"m": m, "u": None, "step": (sid, stats)}
-            r = pickle.loads(ray.get(shards[sid].asof_insert_probe.remote(
-                name, epoch,
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))))
-            m, u = (r.get("m"), r.get("u")) if isinstance(r, dict) else (r, None)
-            tag = f"shard{sid:04d}"
-            return {
-                "m": (write(op.asof_to_table([m], epoch), tag=tag)
-                      if m is not None and len(m) else None),
-                "u": (uwrite(op.unmatched_asof_to_table([u], epoch), tag=tag)
-                      if u is not None and len(u) else None),
-                "step": None}
+            m, stats = _shard_step(shards[sid], epoch, "join_insert_probe",
+                                   name, (payload,), emit)
+            return m, (sid, stats)
 
         _, results = self._exchange(
             [(side_route(s), d) for s, d in (("left", left), ("right", right))
              if d is not None], reduce)
-        self._note_step(dict(r["step"] for r in results if r["step"]))
-        n = self._commit_parts(name, epoch, [r["m"] for r in results if r["m"]],
-                               "asof_join" if asof else "join")
-        ufiles = [r["u"] for r in results if r["u"]]
-        if ufiles:  # non-empty only (same rule as the Table path)
-            self._commit_parts(uname, epoch, ufiles, "asof_unmatched")
-        return n
+        self._note_step(dict(step for _, step in results))
+        return self._commit_parts(name, epoch, [m for m, _ in results if m],
+                                  "join")
 
     def _enrich_kernel(self, op: "EnrichJoin", epoch: int, probe_name: str):
         """Enrich a frame of stream rows with the dim values registered for
-        its UNIQUE keys (TemporalEnrichJoin: the version valid at each
-        unique (key, event time) pair): one probe call per touched shard,
-        one vectorized merge, dim columns cast to ``dim_types``."""
+        its UNIQUE keys: one probe call per touched shard, one vectorized
+        merge, dim columns cast to ``dim_types``."""
         num_shards, shards = self.store.num_shards, self.store.shards
-        temporal = isinstance(op, TemporalEnrichJoin)
-        method = "temporal_probe" if temporal else "enrich_probe"
-        on = list(op.key) + (["__tsf"] if temporal else [])
+        on = list(op.key)
         dim_vals, dim_types = list(op.dim_vals), list(op.dim_types or ())
 
         def enrich(ev: pd.DataFrame) -> pa.Table:
             uniq = ev[on].drop_duplicates().reset_index(drop=True)
-            rows = list(uniq.itertuples(index=False, name=None))
-            probes = ([(_key_bytes(t[:-1]), float(t[-1])) for t in rows]
-                      if temporal else [_key_bytes(t) for t in rows])
+            probes = [_key_bytes(t)
+                      for t in uniq.itertuples(index=False, name=None)]
             by_shard: dict[int, list] = {}
             for p in probes:
-                by_shard.setdefault(shard_of(p[0] if temporal else p,
-                                             num_shards), []).append(p)
-            refs = [getattr(shards[s], method).remote(
+                by_shard.setdefault(shard_of(p, num_shards), []).append(p)
+            refs = [shards[s].enrich_probe.remote(
                 probe_name, pickle.dumps(ps, protocol=pickle.HIGHEST_PROTOCOL))
                 for s, ps in sorted(by_shard.items())]
             looked = dict(kv for blob in ray.get(refs)
@@ -2683,8 +2263,6 @@ class StreamSession:
                 uniq[c] = pd.Series([None if v is None else v[i]
                                      for v in vals], dtype="object")
             out = ev.merge(uniq, on=on, how="left")
-            if temporal:
-                out = out.drop(columns="__tsf")
             out["epoch"] = np.int64(epoch)
             tbl = pa.Table.from_pandas(out, preserve_index=False)
             for c, typ in zip(dim_vals, dim_types):
@@ -2695,15 +2273,14 @@ class StreamSession:
 
     def _probe_epoch(self, op: "EnrichJoin", name: str, epoch: int,
                      stream) -> int:
-        """Stream epoch of an EnrichJoin / TemporalEnrichJoin (Table or
-        Dataset).  Shuffle plan: route tasks split the events by their
-        key's register shard (``shard_of(key_bytes)``), and each shard's
-        reduce enriches its events and writes its part — probe cost is
-        O(unique keys), not O(rows).  Block plan (``probe_mode="block"``,
-        the skew-proof async lookup): events never move; each block task
-        enriches its own rows, asking every touched shard once, and writes
-        its part in place.  The driver commits only the manifest."""
-        temporal = isinstance(op, TemporalEnrichJoin)
+        """Stream epoch of an EnrichJoin (Table or Dataset).  Shuffle plan:
+        route tasks split the events by their key's register shard
+        (``shard_of(key_bytes)``), and each shard's reduce enriches its
+        events and writes its part — probe cost is O(unique keys), not
+        O(rows).  Block plan (``probe_mode="block"``, the skew-proof async
+        lookup): events never move; each block task enriches its own rows,
+        asking every touched shard once, and writes its part in place.  The
+        driver commits only the manifest."""
         num_shards, sk, stream_ts = self.store.num_shards, list(op.key), op.stream_ts
         carry = list(dict.fromkeys(
             sk + list(op.stream_cols) + ([stream_ts] if stream_ts else [])))
@@ -2723,8 +2300,6 @@ class StreamSession:
         else:
             def route(tbl: pa.Table):
                 pdf = tbl.select(carry).to_pandas()
-                if temporal:
-                    pdf = pdf.assign(__tsf=_ts_to_float(pdf[stream_ts]))
                 uniq = pdf[sk].drop_duplicates()
                 uniq = uniq.assign(__sid=[
                     shard_of(_key_bytes(t), num_shards)
@@ -2737,33 +2312,7 @@ class StreamSession:
                              tag=f"shard{sid:04d}")
 
             _, entries = self._exchange([(route, stream)], reduce)
-        return self._commit_parts(name, epoch, entries,
-                                  "temporal" if temporal else "enrich")
-
-    def _broadcast_apply_epoch(self, op: "BroadcastEnrich", name: str,
-                               epoch: int, stream) -> int:
-        """The no-shuffle half of broadcast state: the live rules (tiny by
-        contract) ride the kernel closure, which goes to the object store
-        once; each block task runs the user hook where its block already
-        lives and writes its sink part.  Event bytes never cross workers;
-        the driver commits only the manifest."""
-        rules = op.rules_snapshot(self.store.collect(name))
-        write, apply_fn, stream_ts = (self._part_writer(name, epoch),
-                                      op.apply, op.stream_ts)
-
-        def kernel(tbl: pa.Table, _tag: str) -> Summary:
-            if not tbl.num_rows:
-                return Summary()
-            out, entries = apply_fn(tbl, rules), []
-            if out is not None and out.num_rows:
-                out = out.append_column(
-                    "epoch", pa.array([epoch] * out.num_rows, type=pa.int64()))
-                entries.append(write(out, tag=f"b{uuid.uuid4().hex[:12]}"))
-            return Summary(max_ts=_block_max_ts(tbl, stream_ts),
-                           entries=entries)
-
-        return self._commit_parts(name, epoch,
-                                  self._map_blocks(kernel, stream), "broadcast")
+        return self._commit_parts(name, epoch, entries, "enrich")
 
     def _dedup_table_epoch(self, op: "StreamDedup", name: str, epoch: int,
                            tbl: pa.Table) -> pa.Table:
@@ -3002,14 +2551,6 @@ class StreamSession:
                 out_tbl = op.rows_to_table(pairs, epoch)
                 self._emit(name, epoch, out_tbl, emitted,
                            kind="neardup", drops=drops)
-            elif isinstance(op, IncrementalReachability):
-                if op.input not in avail:
-                    continue
-                tbl = self._as_table(avail[op.input])
-                deltas = self.store.apply_reach_edges(
-                    op.name, epoch, op.edges_from(tbl), op.sources)
-                out_tbl = op.rows_to_table(deltas, epoch)
-                self._emit(name, epoch, out_tbl, emitted, kind="reach")
             elif isinstance(op, IncrementalPageRank):
                 if op.input not in avail:
                     continue
@@ -3024,22 +2565,17 @@ class StreamSession:
             elif isinstance(op, UpsertToRetract):
                 if op.input not in avail:
                     continue
-                # Scd2History subclasses UpsertToRetract: same partial
-                # contract and plumbing, different shard method + schema
-                is_scd2 = isinstance(op, Scd2History)
-                method = "apply_scd2" if is_scd2 else "apply_upsert_retract"
-                kind = "scd2" if is_scd2 else "upsert"
                 data = avail[op.input]
                 if isinstance(data, pa.Table):
                     merged = self._merged_partials(op, data, self.watermark)
-                    deltas = getattr(self.store, method)(name, epoch,
-                                                         merged)
+                    deltas = self.store.apply_upsert_retract(name, epoch,
+                                                             merged)
                     out_tbl = op.rows_to_table(deltas, epoch)
-                    self._emit(name, epoch, out_tbl, emitted, kind=kind)
+                    self._emit(name, epoch, out_tbl, emitted, kind="upsert")
                 else:
                     n = self._changelog_distributed(
-                        op, name, epoch, data, method,
-                        op.rows_to_table, kind=kind)
+                        op, name, epoch, data, "apply_upsert_retract",
+                        op.rows_to_table, kind="upsert")
                     self._emit_committed(name, epoch, n, emitted)
             elif isinstance(op, EnrichJoin):
                 # shared arrangement: the owner op applied its upserts
@@ -3061,30 +2597,6 @@ class StreamSession:
                 if stream is not None:
                     n = self._probe_epoch(op, name, epoch, stream)
                     self._emit_committed(name, epoch, n, emitted)
-            elif isinstance(op, BroadcastEnrich):
-                rules = avail.get(op.rules_input)
-                if rules is not None:
-                    # broadcast state is tiny by contract: materialize the
-                    # rule epoch, enforcing the documented cap
-                    rules = self._as_table(rules)
-                    if rules.num_rows > op.max_rule_rows:
-                        raise ValueError(
-                            f"BroadcastEnrich {name!r}: rule epoch has "
-                            f"{rules.num_rows} rows > max_rule_rows="
-                            f"{op.max_rule_rows} — a rule stream this "
-                            "large wants a keyed EnrichJoin, not "
-                            "broadcast state")
-                    if rules.num_rows:
-                        # upsert registers FIRST: epoch-e rule changes are
-                        # visible to epoch-e events
-                        merged = self._merged_partials(op, rules,
-                                                       self.watermark)
-                        self.store.apply_deltas(name, epoch, merged,
-                                                wait=True)
-                stream = avail.get(op.stream_input)
-                if stream is not None:
-                    n = self._broadcast_apply_epoch(op, name, epoch, stream)
-                    self._emit_committed(name, epoch, n, emitted)
             elif isinstance(op, StreamDedup):
                 data = avail.get(op.input)
                 if data is None:
@@ -3095,7 +2607,7 @@ class StreamSession:
                 else:
                     n = self._dedup_probe_epoch(op, name, epoch, data)
                     self._emit_committed(name, epoch, n, emitted)
-            elif isinstance(op, StreamJoin):  # AsofStreamJoin too
+            elif isinstance(op, StreamJoin):
                 left_tbl = avail.get(op.left_input)
                 right_tbl = avail.get(op.right_input)
                 if any(d is not None and not isinstance(d, pa.Table)
@@ -3112,19 +2624,7 @@ class StreamSession:
                 payloads = op.shard_payloads(
                     left_tbl, right_tbl, self.store.num_shards
                 )
-                if payloads and isinstance(op, AsofStreamJoin):
-                    frames = self.store.asof_insert_probe(
-                        name, epoch, payloads)
-                    tbl = op.asof_to_table(frames["m"], epoch)
-                    self._emit(name, epoch, tbl, emitted, kind="asof_join")
-                    if op.emit_unmatched and frames["u"]:
-                        # non-empty only: an empty commit would occupy
-                        # this epoch's id and starve the advance-sweep
-                        utbl = op.unmatched_asof_to_table(
-                            frames["u"], epoch)
-                        self._emit(f"{name}__unmatched", epoch, utbl, emitted,
-                                   kind="asof_unmatched")
-                elif payloads:
+                if payloads:
                     self._join_probe(op, name, epoch, payloads, emitted)
 
         if source_watermarks:
@@ -3311,27 +2811,6 @@ class StreamSession:
                 self._emit(name, epoch, tbl, emitted,
                            watermark=self.watermark, op=name,
                            metrics=dict(self.metrics))
-            elif isinstance(op, AsofStreamJoin):
-                if op.emit_unmatched:
-                    usink = self.sinks[f"{name}__unmatched"]
-                    if usink.is_committed(epoch):
-                        # this epoch's id carried in-epoch ± repairs; the
-                        # sweep defers to the next advance — the bound is
-                        # monotone and unswept rows stay eligible, so
-                        # nothing is lost, only deferred
-                        pass
-                    else:
-                        # sweep BEFORE expiry: a finalized unmatched left
-                        # owes its +1 before retention may drop it
-                        frames = self.store.asof_sweep_unmatched(
-                            name, self.watermark)
-                        tbl = op.unmatched_asof_to_table(frames, epoch)
-                        self._emit(f"{name}__unmatched", epoch, tbl, emitted,
-                                   watermark=self.watermark, op=name,
-                                   kind="asof_unmatched")
-                if op.retention is not None:
-                    self.store.asof_expire(
-                        name, self.watermark - op.retention)
             elif isinstance(op, StreamJoin):
                 for s, suffix in (("left", "__unmatched"),
                                   ("right", "__unmatched_right")):
@@ -3344,11 +2823,6 @@ class StreamSession:
                 if op.retention is not None:
                     self._request("join_expire", name, self._all_shards(
                         self.watermark - op.retention))
-            elif isinstance(op, TemporalEnrichJoin) and op.dim_ttl is not None:
-                # compact, don't drop: the latest below-horizon version stays
-                # probe-able for event times at/after the horizon
-                self.store.compact_version_registers(
-                    name, self.watermark - op.dim_ttl)
             elif isinstance(op, EnrichJoin) and op.dim_ttl is not None:
                 self.store.sweep_stale_registers(
                     name, self.watermark - op.dim_ttl)
@@ -3391,33 +2865,6 @@ class StreamSession:
                                     self.last_epoch)
         fn = getattr(op, "state_to_table", None) or op.rows_to_table
         return fn(self.store.collect(name), self.last_epoch)
-
-    def vector_topk(self, name: str, query_ids, query_mat, k: int = 5,
-                    exclude_self: bool = True) -> pa.Table:
-        """Similarity probe over a CDC-MAINTAINED vector index: ``name``
-        must be an ``UpsertToRetract`` op whose value is an embedding (one
-        list<float> val or d float vals) — its live LWW registers, spread
-        across the shards, ARE the index partitions; upserts/updates/
-        tombstones keep it current and this scans it.  Per-shard
-        brute-force cosine partial top-k (vectorized matmul over shard-
-        resident state), merged to the global top-k per query; driver
-        traffic = shards × queries × k rows.  ``exclude_self`` drops a hit
-        whose single-column key equals the query id (the ann_topk
-        convention)."""
-        op = self.ops[name]
-        if not isinstance(op, UpsertToRetract):
-            raise ValueError("vector_topk probes UpsertToRetract state")
-        rows = self.store.vector_topk(name, list(query_ids), query_mat, k,
-                                      exclude_self)
-        arrays: dict[str, pa.Array] = {
-            "query_id": pa.array([q for q, _, _, _ in rows], type=pa.int64())}
-        for i, (c, t) in enumerate(zip(op.key, op.key_types)):
-            arrays[c] = pa.array([key[i] for _, key, _, _ in rows], type=t)
-        arrays["cos"] = pa.array([c for _, _, c, _ in rows],
-                                 type=pa.float64())
-        arrays["rank"] = pa.array([r for _, _, _, r in rows],
-                                  type=pa.int64())
-        return pa.table(arrays)
 
     def stats(self) -> dict:
         """Observability: driver metrics + per-shard state sizes (keys per

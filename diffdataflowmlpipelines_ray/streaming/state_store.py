@@ -21,8 +21,7 @@ exist:
     a negated accumulator — the DD ``count``-with-custom-diff pattern,
     standard_scaler.rs:81-86)
   - ``sessions`` / ``session_points``  name → {key: intervals or points}
-  - ``patterns`` / ``neardup`` / ``graphs``; ``asof`` buffers are pandas
-    frames split by the key-column hash.
+  - ``patterns`` / ``neardup`` / ``graphs``
 
 Deltas arrive pre-combined per key per epoch (the two-phase aggregation fix
 for the reference's key=`1` hot spot); each ``apply_*`` call is **idempotent
@@ -126,12 +125,6 @@ class StateShard:
         self.windows: dict[str, WindowArrangement] = {}
         # stream joins: name -> per-side spines of hash-sorted runs
         self.spines: dict[str, JoinArrangement] = {}
-        # as-of join buffers: name -> {"left": df, "right": df, lk, rk}
-        # left carries __match_ts (ts of its current right version, NaN if
-        # unmatched); right is the per-key version history
-        self.asof: dict[str, dict[str, Any]] = {}
-        # left-outer as-of: per-op unmatched-sweep high-water bound
-        self._asof_um_bound: dict[str, float] = {}
         # CEP pattern buffers: name -> key -> {(ts, type): count}
         self.patterns: dict[str, dict[bytes, dict]] = {}
         # streaming near-dup: name -> band-bucket -> [(doc_id, sig bytes)]
@@ -244,42 +237,6 @@ class StateShard:
             acc = store.get(kb)
             out.append((kb, None if acc is None else acc.value))
         return _dumps(out)
-
-    def temporal_probe(self, name: str, payload: bytes) -> bytes:
-        """AS-OF lookup of VersionedValueAgg registers (TemporalEnrichJoin
-        probe): payload = pickled list[(key_bytes, ts_float)] → pickled
-        list[((key_bytes, ts_float), value-tuple | None)].  Each pair reads
-        the dim version with the largest stamp ≤ its event time; tombstone
-        versions and never-seen keys read as misses."""
-        pairs = pickle.loads(payload)
-        store = self.aggs.get(name, {})
-        out = []
-        for kb, t in pairs:
-            acc = store.get(kb)
-            out.append(((kb, t), None if acc is None else acc.lookup(t)))
-        return _dumps(out)
-
-    def compact_version_registers(self, name: str, before_stamp: float) -> int:
-        """Collapse VersionedValueAgg histories below the watermark horizon:
-        of the versions with ``ts < before_stamp`` only the LATEST is still
-        reachable by an in-contract probe (every probe time ≥ horizon lands
-        on it or newer), so the older ones drop.  A key whose entire
-        remaining history is that one tombstone drops outright (any probe
-        reads a miss either way).  Returns the number of dropped versions —
-        the sweep that bounds per-key state to O(versions inside the
-        horizon) + 1 for slowly-changing dims with unbounded history."""
-        store = self.aggs.get(name, {})
-        dropped = 0
-        for kb in list(store.keys()):
-            versions = store[kb].versions
-            old = sorted(s for s in versions if s[0] < before_stamp)
-            for s in old[:-1]:
-                del versions[s]
-                dropped += 1
-            if old and len(versions) == 1 and versions[old[-1]] is None:
-                del store[kb]
-                dropped += 1
-        return dropped
 
     def dedup_filter(self, name: str, epoch: int, payload: bytes) -> bytes:
         """First-seen-wins claim for streaming dedup.
@@ -700,90 +657,6 @@ class StateShard:
                 cur.stamp, cur.value = acc.stamp, acc.value
         return _dumps(deltas)
 
-    def apply_scd2(self, name: str, epoch: int, payload: bytes) -> bytes:
-        """Incrementally-maintained SCD2 history (the lakehouse type-2
-        dimension as a DIFFERENTIAL operator): same LWW offer contract as
-        ``apply_upsert_retract``, but instead of a latest-value changelog
-        the emitted deltas maintain a VERSION-HISTORY table ``(key, vals,
-        valid_from, valid_to, version)``.  A winning offer whose value
-        differs CLOSES the open version — retract ``(v_old, from, OPEN)``,
-        add ``(v_old, from, new_ts)`` — and opens ``(v_new, new_ts, OPEN,
-        version+1)``; a winning tombstone only closes; a same-value
-        re-upsert refreshes the LWW stamp and emits nothing (no spurious
-        versions).  Closed versions are immutable — per-key state is just
-        ``[stamp, open_value, open_from, version]``, O(keys) regardless of
-        history length, because only the open row can ever change.
-        Replay-idempotent via the epoch high-water mark; offers apply in
-        sorted key order (deterministic)."""
-        if self._seen(f"scd2:{name}", epoch):
-            return _dumps([])
-        store = self.aggs.setdefault(name, {})
-        deltas = []
-        for kb, acc in sorted(pickle.loads(payload), key=lambda kv: kv[0]):
-            cur = store.get(kb)
-            ts = acc.stamp[0]
-            if cur is None:
-                if acc.value is None:
-                    store[kb] = [acc.stamp, None, None, 0]
-                else:
-                    store[kb] = [acc.stamp, acc.value, ts, 1]
-                    deltas.append((1, kb, (acc.value, ts, None, 1)))
-            elif acc.stamp > cur[0]:
-                if _register_values_differ(acc.value, cur[1]):
-                    if cur[1] is not None:
-                        deltas.append((-1, kb, (cur[1], cur[2], None,
-                                                cur[3])))
-                        deltas.append((1, kb, (cur[1], cur[2], ts,
-                                               cur[3])))
-                    if acc.value is not None:
-                        ver = cur[3] + 1
-                        deltas.append((1, kb, (acc.value, ts, None, ver)))
-                        store[kb] = [acc.stamp, acc.value, ts, ver]
-                    else:
-                        store[kb] = [acc.stamp, None, None, cur[3]]
-                else:
-                    cur[0] = acc.stamp
-        return _dumps(deltas)
-
-    def vector_topk(self, name: str, payload: bytes) -> bytes:
-        """Brute-force cosine top-k over THIS shard's live LWW registers —
-        the probe side of a CDC-maintained vector index: the registers of
-        an ``UpsertToRetract`` op whose value is an embedding (one
-        list<float> val or d float vals) ARE the index partition; upserts,
-        updates and tombstone deletes maintain it, this scans it.  payload
-        = pickled (query_ids, Q float64 matrix, k, exclude_self); returns
-        per-shard partial top-k rows (query_id, key_tuple, cos) — the
-        caller merges shards × k rows, never the corpus."""
-        qids, Q, k, exclude_self = pickle.loads(payload)
-        store = self.aggs.get(name, {})
-        keys, vecs = [], []
-        for kb, acc in store.items():
-            if acc.value is None:
-                continue
-            v = acc.value
-            arr = (np.asarray(v[0], dtype=np.float64)
-                   if len(v) == 1 and np.ndim(v[0]) == 1
-                   else np.asarray(v, dtype=np.float64))
-            keys.append(pickle.loads(kb))
-            vecs.append(arr)
-        if not keys:
-            return _dumps([])
-        V = np.vstack(vecs)
-        Vn = V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), 1e-30)
-        Qn = Q / np.maximum(np.linalg.norm(Q, axis=1, keepdims=True), 1e-30)
-        S = Qn @ Vn.T  # (q, n_shard)
-        out = []
-        kk = min(k + (1 if exclude_self else 0), S.shape[1])
-        for qi, qid in enumerate(qids):
-            idx = np.argpartition(-S[qi], kk - 1)[:kk] if kk < S.shape[1] \
-                else np.arange(S.shape[1])
-            for j in idx:
-                key = keys[int(j)]
-                if exclude_self and len(key) == 1 and key[0] == qid:
-                    continue
-                out.append((qid, key, float(S[qi, int(j)])))
-        return _dumps(out)
-
     def sweep_kleene_matches(self, name: str, watermark: float, first: str,
                              mid: str, last: str, within: float) -> bytes:
         """Kleene-plus CEP (``A B+ C``): emit one row per (first, last) pair
@@ -971,44 +844,6 @@ class StateShard:
         self.neardup_last[name] = (epoch, blob)
         return blob
 
-    def apply_reach_edges(self, name: str, epoch: int, payload: bytes,
-                          sources: tuple) -> bytes:
-        """Incremental multi-source reachability WITH retraction — the
-        semi-naive DD iterate on a directed graph: state is the live edge
-        multiset in the op's designated shard; each epoch applies ±diff
-        edge deltas and recomputes the closure from the STATIC source set
-        (one O(V+E) sweep — the candidate-bounded regime shared by the CC
-        and PageRank incremental ops), emitting the consolidated set
-        delta ``(+1, id)`` / ``(−1, id)`` whose running sum IS the
-        current reachable set.  Deterministic and replay-idempotent."""
-        if self._seen(f"re:{name}", epoch):
-            return _dumps([])
-        g = self.graphs.setdefault(name, {"re_edges": {}, "re_set": set()})
-        edges, old = g["re_edges"], g["re_set"]
-        for u, v, d in sorted(pickle.loads(payload)):
-            k = (int(u), int(v))
-            c = edges.get(k, 0) + int(d)
-            if c == 0:
-                edges.pop(k, None)
-            else:
-                edges[k] = c
-        adj: dict[int, list] = {}
-        for (u, v), c in edges.items():
-            if c > 0:
-                adj.setdefault(u, []).append(v)
-        new: set[int] = set()
-        stack = sorted(sources)
-        while stack:
-            x = stack.pop()
-            if x in new:
-                continue
-            new.add(x)
-            stack.extend(adj.get(x, ()))
-        deltas = ([(1, i) for i in sorted(new - old)]
-                  + [(-1, i) for i in sorted(old - new)])
-        g["re_set"] = new
-        return _dumps(deltas)
-
     def apply_pagerank_edges(self, name: str, epoch: int, payload: bytes,
                              damping: float, tol: float, max_iters: int,
                              emit_tol: float) -> bytes:
@@ -1120,337 +955,6 @@ class StateShard:
         arr = self.spines.get(name)
         return 0 if arr is None else arr.expire(expire_before)
 
-    # ------------------------------------------------------------ as-of join
-    def asof_insert_probe(self, name: str, epoch: int,
-                          payload: bytes) -> bytes:
-        """Incremental AS-OF join step for this shard — the differential
-        temporal join: each left row is matched to the LATEST right version
-        with ``ts ≤ left_ts`` over the rows that have ARRIVED, and a
-        later-arriving better version (still ≤ left_ts) retracts the old
-        pair (diff −1) and emits the new one (diff +1) — the accumulated
-        multiset always equals the batch ASOF JOIN of every arrived row.
-
-        payload = pickled dict: ``left``/``right`` pandas frames (key cols +
-        output cols + ``__ts_left``/``__ts_right`` + ``__diff_*``),
-        ``key`` (same column names both sides — the AsofStreamJoin
-        contract), ``out_names``.  Fully vectorized: ``pd.merge_asof``
-        per epoch for match and re-match, hash merges for retraction
-        value lookup and multiset subtraction.  Right-side (key, ts)
-        pairs must be unique; a replayed duplicate deduplicates
-        last-wins.
-
-        BILINEAR: a diff = −1 RIGHT row deletes that version — every left
-        currently matched to it retracts its pair (−1) and re-matches to
-        the next-older surviving version (+1 if one exists); a diff = −1
-        LEFT row removes one buffered instance (multiset subtraction) and
-        retracts its current pair.  Within an epoch the order is right
-        inserts → right retractions → left inserts → left retractions.
-        Retracting a version or left row not in the buffer raises (a
-        retraction must arrive before its target ages past retention)."""
-        import pandas as pd
-
-        sides = pickle.loads(payload)
-        lk = list(sides["key"])
-        out_names = list(sides["out_names"])
-        right_cols = list(sides["right_cols"])
-        if self._seen(f"asof:{name}", epoch):
-            return _dumps(None)
-        buf = self.asof.setdefault(name, {"left": None, "right": None})
-        buf["lk"] = buf["rk"] = lk
-
-        def split(df, side):
-            dc = f"__diff_{side}"
-            if df is None or not len(df):
-                return None, None
-            if dc in df.columns:
-                d = df[dc].to_numpy()
-                if not np.isin(d, (1, -1)).all():
-                    raise ValueError("AsofStreamJoin diff must be ±1 "
-                                     f"(got {sorted(set(d.tolist()))})")
-                ins = df[d == 1].drop(columns=[dc]).reset_index(drop=True)
-                ret = df[d == -1].drop(columns=[dc]).reset_index(drop=True)
-                return ((ins if len(ins) else None),
-                        (ret if len(ret) else None))
-            return df.reset_index(drop=True), None
-
-        nl, nl_ret = split(sides.get("left"), "left")
-        nr, nr_ret = split(sides.get("right"), "right")
-        outs: list[pd.DataFrame] = []
-        track_um = bool(sides.get("track_unmatched"))
-        tol = sides.get("tolerance")
-        um_outs: list[pd.DataFrame] = []
-        um_bound = self._asof_um_bound.get(name, -math.inf)
-        left_names = [c for c in out_names if c not in right_cols]
-        rd_src = nr if nr is not None else buf.get("right")
-        rdtypes = ({c: rd_src[c].dtype for c in right_cols}
-                   if rd_src is not None else {})
-
-        def emit_um(df: pd.DataFrame, sign: int) -> None:
-            out = df[left_names + ["__ts_left"]].copy()
-            out["diff"] = np.int64(sign)
-            um_outs.append(out)
-
-        def emit(df: pd.DataFrame, sign: int) -> None:
-            out = df[out_names].copy()
-            # merge_asof NaN-promotes right columns to float64 when SOME
-            # lefts miss; the filtered all-matched emission must restore
-            # the true dtypes or sink epoch parts disagree on schema
-            for c, dt in rdtypes.items():
-                if c in out.columns and out[c].dtype != dt:
-                    out[c] = out[c].astype(dt)
-            out["diff"] = np.int64(sign)
-            outs.append(out)
-
-        def val_lookup(right_tbl):
-            return right_tbl[lk + right_cols + ["__ts_right"]].rename(
-                columns={"__ts_right": "__match_ts"})
-
-        old = buf["left"]
-        right_all = buf["right"]
-        if nr is not None and len(nr):
-            nr = nr.reset_index(drop=True)
-            # re-match buffered lefts against the NEW versions only: a left
-            # improves iff some new version lands in (match_ts, left_ts]
-            if old is not None and len(old):
-                nrs = nr.sort_values("__ts_right", kind="mergesort",
-                                     ignore_index=True)
-                olds = old.assign(__row=np.arange(len(old))).sort_values(
-                    "__ts_left", kind="mergesort", ignore_index=True)
-                best = pd.merge_asof(
-                    olds, nrs, left_on="__ts_left", right_on="__ts_right",
-                    by=lk, suffixes=("", "__r"), tolerance=tol)
-                imp = best["__ts_right"].notna() & (
-                    olds["__match_ts"].isna()
-                    | (best["__ts_right"] > olds["__match_ts"]))
-                if imp.any():
-                    hit = best[imp.to_numpy()]
-                    had = hit[hit["__match_ts"].notna()]
-                    if len(had):
-                        # old pair's right values: the matched version row
-                        # still lives in the buffer (expiry keeps any
-                        # version that is some live left's current match).
-                        # Strip the NEW version's right columns first so
-                        # the lookup's OLD values are the ones emitted.
-                        lookup = right_all[
-                            lk + right_cols + ["__ts_right"]
-                        ].rename(columns={"__ts_right": "__match_ts"})
-                        left_part = had.drop(
-                            columns=[c for c in had.columns
-                                     if c in right_cols
-                                     or c.endswith("__r")
-                                     or c == "__ts_right"])
-                        prev = left_part.merge(lookup,
-                                               on=lk + ["__match_ts"])
-                        emit(prev, -1)
-                    emit(hit, +1)
-                    old = old.copy()
-                    rows = hit["__row"].to_numpy()
-                    old.iloc[
-                        rows, old.columns.get_loc("__match_ts")
-                    ] = hit["__ts_right"].to_numpy()
-                    if track_um and "__um" in old.columns:
-                        # a swept-unmatched left just gained a match:
-                        # retract its outstanding unmatched row
-                        was = old["__um"].to_numpy()[rows]
-                        if was.any():
-                            emit_um(old.iloc[rows[was]], -1)
-                            old.iloc[rows[was],
-                                     old.columns.get_loc("__um")] = False
-                    buf["left"] = old
-            right_all = (nr if right_all is None
-                         else pd.concat([right_all, nr],
-                                        ignore_index=True))
-            right_all = (right_all
-                         .sort_values("__ts_right", kind="mergesort",
-                                      ignore_index=True)
-                         .drop_duplicates(subset=lk + ["__ts_right"],
-                                          keep="last", ignore_index=True))
-            buf["right"] = right_all
-
-        if nr_ret is not None and len(nr_ret):
-            rset = nr_ret[lk + ["__ts_right"]].drop_duplicates()
-            if right_all is None or len(right_all) == 0:
-                raise ValueError("asof: retracting version(s) from an "
-                                 "empty history")
-            chk = rset.merge(right_all[lk + ["__ts_right"]],
-                             on=lk + ["__ts_right"], how="left",
-                             indicator=True)
-            if (chk["_merge"] != "both").any():
-                raise ValueError(
-                    "asof: retraction of unknown right version(s) — "
-                    "retractions must arrive before their target ages "
-                    "past retention")
-            L = buf["left"]
-            aff = None
-            if L is not None and len(L):
-                aff = L.reset_index().merge(
-                    rset.rename(columns={"__ts_right": "__match_ts"}),
-                    on=lk + ["__match_ts"])
-                if len(aff):
-                    # retract the dying pairs with the OLD version values
-                    emit(aff.merge(val_lookup(right_all),
-                                   on=lk + ["__match_ts"]), -1)
-            right_all = right_all.merge(rset, on=lk + ["__ts_right"],
-                                        how="left", indicator=True)
-            right_all = right_all[
-                right_all.pop("_merge") == "left_only"
-            ].reset_index(drop=True)
-            if not len(right_all):
-                right_all = None
-            buf["right"] = right_all
-            if aff is not None and len(aff):
-                # re-match the orphaned lefts to the next-older survivor
-                idx = aff["index"].to_numpy()
-                L = L.copy()
-                L.loc[idx, "__match_ts"] = np.nan
-                if right_all is not None and len(right_all):
-                    sub = L.loc[idx].assign(__row=idx).sort_values(
-                        "__ts_left", kind="mergesort", ignore_index=True)
-                    m = pd.merge_asof(
-                        sub, right_all, left_on="__ts_left",
-                        right_on="__ts_right", by=lk, suffixes=("", "__r"), tolerance=tol)
-                    got = m["__ts_right"].notna()
-                    if got.any():
-                        hit = m[got.to_numpy()]
-                        emit(hit, +1)
-                        L.loc[hit["__row"].to_numpy(), "__match_ts"] = \
-                            hit["__ts_right"].to_numpy()
-                if track_um and "__um" in L.columns:
-                    # finalized lefts that lost their match with no
-                    # survivor become unmatched NOW (+1 to the side)
-                    now_um = (L["__match_ts"].isna()
-                              & ~L["__um"].astype(bool)
-                              & (L["__ts_left"] <= um_bound))
-                    now_um.loc[~L.index.isin(idx)] = False
-                    if now_um.any():
-                        emit_um(L[now_um], +1)
-                        L.loc[now_um, "__um"] = True
-                buf["left"] = L
-
-        if nl is not None and len(nl):
-            nl = nl.reset_index(drop=True)
-            nl["__match_ts"] = np.nan
-            if track_um:
-                nl["__um"] = False
-            if right_all is not None and len(right_all):
-                nls = nl.assign(__row=np.arange(len(nl))).sort_values(
-                    "__ts_left", kind="mergesort", ignore_index=True)
-                m = pd.merge_asof(
-                    nls, right_all, left_on="__ts_left",
-                    right_on="__ts_right", by=lk, suffixes=("", "__r"), tolerance=tol)
-                got = m["__ts_right"].notna()
-                if got.any():
-                    hit = m[got.to_numpy()]
-                    emit(hit, +1)
-                    nl.iloc[
-                        hit["__row"].to_numpy(),
-                        nl.columns.get_loc("__match_ts")
-                    ] = hit["__ts_right"].to_numpy()
-            buf["left"] = (nl if buf["left"] is None
-                           else pd.concat([buf["left"], nl],
-                                          ignore_index=True))
-
-        if nl_ret is not None and len(nl_ret):
-            L = buf["left"]
-            if L is None or not len(L):
-                raise ValueError("asof: retracting left row(s) from an "
-                                 "empty buffer")
-            idc = [c for c in nl_ret.columns
-                   if c not in ("__um",)]  # full row identity
-            # multiset subtraction: pair the i-th duplicate of each
-            # identity on both sides (deterministic, vectorized)
-            Lr = L.reset_index()
-            Lr["__cc"] = Lr.groupby(idc).cumcount()
-            rr = nl_ret.copy()
-            rr["__cc"] = rr.groupby(idc).cumcount()
-            hit = Lr.merge(rr, on=idc + ["__cc"])
-            if len(hit) != len(rr):
-                raise ValueError(
-                    "asof: retraction of unknown left row(s) — "
-                    "retractions must arrive before their target ages "
-                    "past retention")
-            had = hit[hit["__match_ts"].notna()]
-            if len(had):
-                emit(had.merge(val_lookup(right_all),
-                               on=lk + ["__match_ts"]), -1)
-            if track_um and "__um" in hit.columns:
-                umhit = hit[hit["__um"].astype(bool)]
-                if len(umhit):  # retracting a swept-unmatched left
-                    emit_um(umhit, -1)
-            keep = L.drop(index=hit["index"].to_numpy())
-            buf["left"] = (keep.reset_index(drop=True) if len(keep)
-                           else None)
-        if track_um:
-            return _dumps({
-                "m": (pd.concat(outs, ignore_index=True) if outs
-                      else None),
-                "u": (pd.concat(um_outs, ignore_index=True) if um_outs
-                      else None)})
-        if not outs:
-            return _dumps(None)
-        return _dumps(pd.concat(outs, ignore_index=True))
-
-    def asof_sweep_unmatched(self, name: str, bound: float) -> bytes:
-        """Left-outer as-of finalization: emit (+1) every buffered left
-        with event time ≤ ``bound`` that has no current match and no
-        outstanding unmatched emission, and flag it — a later version
-        that matches it retracts the row (−1) differentially, so the
-        side sink's net multiset is always {finalized lefts with no
-        current match}.  Monotone bound; re-sweeps emit nothing."""
-        import pandas as pd  # noqa: F401  (frame ops below)
-
-        self._asof_um_bound[name] = max(
-            self._asof_um_bound.get(name, -math.inf), float(bound))
-        bound = self._asof_um_bound[name]
-        buf = self.asof.get(name)
-        if buf is None:
-            return _dumps(None)
-        L = buf.get("left")
-        if L is None or not len(L) or "__um" not in L.columns:
-            return _dumps(None)
-        take = (L["__match_ts"].isna() & ~L["__um"].astype(bool)
-                & (L["__ts_left"] <= bound))
-        if not take.any():
-            return _dumps(None)
-        out = L[take].drop(columns=["__match_ts", "__um"])
-        L = L.copy()
-        L.loc[take, "__um"] = True
-        buf["left"] = L
-        return _dumps(out)
-
-    def asof_expire(self, name: str, before: float) -> int:
-        """Bound as-of state by event time: drop left rows below the
-        horizon (their match is final — the sink holds it), and COMPACT
-        the right version history (the TemporalEnrichJoin rule): a version
-        below the horizon drops only when a NEWER version at/below the
-        horizon supersedes it, so the latest-at-horizon version stays
-        probe-able and every surviving left's current match survives
-        (lefts keep ts ≥ horizon after their own sweep, and their match is
-        the newest version ≤ their ts)."""
-        import pandas as pd
-
-        buf = self.asof.get(name)
-        if buf is None:
-            return 0
-        dropped = 0
-        L = buf.get("left")
-        if L is not None and len(L):
-            kept = L[L["__ts_left"] >= before]
-            dropped += len(L) - len(kept)
-            buf["left"] = (kept.reset_index(drop=True) if len(kept)
-                           else None)
-        R = buf.get("right")
-        if R is not None and len(R):
-            below = (R["__ts_right"] < before).to_numpy()
-            if below.any():
-                latest_below = R[below].groupby(
-                    buf["rk"], sort=False).tail(1)
-                kept = pd.concat([latest_below, R[~below]]).sort_values(
-                    "__ts_right", kind="mergesort", ignore_index=True)
-                dropped += len(R) - len(kept)
-                buf["right"] = kept if len(kept) else None
-        return dropped
-
     # ------------------------------------------------------------ epoch step
     def step(self, epoch: int, snapshot: str | None, *requests) -> dict:
         """One epoch of this shard's arrangement work in one call.
@@ -1527,8 +1031,6 @@ class StateShard:
                 "sessions": self.sessions,
                 "session_points": self.session_points,
                 "session_early": self.session_early,
-                "asof": self.asof,
-                "asof_um_bound": self._asof_um_bound,
                 "patterns": self.patterns,
                 "neardup": self.neardup,
                 "neardup_drops": self.neardup_drops,
@@ -1547,8 +1049,6 @@ class StateShard:
         self._session_touched = {}
         self.windows = st.get("windows", {})
         self.spines = st.get("spines", {})
-        self.asof = st.get("asof", {})
-        self._asof_um_bound = st.get("asof_um_bound", {})
         self.patterns = st.get("patterns", {})
         self.neardup = st.get("neardup", {})
         self.neardup_drops = st.get("neardup_drops", {})
@@ -1571,11 +1071,6 @@ class StateShard:
             "session_keys": {n: len(d) for n, d in self.sessions.items()},
             "pattern_keys": {n: len(d) for n, d in self.patterns.items()},
             "join_keys": {n: a.live() for n, a in self.spines.items()},
-            "asof_keys": {
-                n: {s: len(sides[s]) for s in ("left", "right")
-                    if sides.get(s) is not None}
-                for n, sides in self.asof.items()
-            },
         }
 
 
@@ -1689,13 +1184,6 @@ class ShardedStateStore:
         self.fence()
         return sum(ray.get([
             s.sweep_stale_registers.remote(name, before_stamp)
-            for s in self.shards
-        ]))
-
-    def compact_version_registers(self, name: str, before_stamp: float) -> int:
-        self.fence()
-        return sum(ray.get([
-            s.compact_version_registers.remote(name, before_stamp)
             for s in self.shards
         ]))
 
@@ -1861,48 +1349,6 @@ class ShardedStateStore:
         out.sort(key=lambda d: (d[1], d[0]))
         return out
 
-    def apply_scd2(self, name: str, epoch: int,
-                   merged: dict[bytes, Any]) -> list:
-        """Scatter per-key LWW offers to their shards, gather the emitted
-        SCD2 version-history deltas ``(diff, key_bytes, (vals, valid_from,
-        valid_to, version))`` — retraction before additions per key; the
-        stable sort keeps each key's (close-old, open-new) emission
-        order."""
-        self.fence()
-        by_shard = self._scatter(sorted(merged.items()))
-        refs = [
-            self.shards[sid].apply_scd2.remote(name, epoch, _dumps(items))
-            for sid, items in by_shard.items()
-        ]
-        out: list = []
-        for b in ray.get(refs):
-            out.extend(pickle.loads(b))
-        out.sort(key=lambda d: (d[1], d[0]))
-        return out
-
-    def vector_topk(self, name: str, query_ids, Q, k: int,
-                    exclude_self: bool = True) -> list:
-        """Probe the CDC-maintained vector index: per-shard brute-force
-        cosine partial top-k over live registers, merged here to the global
-        top-k per query with a (−cos, key) total order.  Driver traffic =
-        shards × queries × k rows; the corpus never moves."""
-        self.fence()
-        Q = np.asarray(Q, dtype=np.float64)
-        payload = _dumps((list(query_ids), Q, int(k), bool(exclude_self)))
-        blobs = ray.get(
-            [s.vector_topk.remote(name, payload) for s in self.shards]
-        )
-        per_q: dict = {}
-        for b in blobs:
-            for qid, key, cos in pickle.loads(b):
-                per_q.setdefault(qid, []).append((-cos, key))
-        out = []
-        for qid in query_ids:
-            cand = sorted(per_q.get(qid, []))[:k]
-            for rank, (neg, key) in enumerate(cand, start=1):
-                out.append((qid, key, -neg, rank))
-        return out
-
     def apply_cc_edges(self, name: str, epoch: int, edges: list) -> list:
         """Route the epoch's edge delta to the op's single designated shard
         (union-find is one logical graph; see StateShard.apply_cc_edges)."""
@@ -1933,17 +1379,6 @@ class ShardedStateStore:
             drops += d
         pairs.sort()
         return pairs, drops
-
-    def apply_reach_edges(self, name: str, epoch: int, edges: list,
-                          sources: tuple) -> list:
-        """Route the epoch's ±diff edge delta to the op's designated shard
-        (one logical graph; see StateShard.apply_reach_edges)."""
-        self.fence()
-        sid = shard_of(name.encode(), self.num_shards)
-        blob = ray.get(self.shards[sid].apply_reach_edges.remote(
-            name, epoch, _dumps(sorted(map(tuple, edges))),
-            tuple(sorted(sources))))
-        return pickle.loads(blob)
 
     def apply_pagerank_edges(self, name: str, epoch: int, edges: list,
                              damping: float, tol: float, max_iters: int,
@@ -1983,46 +1418,6 @@ class ShardedStateStore:
             out.extend(pickle.loads(b))
         out.sort(key=lambda kv: (kv[0], kv[1]))
         return out
-
-    # --------------------------------------------------------------- as-of join
-    def asof_insert_probe(self, name: str, epoch: int,
-                          per_shard: dict[int, dict]) -> dict:
-        """per_shard: sid → {"left"/"right": DataFrame|None, "key": [...],
-        "out_names": [...], "right_cols": [...]} → {"m": match-emission
-        frames, "u": unmatched-delta frames} (``u`` populated only when
-        the payload sets ``track_unmatched``)."""
-        self.fence()
-        refs = [
-            self.shards[sid].asof_insert_probe.remote(
-                name, epoch, _dumps(payload))
-            for sid, payload in sorted(per_shard.items())
-        ]
-        out: dict[str, list] = {"m": [], "u": []}
-        for b in ray.get(refs):
-            r = pickle.loads(b)
-            if r is None:
-                continue
-            if isinstance(r, dict):
-                for k in ("m", "u"):
-                    if r.get(k) is not None and len(r[k]):
-                        out[k].append(r[k])
-            elif len(r):
-                out["m"].append(r)
-        return out
-
-    def asof_sweep_unmatched(self, name: str, bound: float) -> list:
-        self.fence()
-        out = []
-        for b in ray.get([s.asof_sweep_unmatched.remote(name, bound)
-                          for s in self.shards]):
-            df = pickle.loads(b)
-            if df is not None and len(df):
-                out.append(df)
-        return out
-
-    def asof_expire(self, name: str, before: float) -> int:
-        return sum(ray.get([s.asof_expire.remote(name, before)
-                            for s in self.shards]))
 
     # --------------------------------------------------------------- epoch step
     def step(self, epoch: int, msgs: dict[int, list],
@@ -2069,10 +1464,12 @@ def _applied_mark(v) -> int:
 
 
 def legacy_state(blobs: dict[int, bytes], windowed: set, joins: set) -> list:
-    """Names of windowed aggregates (``windowed``) and stream joins
-    (``joins``) whose state in ``blobs`` predates the columnar
-    arrangements: pickled per-key accumulators under ``aggs``, or pandas
-    join buffers under ``joins``.  Such state cannot be loaded as-is."""
+    """Names of the ops whose state in ``blobs`` this engine cannot load:
+    windowed aggregates (``windowed``) and stream joins (``joins``) whose
+    state predates the columnar arrangements (pickled per-key accumulators
+    under ``aggs``, or pandas join buffers under ``joins``), and any op
+    with buffered rows under ``asof``, the state of the removed as-of
+    join, which ``load`` would drop."""
     stale = set()
     for blob in blobs.values():
         st = pickle.loads(blob)
@@ -2081,6 +1478,9 @@ def legacy_state(blobs: dict[int, bytes], windowed: set, joins: set) -> list:
         stale |= {n for n, b in (st.get("joins") or {}).items()
                   if n in joins and any(b.get(x) is not None
                                         for x in ("left", "right"))}
+        stale |= {n for n, b in (st.get("asof") or {}).items()
+                  if any(b.get(x) is not None and len(b[x])
+                         for x in ("left", "right"))}
     return sorted(stale)
 
 
@@ -2100,8 +1500,6 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
       member lists move whole (arrival-order semantics preserved)
     - ``windows`` (window slabs) and ``spines`` (join runs): rows re-split
       by their stored key hash ``h % M`` (the ``arrangement`` routing rule)
-    - as-of join buffers: rows re-split by ``hash_pandas_object(key cols)
-      % M``; the key columns ride in the checkpointed buffer (``lk``)
     - ``graphs`` (incremental CC / PageRank): whole graph to its
       designated shard ``shard_of(name, M)``
     - ``applied`` high-water marks: per-table max across sources,
@@ -2113,15 +1511,13 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
     Pure function over blob bytes — no actors touched; the caller loads
     the result with ``ShardedStateStore.load_all``.
     """
-    import pandas as pd
-
     m = new_num_shards
     states = [pickle.loads(b) for _, b in sorted(blobs.items())]
     out: list[dict] = [
         {
             "shard_id": i,
             "aggs": {}, "windows": {}, "spines": {}, "sessions": {},
-            "session_points": {}, "session_early": {}, "asof": {},
+            "session_points": {}, "session_early": {},
             "patterns": {}, "neardup": {},
             "neardup_drops": {}, "pane_bounds": {}, "graphs": {},
             "applied": {},
@@ -2175,44 +1571,5 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
         o["pane_bounds"] = dict(panes)
     for t, v in drops.items():
         out[shard_of(t.encode(), m)]["neardup_drops"][t] = v
-
-    # as-of buffers: same row re-split rule as joins (hash of key cols);
-    # no id counters — the buffers carry only __ts/__match_ts metadata
-    for st in states:
-        for name, buf in (st.get("asof") or {}).items():
-            keys = buf.get("lk")
-            for side in ("left", "right"):
-                df = buf.get(side)
-                if df is None or not len(df):
-                    continue
-                if not keys:
-                    raise ValueError(
-                        f"cannot rescale asof join '{name}': checkpoint "
-                        "is missing its key columns")
-                h = pd.util.hash_pandas_object(
-                    df[list(keys)], index=False).to_numpy()
-                sid = (h % np.uint64(m)).astype(np.int64)
-                for s in np.unique(sid):
-                    tbuf = out[int(s)]["asof"].setdefault(
-                        name, {"left": None, "right": None,
-                               "lk": keys, "rk": keys})
-                    part = df[sid == s]
-                    tbuf[side] = (part.reset_index(drop=True)
-                                  if tbuf[side] is None
-                                  else pd.concat([tbuf[side], part],
-                                                 ignore_index=True))
-    for o in out:
-        for name, buf in o["asof"].items():
-            R = buf.get("right")
-            if R is not None and len(R):
-                buf["right"] = R.sort_values(
-                    "__ts_right", kind="mergesort", ignore_index=True)
-    # unmatched-sweep bounds: per-name max, replicated to every shard
-    umb: dict[str, float] = {}
-    for st in states:
-        for t, v in (st.get("asof_um_bound") or {}).items():
-            umb[t] = max(umb.get(t, -float("inf")), float(v))
-    for o in out:
-        o["asof_um_bound"] = dict(umb)
 
     return {i: _dumps(o) for i, o in enumerate(out)}

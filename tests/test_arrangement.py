@@ -1,7 +1,8 @@
 """Columnar arrangements (``streaming/arrangement.py``): the shard state of
 windowed aggregates and the stream join, plus the engine surfaces around
 them — typed empty emissions, the Arrow event-time max, the O(closed
-windows) sweep, hash collisions and pre-columnar checkpoints."""
+windows) sweep, hash collisions and checkpoints this engine cannot load
+(pre-columnar state, as-of join buffers)."""
 
 import math
 import pickle
@@ -199,18 +200,23 @@ class TestLegacyCheckpoint:
          win_op),
         ("joins", {"j": {"left": object(), "right": None,
                          "lk": ["k"], "rk": ["k"]}}, join_op),
+        # buffers of the removed as-of join, under the name of a kept op
+        ("asof", {"win": {"left": object(), "right": None,
+                          "lk": ["k"], "rk": ["k"]}}, win_op),
     ])
     def test_resume_names_the_op(self, ray_session, tmp_path, family, state,
                                  op):
-        """A checkpoint holding a ported op's state in the per-key format
-        refuses to resume (it must not load as empty state)."""
+        """A checkpoint holding a ported op's state in the per-key format,
+        or the buffers of the removed as-of join, refuses to resume (it
+        must not load as empty state)."""
         blob = {"shard_id": 0, "aggs": {}, "sessions": {}, "joins": {},
                 "applied": {}}
         blob[family] = state
-        if family == "joins":
+        if family in ("joins", "asof"):
             import pandas as pd
 
-            state["j"]["left"] = pd.DataFrame({"k": [1], "__ts_left": [1.0]})
+            state[op().name]["left"] = pd.DataFrame({"k": [1],
+                                                     "__ts_left": [1.0]})
         chk = CheckpointManager(tmp_path / "s" / "_checkpoints")
         write_shard_file(chk.epoch_dir(0), 0, pickle.dumps(blob))
         chk.save(0, [0], extra={"watermark": 0.0})

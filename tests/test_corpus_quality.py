@@ -1,5 +1,5 @@
-"""Graph and per-group operators: integer-exact PageRank, k-core,
-per-group caps and BFS.
+"""Graph and per-group operators: integer-exact PageRank and per-group
+caps.
 
 Each gates against an exact pure-Python/numpy reference at more than one
 partitioning, proving the distributed plans partition-invariant."""
@@ -52,41 +52,6 @@ def test_pagerank_int_mass_and_dangling(ray_session):
     assert s >= total - 10_000                          # bounded rounding loss
 
 
-# ------------------------------------------------------------------- k-core
-def test_kcore_driver_equals_distributed(ray_session):
-    from diffdataflowmlpipelines_ray.stages.iterate import kcore, kcore_ds
-
-    rng = np.random.default_rng(11)
-    # sparse random graph + a planted K5 so the 3-core is non-empty
-    u = rng.integers(0, 80, size=150).astype(np.int64)
-    v = rng.integers(0, 80, size=150).astype(np.int64)
-    k5 = [(100 + i, 100 + j) for i in range(5) for j in range(i + 1, 5)]
-    eu = np.concatenate([np.minimum(u, v), [a for a, _ in k5]])
-    ev = np.concatenate([np.maximum(u, v), [b for _, b in k5]])
-    keep = eu != ev
-    E = (pd.DataFrame({"u": eu[keep], "v": ev[keep]})
-         .drop_duplicates().reset_index(drop=True))
-    tbl = pa.Table.from_pandas(E, preserve_index=False)
-
-    drv = kcore(tbl, k=3).to_pandas().sort_values("id").reset_index(drop=True)
-    dist = (kcore_ds(ray.data.from_arrow(tbl).repartition(4), k=3)
-            .to_pandas().sort_values("id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(drv, dist)
-    # the planted K5 always survives a 3-core with degree 4 each
-    got = dict(zip(drv["id"], drv["core_deg"]))
-    assert all(got[100 + i] >= 4 for i in range(5))
-
-
-def test_kcore_tree_peels_to_empty(ray_session):
-    from diffdataflowmlpipelines_ray.stages.iterate import kcore, kcore_ds
-
-    ids = np.arange(1, 64, dtype=np.int64)      # pure binary tree: no 2-core
-    tbl = pa.table({"u": pa.array(ids // 2), "v": pa.array(ids)})
-    assert kcore(tbl, k=2).num_rows == 0
-    assert kcore_ds(ray.data.from_arrow(tbl).repartition(3),
-                    k=2).count() == 0
-
-
 # ------------------------------------------------------------- per-group cap
 def _h60(s: str) -> int:
     return int(hashlib.md5(s.encode()).hexdigest()[:15], 16)
@@ -123,65 +88,3 @@ def test_cap_per_group_small_groups_untouched(ray_session):
     got = cap_per_group(ray.data.from_pandas(docs), "source", "doc_id",
                         n=10).to_pandas()
     assert len(got) == 4                       # cap above group size: no-op
-
-
-# -------------------------------------------------------------------- BFS
-def _bfs_ref(E: pd.DataFrame, src: int, max_hops: int) -> dict:
-    """Dict-and-set BFS reference."""
-    adj = {}
-    for a, b in zip(E["u"], E["v"]):
-        adj.setdefault(int(a), set()).add(int(b))
-        adj.setdefault(int(b), set()).add(int(a))
-    dist = {src: 0}
-    frontier = [src]
-    for d in range(1, max_hops + 1):
-        nxt = {n for f in frontier for n in adj.get(f, ())
-               if n not in dist}
-        if not nxt:
-            break
-        for n in nxt:
-            dist[n] = d
-        frontier = sorted(nxt)
-    return dist
-
-
-def test_bfs_driver_equals_distributed_with_cycles(ray_session):
-    from diffdataflowmlpipelines_ray.stages.iterate import (bfs_hops,
-                                                            bfs_hops_ds)
-
-    rng = np.random.default_rng(5)
-    u = rng.integers(0, 60, size=120).astype(np.int64)
-    v = rng.integers(0, 60, size=120).astype(np.int64)
-    keep = u != v
-    # an island unreachable from 0 must be absent from the result
-    iu = np.array([900, 901], dtype=np.int64)
-    iv = np.array([901, 902], dtype=np.int64)
-    E = (pd.DataFrame({"u": np.concatenate([u[keep], iu]),
-                       "v": np.concatenate([v[keep], iv])})
-         .drop_duplicates().reset_index(drop=True))
-    tbl = pa.Table.from_pandas(E, preserve_index=False)
-
-    drv = bfs_hops(tbl, source=0).to_pandas()
-    dist = (bfs_hops_ds(ray.data.from_arrow(tbl).repartition(4), source=0)
-            .to_pandas().sort_values("id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        drv.astype(np.int64), dist.astype(np.int64))
-    want = _bfs_ref(E, 0, 64)
-    got = dict(zip(drv["id"], drv["hops"]))
-    assert got == want
-    assert 900 not in got and 902 not in got
-
-
-def test_bfs_line_graph_and_hop_cap(ray_session):
-    from diffdataflowmlpipelines_ray.stages.iterate import (bfs_hops,
-                                                            bfs_hops_ds)
-
-    E = pd.DataFrame({"u": np.arange(0, 9, dtype=np.int64),
-                      "v": np.arange(1, 10, dtype=np.int64)})
-    tbl = pa.Table.from_pandas(E, preserve_index=False)
-    drv = bfs_hops(tbl, source=0, max_hops=4).to_pandas()
-    assert dict(zip(drv["id"], drv["hops"])) == {i: i for i in range(5)}
-    dist = (bfs_hops_ds(ray.data.from_arrow(tbl).repartition(3),
-                        source=0, max_hops=4).to_pandas())
-    assert (dist.sort_values("id").reset_index(drop=True)
-            .equals(drv.astype(dist.dtypes.to_dict())))

@@ -39,8 +39,6 @@ REPRESENTATIVES = [
     "asof_join",          # asof_join unified-schema rename fix
     "outer_join",         # _arrow_schema None + final _pdf
     "stream_join",        # sink read → drop on typed empty
-    "stream_asof_join",   # sink read → groupby accumulate
-    "stream_asof_outer",  # unmatched-side sink read
     "tumbling_window",    # empty epoch slice watermark guard
     "late_window_split",  # empty late-side sink
     "time_travel",        # consolidation snapshot on empty

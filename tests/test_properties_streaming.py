@@ -354,95 +354,6 @@ class TestRescaleAlgebra:
                 assert shard_of(kb, n1) == i
 
 
-class TestAsofAlgebra:
-    """AsofStreamJoin shard algebra: for ANY epoch split of any insert
-    stream plus any trailing retraction subset, the accumulated ±diff
-    multiset equals the batch ASOF JOIN of the NET inputs."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_accumulated_equals_net_merge_asof(self, data):
-        import pandas as pd
-        import pickle
-
-        n_l = data.draw(st.integers(1, 25))
-        n_r = data.draw(st.integers(0, 20))
-        lk = data.draw(st.lists(st.integers(0, 2), min_size=n_l,
-                                max_size=n_l))
-        lts = data.draw(st.lists(
-            st.floats(0, 100, allow_nan=False), min_size=n_l,
-            max_size=n_l))
-        rk = data.draw(st.lists(st.integers(0, 2), min_size=n_r,
-                                max_size=n_r))
-        rts_pool = data.draw(st.lists(
-            st.integers(0, 4000), min_size=n_r, max_size=n_r,
-            unique=True))
-        L = pd.DataFrame({"k": lk, "lid": np.arange(n_l),
-                          "__ts_left": lts})
-        R = pd.DataFrame({"k": rk, "rid": np.arange(n_r) + 1000,
-                          "__ts_right": [t / 40.0 for t in rts_pool]})
-        R = R.drop_duplicates(subset=["k", "__ts_right"])
-        shard = StateShard(0, 1)
-        pickleit = lambda p: pickle.dumps(p)  # noqa: E731
-        n_ep = data.draw(st.integers(1, 4))
-        lsplit = data.draw(st.lists(st.integers(0, n_ep - 1),
-                                    min_size=len(L), max_size=len(L)))
-        rsplit = data.draw(st.lists(st.integers(0, n_ep - 1),
-                                    min_size=len(R), max_size=len(R)))
-        outs = []
-        for e in range(n_ep):
-            payload = {"key": ["k"], "out_names": ["k", "lid", "rid"],
-                       "right_cols": ["rid"]}
-            le = L[np.array(lsplit) == e] if len(L) else L
-            re_ = R[np.array(rsplit) == e] if len(R) else R
-            if len(le):
-                payload["left"] = le.reset_index(drop=True)
-            if len(re_):
-                payload["right"] = re_.reset_index(drop=True)
-            blob = shard.asof_insert_probe("aj", e, pickleit(payload))
-            r = pickle.loads(blob)
-            if r is not None and len(r):
-                outs.append(r)
-        # trailing retractions of random subsets of both sides
-        lrm = data.draw(st.lists(st.booleans(), min_size=len(L),
-                                 max_size=len(L)))
-        rrm = data.draw(st.lists(st.booleans(), min_size=len(R),
-                                 max_size=len(R)))
-        lr = L[np.array(lrm, dtype=bool)] if len(L) else L
-        rr = R[np.array(rrm, dtype=bool)] if len(R) else R
-        payload = {"key": ["k"], "out_names": ["k", "lid", "rid"],
-                   "right_cols": ["rid"]}
-        if len(lr):
-            payload["left"] = lr.assign(__diff_left=-1).reset_index(
-                drop=True)
-        if len(rr):
-            payload["right"] = rr.assign(__diff_right=-1).reset_index(
-                drop=True)
-        if len(lr) or len(rr):
-            blob = shard.asof_insert_probe("aj", n_ep, pickleit(payload))
-            r = pickle.loads(blob)
-            if r is not None and len(r):
-                outs.append(r)
-        acc = (pd.concat(outs, ignore_index=True)
-               .groupby(["k", "lid", "rid"])["diff"].sum()
-               if outs else pd.Series(dtype=np.int64))
-        acc = acc[acc != 0]
-        Ln = L[~np.array(lrm, dtype=bool)] if len(L) else L
-        Rn = R[~np.array(rrm, dtype=bool)] if len(R) else R
-        if len(Ln) and len(Rn):
-            exp = pd.merge_asof(
-                Ln.sort_values("__ts_left"), Rn.sort_values("__ts_right"),
-                left_on="__ts_left", right_on="__ts_right", by="k")
-            exp = exp[exp["__ts_right"].notna()]
-        else:
-            exp = pd.DataFrame({"k": [], "lid": [], "rid": []})
-        exp_set = {(int(r.k), int(r.lid), int(r.rid))
-                   for r in exp.itertuples()}
-        got_set = set(acc.index.tolist())
-        assert got_set == exp_set
-        assert (acc == 1).all()
-
-
 class TestArrangementAlgebra:
     """Columnar arrangements on pure ``StateShard``s (no Ray): for ANY
     epoch split, with ``weight_col`` retractions, and an N→M

@@ -1,10 +1,14 @@
-"""``tools/reachability.py``: the static import-graph inventory.
+"""``tools/reachability.py``: the static import-graph and engine-op
+inventory.
 
 Two halves: the inventory of this checkout (every entry point reached, the
 module list equal to the tree, the static registry parse equal to the live
-``QUERIES``, every ``ORACLES`` key a query), and the walk's rules pinned on small synthetic packages
-written to ``tmp_path`` (relative and absolute imports, function-local
-imports, parent packages, the gate-only walk inside ``queries.py``)."""
+``QUERIES``, every ``ORACLES`` key a query, every engine op class
+constructed by a root, every query name the tools list registered), and
+the walk's rules pinned on small synthetic packages written to
+``tmp_path`` (relative and absolute imports, function-local imports,
+parent packages, the gate-only walk inside ``queries.py``, what constructs
+an op class)."""
 
 from __future__ import annotations
 
@@ -104,7 +108,7 @@ def test_every_oracle_names_a_query():
     assert set(queries.ORACLES) - set(queries.QUERIES) == set()
 
 
-def test_main_prints_one_line_per_module(capsys, monkeypatch):
+def test_main_prints_one_line_per_module(capsys, monkeypatch, inventory):
     monkeypatch.setattr("sys.argv", ["reachability.py", "--repo", str(REPO)])
     reach.main()
     lines = capsys.readouterr().out.splitlines()
@@ -116,6 +120,68 @@ def test_main_prints_one_line_per_module(capsys, monkeypatch):
     assert totals[2].startswith("queries.py: the ")
     n_reached = sum(ln.split()[0] == "reached" for ln in body)
     assert totals[0].split()[1] == str(n_reached)
+    n_ops = len(inventory["ops"])
+    ops, last = totals[3:3 + n_ops], totals[3 + n_ops:]
+    assert all(ln.split()[0] in ("constructed", "UNCONSTRUCTED")
+               for ln in ops)
+    n_made = sum(ln.split()[0] == "constructed" for ln in ops)
+    assert last == [f"engine ops: {n_made} of {n_ops} constructed by a root"]
+
+
+# ----------------------------------------------------- engine op inventory
+def test_every_engine_op_class_is_constructed(inventory):
+    """No engine operator survives that only tests construct: a gate
+    query, a root module or a root script builds each op class."""
+    assert inventory["ops"]
+    assert [n for n, (ok, _) in inventory["ops"].items() if not ok] == []
+
+
+def test_op_classes_cover_what_the_session_adds():
+    """Every class ``StreamSession.add`` dispatches on is an op class of the
+    inventory, so an op left out of ``__all__`` cannot hide from it."""
+    tree = ast.parse((REPO / PKG / "streaming" / "engine.py").read_text())
+    session = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                   and n.name == "StreamSession")
+    add = next(n for n in session.body if isinstance(n, ast.FunctionDef)
+               and n.name == "add")
+    dispatched = set()
+    for n in ast.walk(add):
+        if isinstance(n, ast.Call) and reach._ref_name(n.func) == "isinstance":
+            cls = n.args[1]
+            elts = cls.elts if isinstance(cls, ast.Tuple) else [cls]
+            dispatched.update(reach._ref_name(e) for e in elts)
+    assert dispatched
+    assert dispatched <= set(reach.engine_ops(tree))
+
+
+def _literal_names(path: Path, var: str) -> list[str]:
+    """The string constants of the collection assigned to ``var`` in
+    ``path``; for a conditional value, its ``else`` branch."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == var
+                for t in node.targets):
+            value = node.value
+            if isinstance(value, ast.IfExp):
+                value = value.orelse
+            return [e.value for e in value.elts]
+    raise AssertionError(f"{var} not found in {path}")
+
+
+@pytest.mark.parametrize("rel,var", [
+    ("bench.py", "query_names"),
+    ("tools/soak_replicate.py", "DEFAULT_QUERIES"),
+    ("tests/test_empty_domains.py", "REPRESENTATIVES"),
+])
+def test_tools_name_only_registered_queries(rel, var):
+    """``bench.py`` indexes ``QUERIES[name]``, so a stale name raises
+    ``KeyError`` mid-run; every query-name list of the tools is checked
+    statically against the registry."""
+    from diffdataflowmlpipelines_ray.pipelines import queries
+
+    names = _literal_names(REPO / rel, var)
+    assert names
+    assert [n for n in names if n not in queries.QUERIES] == []
 
 
 # ------------------------------------------------------- synthetic packages
@@ -307,6 +373,124 @@ def test_queries_defs_count(tmp_path):
 def test_registry_parses_dict_and_subscripts():
     reg = reach._registry(ast.parse(textwrap.dedent(QUERIES_SRC)))
     assert reg == {"gate": "q_gate", "other": "q_other", "late": "q_late"}
+
+
+ENGINE_SRC = """\
+    __all__ = ["WindowSpec", "StreamSession", "Called", "ViaClassmethod",
+               "Subclassed", "Scripted", "OnlyIsinstance", "OnlyEngine",
+               "OnlyOther", "OnlyNonGate", "Base"]
+
+
+    class WindowSpec:
+        pass
+
+
+    class Called:
+        pass
+
+
+    class ViaClassmethod:
+        @classmethod
+        def make(cls):
+            return cls()
+
+
+    class Subclassed:
+        pass
+
+
+    class Scripted:
+        pass
+
+
+    class OnlyIsinstance:
+        pass
+
+
+    class OnlyEngine:
+        pass
+
+
+    class OnlyOther:
+        pass
+
+
+    class OnlyNonGate:
+        pass
+
+
+    class Base:
+        pass
+
+
+    class Hidden(Base):  # not exported, still an op class
+        pass
+
+
+    class StreamSession:
+        def add(self, op):
+            return isinstance(op, (Called, OnlyEngine))
+
+        def run(self):
+            return OnlyEngine()
+    """
+
+
+def test_op_construction_rule(tmp_path):
+    repo = _repo(tmp_path, {
+        f"{PKG}/streaming/engine.py": ENGINE_SRC,
+        f"{PKG}/pipelines/flagship.py": """\
+            from ..stages import helper
+            from ..streaming.engine import (Called, OnlyIsinstance,
+                                            Subclassed, ViaClassmethod,
+                                            WindowSpec)
+
+
+            class Mine(Subclassed):
+                pass
+
+
+            def build(x):
+                if isinstance(x, OnlyIsinstance):
+                    return None
+                return [Called(), ViaClassmethod.make(), WindowSpec()]
+            """,
+        f"{PKG}/stages/__init__.py": "",
+        f"{PKG}/stages/helper.py": """\
+            from ..streaming.engine import OnlyOther
+            x = OnlyOther()
+            """,
+        f"{PKG}/pipelines/queries.py": """\
+            from ..streaming import engine
+
+
+            def q_gate():
+                return engine.Hidden()
+
+
+            def q_other():
+                return engine.OnlyNonGate()
+
+
+            QUERIES = {"gate": q_gate, "other": q_other}
+            """,
+        "perfbench/run.py": f"from {PKG}.streaming.engine import Scripted\n"
+                            "s = Scripted()\n",
+    }, gate=["gate"])
+    ops = reach.walk(repo)["ops"]
+    # StreamSession and WindowSpec are not ops; Hidden subclasses one
+    assert set(ops) == {"Called", "ViaClassmethod", "Subclassed", "Scripted",
+                        "OnlyIsinstance", "OnlyEngine", "OnlyOther",
+                        "OnlyNonGate", "Base", "Hidden"}
+    made = {n for n, (ok, _) in ops.items() if ok}
+    # a call, a classmethod call, a subclass, a root script, a gate query
+    assert made == {"Called", "ViaClassmethod", "Subclassed", "Scripted",
+                    "Hidden"}
+    # isinstance, the engine's own dispatch and subclasses, a reached
+    # module that is not a root and a non-gate query construct nothing
+    assert set(ops) - made == {"OnlyIsinstance", "OnlyEngine", "OnlyOther",
+                               "OnlyNonGate", "Base"}
+    assert ops["Hidden"] == (True, 2)  # (constructed, class lines)
 
 
 def test_unreached_module_line_count(tmp_path):

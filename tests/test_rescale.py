@@ -432,40 +432,3 @@ class TestRescaleBlobsUnit:
         # drop counts summed once on the designated shard
         total = sum(o["neardup_drops"].get("nd", 0) for o in out.values())
         assert total == 5
-
-
-class TestReachabilityRescale:
-    """Reachability state (edge multiset + closure) survives a crash and a
-    shard-count change; a post-resume retraction still retracts the
-    pre-crash downstream exactly."""
-
-    @pytest.mark.parametrize("n0,n1", [(2, 5), (4, 2)])
-    def test_resume_rescale_with_retraction(self, ray_session, tmp_path,
-                                            n0, n1):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            IncrementalReachability)
-
-        def etbl(rows):
-            return pa.table({
-                "src": pa.array([r[0] for r in rows], type=pa.int64()),
-                "dst": pa.array([r[1] for r in rows], type=pa.int64()),
-                "diff": pa.array([r[2] for r in rows], type=pa.int64())})
-
-        root = tmp_path / "re"
-        s1 = StreamSession(root, num_shards=n0, checkpoint_every=1)
-        s1.add(IncrementalReachability(name="re", input="e",
-                                       sources=(0,), weight_col="diff"))
-        s1.process_epoch(0, {"e": etbl([(0, 1, 1), (1, 2, 1),
-                                        (2, 3, 1), (9, 10, 1)])})
-        s1.store.shutdown()
-
-        s2 = StreamSession(root, num_shards=n1, checkpoint_every=1)
-        s2.add(IncrementalReachability(name="re", input="e",
-                                       sources=(0,), weight_col="diff"))
-        assert s2.resume() == 1
-        # retract the pre-crash bridge: 2 and 3 must leave the closure
-        s2.process_epoch(1, {"e": etbl([(1, 2, -1)])})
-        df = s2.sinks["re"].read_committed_table().to_pandas()
-        s2.store.shutdown()
-        net = df.groupby("id")["diff"].sum()
-        assert sorted(net[net > 0].index.astype(int)) == [0, 1]

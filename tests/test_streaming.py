@@ -1663,7 +1663,7 @@ class TestSharedArrangement:
 
     def test_validation(self, ray_session, tmp_path):
         from diffdataflowmlpipelines_ray.streaming.engine import (
-            EnrichJoin, TemporalEnrichJoin, UpsertToRetract)
+            EnrichJoin, UpsertToRetract)
 
         sess = StreamSession(tmp_path / "sv", num_shards=1)
         with pytest.raises(ValueError, match="add the owning"):
@@ -1683,10 +1683,6 @@ class TestSharedArrangement:
             EnrichJoin(name="e3", dim_input="", stream_input="ev",
                        key=["k"], dim_vals=["p", "q"], dim_ttl=10.0,
                        share_from="chg")
-        with pytest.raises(ValueError, match="version-history"):
-            TemporalEnrichJoin(name="e4", dim_input="", stream_input="ev",
-                               key=["k"], dim_vals=["p", "q"],
-                               stream_ts="ts", share_from="chg")
         # dim_types inherit from the owner on a valid share
         op = EnrichJoin(name="e5", dim_input="", stream_input="ev",
                         key=["k"], dim_vals=["p", "q"], share_from="chg")
@@ -2413,209 +2409,6 @@ class TestIncrementalComponents:
         assert got == want
 
 
-class TestTemporalEnrichJoin:
-    def _op(self, **kw):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            TemporalEnrichJoin,
-        )
-
-        return TemporalEnrichJoin(
-            name="tj", dim_input="dim", stream_input="ev", key=["u"],
-            dim_vals=["v"], stream_cols=["eid"], dim_ts="vts",
-            dim_types=[pa.int64()], stream_ts="ts", **kw)
-
-    @staticmethod
-    def _dim(rows):  # (u, v, vts)
-        u, v, ts = zip(*rows)
-        return pa.table({"u": pa.array(u, type=pa.int64()),
-                         "v": pa.array(v, type=pa.int64()),
-                         "vts": pa.array(ts, type=pa.float64())})
-
-    @staticmethod
-    def _ev(rows):  # (u, eid, ts)
-        u, eid, ts = zip(*rows)
-        return pa.table({"u": pa.array(u, type=pa.int64()),
-                         "eid": pa.array(eid, type=pa.int64()),
-                         "ts": pa.array(ts, type=pa.float64())})
-
-    def _vals(self, sess):
-        df = sess.sinks["tj"].read_committed_table().to_pandas()
-        return {int(r.eid): (None if pd.isna(r.v) else int(r.v))
-                for r in df.itertuples()}
-
-    def test_asof_lookup_per_event_time(self, ray_session, tmp_path):
-        sess = StreamSession(tmp_path / "tj1", num_shards=3)
-        sess.add(self._op())
-        # u1 versions: @10→100, @20→200; u2: @15→555
-        sess.process_epoch(0, {
-            "dim": self._dim([(1, 100, 10.0), (1, 200, 20.0),
-                              (2, 555, 15.0)]),
-            "ev": self._ev([(1, 1, 5.0), (1, 2, 10.0), (1, 3, 12.0),
-                            (1, 4, 25.0), (2, 5, 14.0), (2, 6, 16.0),
-                            (3, 7, 50.0)])})
-        got = self._vals(sess)
-        sess.store.shutdown()
-        # boundary ts==vts matches (ASOF >=); pre-first-version and
-        # never-seen keys read null
-        assert got == {1: None, 2: 100, 3: 100, 4: 200,
-                       5: None, 6: 555, 7: None}
-
-    def test_matches_pandas_merge_asof(self, ray_session, tmp_path):
-        rng = np.random.default_rng(42)
-        n_dim, n_ev = 300, 800
-        dim = pd.DataFrame({
-            "u": rng.integers(0, 40, n_dim),
-            "v": rng.integers(0, 10_000, n_dim),
-            "vts": np.round(rng.uniform(0, 100, n_dim), 3),
-        }).drop_duplicates(["u", "vts"])
-        ev = pd.DataFrame({
-            "u": rng.integers(0, 50, n_ev),
-            "eid": np.arange(n_ev),
-            "ts": np.round(rng.uniform(0, 120, n_ev), 3),
-        })
-        want_df = pd.merge_asof(
-            ev.sort_values("ts", kind="mergesort"),
-            dim.sort_values(["vts", "v"], kind="mergesort"),
-            left_on="ts", right_on="vts", by="u", direction="backward")
-        want = {int(r.eid): (None if pd.isna(r.v) else int(r.v))
-                for r in want_df.itertuples()}
-        for blocks in (1, 4):
-            sess = StreamSession(tmp_path / f"tj2_{blocks}", num_shards=4)
-            sess.add(self._op())
-            for e in range(4):  # key-hash epochs: history arrives w/ probes
-                de = dim[dim["u"] % 4 == e]
-                ee = ev[ev["u"] % 4 == e]
-                sess.process_epoch(e, {
-                    "dim": pa.Table.from_pandas(de, preserve_index=False),
-                    "ev": as_blocks(pa.Table.from_pandas(
-                        ee, preserve_index=False), blocks)})
-            got = self._vals(sess)
-            sess.store.shutdown()
-            assert got == want
-
-    def test_tombstone_version_window(self, ray_session, tmp_path):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            TemporalEnrichJoin,
-        )
-
-        sess = StreamSession(tmp_path / "tj3", num_shards=2)
-        sess.add(TemporalEnrichJoin(
-            name="tj", dim_input="dim", stream_input="ev", key=["u"],
-            dim_vals=["v"], stream_cols=["eid"], dim_ts="vts",
-            dim_types=[pa.int64()], stream_ts="ts", dim_delete_col="del"))
-
-        def dim(rows):  # (u, v, vts, del)
-            u, v, ts, dl = zip(*rows)
-            return pa.table({"u": pa.array(u, type=pa.int64()),
-                             "v": pa.array(v, type=pa.int64()),
-                             "vts": pa.array(ts, type=pa.float64()),
-                             "del": pa.array(dl, type=pa.bool_())})
-
-        # v@10=100, DELETE@20, v@30=300: the tombstone opens a miss window
-        # [20, 30) without touching versions on either side
-        sess.process_epoch(0, {
-            "dim": dim([(1, 100, 10.0, False), (1, 0, 20.0, True),
-                        (1, 300, 30.0, False)]),
-            "ev": self._ev([(1, 1, 15.0), (1, 2, 20.0), (1, 3, 25.0),
-                            (1, 4, 30.0), (1, 5, 35.0)])})
-        got = self._vals(sess)
-        sess.store.shutdown()
-        assert got == {1: 100, 2: None, 3: None, 4: 300, 5: 300}
-
-    def test_out_of_order_versions_across_epochs(self, ray_session, tmp_path):
-        # the NEWER version arrives in an EARLIER epoch; the older version
-        # arriving later must slot UNDER it, not override (version union)
-        sess = StreamSession(tmp_path / "tj4", num_shards=2)
-        sess.add(self._op())
-        sess.process_epoch(0, {"dim": self._dim([(7, 700, 20.0)])})
-        sess.process_epoch(1, {"dim": self._dim([(7, 70, 10.0)])})
-        sess.process_epoch(2, {
-            "ev": self._ev([(7, 1, 15.0), (7, 2, 25.0), (7, 3, 5.0)])})
-        got = self._vals(sess)
-        sess.store.shutdown()
-        assert got == {1: 70, 2: 700, 3: None}
-
-    def test_compaction_keeps_reachable_version(self, ray_session, tmp_path):
-        sess = StreamSession(tmp_path / "tj5", num_shards=2)
-        sess.add(self._op(dim_ttl=10.0))
-        sess.process_epoch(0, {
-            "dim": self._dim([(1, 1, 10.0), (1, 2, 20.0), (1, 3, 30.0),
-                              (1, 4, 40.0), (2, 9, 5.0)])},
-            watermark=45.0)
-        # horizon = 45 − 10 = 35: versions @10/@20 drop, @30 survives as the
-        # latest below-horizon version, @40 is inside the horizon
-        n_versions = {
-            kb: len(acc.versions) for kb, acc in sess.store.collect("tj")}
-        assert sorted(n_versions.values()) == [1, 2]  # u2: {@5}; u1: {@30, @40}
-        sess.process_epoch(1, {
-            "ev": self._ev([(1, 1, 35.0), (1, 2, 41.0), (2, 3, 36.0)])})
-        got = self._vals(sess)
-        sess.store.shutdown()
-        assert got == {1: 3, 2: 4, 3: 9}
-
-    def test_lone_tombstone_compacts_away(self, ray_session, tmp_path):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            TemporalEnrichJoin,
-        )
-
-        sess = StreamSession(tmp_path / "tj6", num_shards=2)
-        sess.add(TemporalEnrichJoin(
-            name="tj", dim_input="dim", stream_input="ev", key=["u"],
-            dim_vals=["v"], stream_cols=["eid"], dim_ts="vts",
-            dim_types=[pa.int64()], stream_ts="ts", dim_delete_col="del",
-            dim_ttl=5.0))
-        dim = pa.table({"u": pa.array([1, 1], type=pa.int64()),
-                        "v": pa.array([10, 0], type=pa.int64()),
-                        "vts": pa.array([1.0, 2.0]),
-                        "del": pa.array([False, True])})
-        sess.process_epoch(0, {"dim": dim}, watermark=20.0)
-        # only a below-horizon tombstone remained → the key drops outright
-        assert sess.store.collect("tj") == []
-        sess.process_epoch(1, {"ev": self._ev([(1, 1, 21.0)])})
-        got = self._vals(sess)
-        sess.store.shutdown()
-        assert got == {1: None}
-
-    def test_resume_restores_histories(self, ray_session, tmp_path):
-        root = tmp_path / "tj7"
-        sess = StreamSession(root, num_shards=2, checkpoint_every=1)
-        sess.add(self._op())
-        sess.process_epoch(0, {
-            "dim": self._dim([(1, 100, 10.0), (1, 200, 20.0)]),
-            "ev": self._ev([(1, 1, 15.0)])})
-        sess.store.shutdown()  # crash after epoch 0's checkpoint
-
-        sess2 = StreamSession(root, num_shards=2, checkpoint_every=1)
-        sess2.add(self._op())
-        assert sess2.resume() == 1
-        sess2.process_epoch(1, {"ev": self._ev([(1, 2, 12.0), (1, 3, 22.0)])})
-        got = self._vals(sess2)
-        sess2.store.shutdown()
-        assert got == {1: 100, 2: 100, 3: 200}
-
-    def test_dataset_dim_epoch(self, ray_session, tmp_path):
-        # dim arriving as a Ray Dataset rides the shard-direct scatter path
-        sess = StreamSession(tmp_path / "tj8", num_shards=2)
-        sess.add(self._op())
-        sess.process_epoch(0, {
-            "dim": rd.from_arrow(self._dim(
-                [(1, 100, 10.0), (1, 200, 20.0), (2, 555, 15.0)])),
-            "ev": self._ev([(1, 1, 15.0), (2, 2, 15.0), (1, 3, 20.0)])})
-        got = self._vals(sess)
-        sess.store.shutdown()
-        assert got == {1: 100, 2: 555, 3: 200}
-
-    def test_requires_stream_ts(self, ray_session):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            TemporalEnrichJoin,
-        )
-
-        with pytest.raises(ValueError, match="stream_ts"):
-            TemporalEnrichJoin(
-                name="tj", dim_input="dim", stream_input="ev", key=["u"],
-                dim_vals=["v"], stream_cols=["eid"], dim_ts="vts")
-
-
 class TestSourceWatermarks:
     """Per-source watermark alignment: the session frontier is the MIN over
     non-idle tracked sources (multi-input union/join completeness)."""
@@ -3295,156 +3088,6 @@ class TestUpsertToRetract:
     def test_type_validation(self, ray_session):
         with pytest.raises(ValueError, match="val_types"):
             self._op(val_types=[])
-
-
-class TestScd2History:
-    """Incrementally-maintained SCD2: each accepted value change closes
-    the open version and opens version+1; tombstones only close;
-    same-value re-upserts and stale offers emit nothing."""
-
-    def _op(self, **kw):
-        from diffdataflowmlpipelines_ray.streaming.engine import Scd2History
-
-        base = dict(name="dim", input="u", key=["k"], vals=["v"],
-                    key_types=[pa.int64()], val_types=[pa.int64()],
-                    ts_col="ts", delete_col="del")
-        base.update(kw)
-        return Scd2History(**base)
-
-    @staticmethod
-    def _ups(rows):
-        k, v, ts, d = zip(*rows)
-        return pa.table({"k": pa.array(k, type=pa.int64()),
-                         "v": pa.array(v, type=pa.int64()),
-                         "ts": pa.array(ts, type=pa.float64()),
-                         "del": pa.array(d)})
-
-    @staticmethod
-    def _rows(tbl):
-        return sorted(zip(tbl["diff"].to_pylist(), tbl["k"].to_pylist(),
-                          tbl["v"].to_pylist(),
-                          tbl["valid_from"].to_pylist(),
-                          tbl["valid_to"].to_pylist(),
-                          tbl["version"].to_pylist()))
-
-    def test_version_lifecycle(self, ray_session, tmp_path):
-        sess = StreamSession(tmp_path / "d1", num_shards=3)
-        sess.add(self._op())
-        # epoch 0: first insert opens version 1 (intra-epoch churn
-        # consolidates to the max-stamp winner)
-        t0 = sess.process_epoch(0, {"u": self._ups(
-            [(1, 10, 1.0, False), (1, 11, 2.0, False)])})["dim"]
-        assert self._rows(t0) == [(1, 1, 11, 2.0, -1.0, 1)]
-        # epoch 1: value change closes v1 (retract open + add closed)
-        # and opens version 2
-        t1 = sess.process_epoch(1, {"u": self._ups(
-            [(1, 12, 3.0, False)])})["dim"]
-        assert self._rows(t1) == [(-1, 1, 11, 2.0, -1.0, 1),
-                                  (1, 1, 11, 2.0, 3.0, 1),
-                                  (1, 1, 12, 3.0, -1.0, 2)]
-        # epoch 2: same-value re-upsert at a newer stamp emits NOTHING
-        # (no spurious versions) but advances the stamp
-        t2 = sess.process_epoch(2, {"u": self._ups(
-            [(1, 12, 4.0, False)])})["dim"]
-        assert t2.num_rows == 0
-        # epoch 3: offer between applied stamps is stale — shadowed
-        t3 = sess.process_epoch(3, {"u": self._ups(
-            [(1, 99, 3.5, False)])})["dim"]
-        assert t3.num_rows == 0
-        # epoch 4: tombstone only closes the open version
-        t4 = sess.process_epoch(4, {"u": self._ups(
-            [(1, 0, 5.0, True)])})["dim"]
-        assert self._rows(t4) == [(-1, 1, 12, 3.0, -1.0, 2),
-                                  (1, 1, 12, 3.0, 5.0, 2)]
-        # epoch 5: re-insert after the tombstone opens version 3
-        t5 = sess.process_epoch(5, {"u": self._ups(
-            [(1, 13, 6.0, False)])})["dim"]
-        assert self._rows(t5) == [(1, 1, 13, 6.0, -1.0, 3)]
-        # the open-versions state view matches
-        st = sess.state_table("dim").to_pandas()
-        assert st["k"].tolist() == [1] and st["v"].tolist() == [13]
-        assert st["version"].tolist() == [3]
-        sess.store.shutdown()
-
-    def test_net_history_partitions_time(self, ray_session, tmp_path):
-        """Running sum of the changelog = an SCD2 table whose versions
-        per key have strictly increasing valid_from, abutting
-        [from, to) intervals, and exactly one open row per live key."""
-        rng = np.random.default_rng(31)
-        n = 400
-        rows = list(zip(rng.integers(0, 15, n).tolist(),
-                        rng.integers(0, 4, n).tolist(),
-                        rng.permutation(n).astype(float).tolist(),
-                        (rng.random(n) < 0.1).tolist()))
-        sess = StreamSession(tmp_path / "d2", num_shards=4)
-        sess.add(self._op())
-        for e in range(5):
-            sess.process_epoch(e, {"u": self._ups(rows[e::5])})
-        df = sess.sinks["dim"].read_committed_table().to_pandas()
-        sess.store.shutdown()
-        net = (df.groupby(["k", "v", "valid_from", "valid_to", "version"],
-                          as_index=False)["diff"].sum())
-        net = net[net["diff"] > 0]
-        assert (net["diff"] == 1).all()
-        for k, seg in net.groupby("k"):
-            seg = seg.sort_values("version")
-            assert seg["version"].tolist() == list(
-                range(1, len(seg) + 1))
-            assert seg["valid_from"].is_monotonic_increasing
-            assert (seg["valid_to"].to_numpy() == -1).sum() <= 1
-            closed = seg[seg["valid_to"] != -1]
-            # closed intervals never overlap the next version's start
-            nxt_from = seg["valid_from"].shift(-1).dropna()
-            assert (closed["valid_to"].to_numpy()
-                    <= nxt_from.to_numpy()[:len(closed)] + 1e-9).all()
-
-    def test_dataset_path_matches_table_path(self, ray_session, tmp_path):
-        import ray.data as rd
-
-        rng = np.random.default_rng(41)
-        n = 300
-        rows = list(zip(rng.integers(0, 20, n).tolist(),
-                        rng.integers(0, 5, n).tolist(),
-                        rng.permutation(n).astype(float).tolist(),
-                        (rng.random(n) < 0.15).tolist()))
-
-        def run(as_dataset):
-            sess = StreamSession(
-                tmp_path / f"d3-{as_dataset}", num_shards=3)
-            sess.add(self._op())
-            for e in range(3):
-                feed = self._ups(rows[e::3])
-                if as_dataset:
-                    feed = rd.from_arrow(feed).repartition(4)
-                sess.process_epoch(e, {"u": feed})
-            df = sess.sinks["dim"].read_committed_table().to_pandas()
-            sess.store.shutdown()
-            return (df.sort_values(["epoch", "k", "diff", "v",
-                                    "version"])
-                    .reset_index(drop=True))
-
-        pd.testing.assert_frame_equal(run(False), run(True))
-
-    def test_replay_is_idempotent(self, ray_session, tmp_path):
-        sess = StreamSession(tmp_path / "d4", num_shards=2)
-        sess.add(self._op())
-        feed = self._ups([(1, 10, 1.0, False), (2, 20, 2.0, False)])
-        t0 = sess.process_epoch(0, {"u": feed})["dim"]
-        assert t0.num_rows == 2
-        r0 = sess.process_epoch(0, {"u": feed})["dim"]
-        assert r0.num_rows == 0
-        sess.store.shutdown()
-
-    def test_share_from_scd2_rejected(self, ray_session, tmp_path):
-        from diffdataflowmlpipelines_ray.streaming.engine import EnrichJoin
-
-        sess = StreamSession(tmp_path / "d5", num_shards=2)
-        sess.add(self._op())
-        with pytest.raises(ValueError, match="Scd2History"):
-            sess.add(EnrichJoin(name="en", dim_input="", stream_input="ev",
-                                key=["k"], dim_vals=["v"],
-                                stream_cols=["x"], share_from="dim"))
-        sess.store.shutdown()
 
 
 class TestInSessionChaining:
@@ -4713,115 +4356,6 @@ class TestSessionEarlyFiring:
         sess.store.shutdown()
 
 
-class TestCdcVectorIndex:
-    """vector_topk probes UpsertToRetract registers as a CDC-maintained
-    vector index: upserts/updates/tombstones keep it current; the probe is
-    per-shard partial top-k, merged."""
-
-    @staticmethod
-    def _feed(ids, mat, ts, dele=False):
-        import numpy as _np
-        return pa.table({
-            "vid": pa.array(ids, type=pa.int64()),
-            "emb": pa.array([list(map(float, r)) for r in mat],
-                            type=pa.list_(pa.float32())),
-            "ts": pa.array([float(t) for t in ts]),
-            "del": pa.array(_np.full(len(ids), dele)),
-        })
-
-    def _mk(self, root, num_shards=3):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            UpsertToRetract)
-
-        sess = StreamSession(root, num_shards=num_shards, checkpoint_every=1)
-        sess.add(UpsertToRetract(
-            name="vs", input="u", key=["vid"], vals=["emb"],
-            key_types=[pa.int64()], val_types=[pa.list_(pa.float32())],
-            ts_col="ts", delete_col="del"))
-        return sess
-
-    def test_update_and_delete_change_topk(self, ray_session, tmp_path):
-        rng = np.random.default_rng(5)
-        q = rng.normal(size=8)
-        near = q + 0.01 * rng.normal(size=8)       # id 1: nearest
-        near2 = q + 0.2 * rng.normal(size=8)       # id 2: second
-        far = -q                                    # id 3: antipodal
-        sess = self._mk(tmp_path / "v")
-        sess.process_epoch(0, {"u": self._feed(
-            [1, 2, 3], np.vstack([near, near2, far]), [1, 1, 1])})
-        top = sess.vector_topk("vs", [99], q[None, :], k=2).to_pandas()
-        assert list(top["vid"]) == [1, 2]
-        # UPDATE id 1 away (negate, later stamp): id 2 becomes nearest;
-        # the negated 1 (cos ≈ −0.9999) still beats the antipodal 3 (−1)
-        sess.process_epoch(1, {"u": self._feed([1], [-near], [5])})
-        top = sess.vector_topk("vs", [99], q[None, :], k=2).to_pandas()
-        assert list(top["vid"]) == [2, 1]
-        # DELETE id 2: only 3 and the negated 1 remain
-        sess.process_epoch(2, {"u": self._feed([2], [near2], [9], dele=True)})
-        top = sess.vector_topk("vs", [99], q[None, :], k=5).to_pandas()
-        assert sorted(top["vid"]) == [1, 3]
-        sess.store.shutdown()
-
-    def test_probe_equals_brute_force_over_live(self, ray_session, tmp_path):
-        rng = np.random.default_rng(11)
-        n, d = 80, 12
-        mat = rng.normal(size=(n, d))
-        ids = np.arange(n)
-        sess = self._mk(tmp_path / "bf", num_shards=4)
-        sess.process_epoch(0, {"u": self._feed(ids, mat, ids)})
-        # delete a third, update a quarter
-        dele = ids[ids % 3 == 0]
-        sess.process_epoch(1, {"u": self._feed(
-            dele, mat[dele], dele + 100, dele=True)})
-        # update only undeleted ids (a later-stamped upsert would otherwise
-        # legitimately RE-INSERT a tombstoned key — LWW semantics)
-        upd = ids[(ids % 4 == 1) & (ids % 3 != 0)]
-        mat2 = mat.copy()
-        mat2[upd] = rng.normal(size=(len(upd), d))
-        sess.process_epoch(2, {"u": self._feed(upd, mat2[upd], upd + 200)})
-        live = ids[ids % 3 != 0]
-        Q = rng.normal(size=(3, d))
-        got = sess.vector_topk("vs", [900, 901, 902], Q, k=7).to_pandas()
-        # float32 round-trip through the registers, like the index stores
-        L = mat2[live].astype(np.float32).astype(np.float64)
-        Ln = L / np.linalg.norm(L, axis=1, keepdims=True)
-        Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-        S = Qn @ Ln.T
-        for qi, qid in enumerate([900, 901, 902]):
-            order = sorted(zip(-S[qi], live))[:7]
-            want = [int(v) for _, v in order]
-            assert list(got[got["query_id"] == qid]["vid"]) == want
-        sess.store.shutdown()
-
-    def test_resume_restores_index(self, ray_session, tmp_path):
-        rng = np.random.default_rng(3)
-        mat = rng.normal(size=(10, 6))
-        sess = self._mk(tmp_path / "rs")
-        sess.process_epoch(0, {"u": self._feed(
-            np.arange(10), mat, np.arange(10))})
-        want = sess.vector_topk("vs", [50], mat[:1], k=4).to_pandas()
-        sess.store.shutdown()
-        sess2 = self._mk(tmp_path / "rs")
-        assert sess2.resume() == 1
-        got = sess2.vector_topk("vs", [50], mat[:1], k=4).to_pandas()
-        pd.testing.assert_frame_equal(got, want)
-        sess2.store.shutdown()
-
-    def test_exclude_self_and_wrong_op(self, ray_session, tmp_path):
-        mat = np.eye(3)
-        sess = self._mk(tmp_path / "x")
-        sess.add(KeyedAggregation(name="agg", input="u", key_cols=["vid"]))
-        sess.process_epoch(0, {"u": self._feed([0, 1, 2], mat, [1, 1, 1])})
-        top = sess.vector_topk("vs", [0], mat[:1], k=3).to_pandas()
-        assert 0 not in list(top["vid"])  # self excluded
-        incl = sess.vector_topk("vs", [0], mat[:1], k=3,
-                                exclude_self=False).to_pandas()
-        assert list(incl["vid"])[0] == 0
-        with pytest.raises(ValueError, match="UpsertToRetract"):
-            sess.vector_topk("agg", [0], mat[:1])
-        sess.store.shutdown()
-
-
 class TestEarlyFiringSliding:
     """Early firing on sliding windows: one accumulator per OPEN window
     (pane optimization deliberately given up for speculation); the early
@@ -5319,155 +4853,6 @@ class TestEnrichJoinVectorValues:
         sess.store.shutdown()
 
 
-class TestBroadcastEnrich:
-    """Flink's broadcast-state pattern: tiny rule stream replicated per
-    epoch (one ray.put), events tagged with NO shuffle; LWW upserts +
-    tombstones on the rule side, same-epoch visibility, checkpoint-resume
-    (incl. savepoint rescale) and the small-rules contract cap."""
-
-    @staticmethod
-    def _rules(rows):
-        return pa.table({
-            "rule_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "cat": pa.array([r[1] for r in rows]),
-            "thr": pa.array([r[2] for r in rows], type=pa.float64()),
-            "label": pa.array([r[3] for r in rows]),
-            "rts": pa.array([r[4] for r in rows], type=pa.float64()),
-            "del_": pa.array([r[5] for r in rows], type=pa.bool_()),
-        })
-
-    @staticmethod
-    def _events(rows):
-        return pa.table({
-            "uid": pa.array([r[0] for r in rows]),
-            "cat": pa.array([r[1] for r in rows]),
-            "amount": pa.array([r[2] for r in rows], type=pa.float64()),
-        })
-
-    def _op(self):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            BroadcastEnrich,
-        )
-
-        # local closure: cloudpickle ships it by VALUE, so Ray workers need
-        # not import the test module (library users' module-level hooks
-        # follow the normal map_batches importability contract)
-        def apply(events, rules):
-            pdf = events.to_pandas()
-            rdf = (pd.DataFrame(rules) if rules else
-                   pd.DataFrame(columns=["rule_id", "cat", "thr", "label"]))
-            out = pdf.merge(rdf, left_on="cat", right_on="cat")
-            out = out[out["amount"] >= out["thr"]]
-            out = out[["uid", "rule_id", "label"]]
-            out["rule_id"] = out["rule_id"].astype(np.int64)
-            return pa.Table.from_pandas(out.reset_index(drop=True),
-                                        preserve_index=False)
-
-        return BroadcastEnrich(
-            name="tag", rules_input="rules", stream_input="ev",
-            rule_key=["rule_id"], rule_vals=["cat", "thr", "label"],
-            apply=apply, rule_ts="rts", rule_delete_col="del_")
-
-    def _committed(self, sess, epochs=None):
-        t = sess.sinks["tag"].read_committed_table(epochs)
-        return sorted(zip(t["uid"].to_pylist(), t["rule_id"].to_pylist(),
-                          t["label"].to_pylist(), t["epoch"].to_pylist()))
-
-    def test_lww_tombstone_same_epoch_visibility(self, ray_session,
-                                                 tmp_path):
-        sess = StreamSession(tmp_path / "b1", num_shards=3)
-        sess.add(self._op())
-        # epoch 0: two rules; u1 matches rule 1 only (12 >= 10, cat a)
-        sess.process_epoch(0, {
-            "rules": self._rules([(1, "a", 10.0, "big_a", 0.0, False),
-                                  (2, "b", 5.0, "big_b", 0.0, False)]),
-            "ev": self._events([("u1", "a", 12.0), ("u2", "b", 4.0)])})
-        assert self._committed(sess, [0]) == [("u1", 1, "big_a", 0)]
-        # epoch 1: rule 1 retired (tombstone shadows an older resurrect);
-        # rule 3 added — BOTH visible to this same epoch's events
-        sess.process_epoch(1, {
-            "rules": self._rules([(1, "", 0.0, "", 1.0, True),
-                                  (1, "a", 0.0, "resurrect", 0.5, False),
-                                  (3, "a", 1.0, "any_a", 1.0, False)]),
-            "ev": self._events([("u3", "a", 2.0), ("u4", "b", 6.0)])})
-        assert self._committed(sess, [1]) == [("u3", 3, "any_a", 1),
-                                              ("u4", 2, "big_b", 1)]
-        sess.store.shutdown()
-
-    def test_table_equals_dataset_events(self, ray_session, tmp_path):
-        import ray.data as rd
-
-        outs = []
-        for variant in ("table", "dataset"):
-            sess = StreamSession(tmp_path / f"b2{variant}", num_shards=2)
-            sess.add(self._op())
-            ev = self._events([("u%d" % i, "ab"[i % 2], float(i))
-                               for i in range(40)])
-            sess.process_epoch(0, {
-                "rules": self._rules([(1, "a", 10.0, "big_a", 0.0, False),
-                                      (2, "b", 20.0, "big_b", 0.0, False)]),
-                "ev": ev if variant == "table" else rd.from_arrow(ev)})
-            outs.append(self._committed(sess))
-            sess.store.shutdown()
-        assert outs[0] == outs[1] and len(outs[0]) == 25
-
-    def test_crash_resume_and_rescale(self, ray_session, tmp_path):
-        root = tmp_path / "b3"
-        sess = StreamSession(root, num_shards=2, checkpoint_every=1)
-        sess.add(self._op())
-        sess.process_epoch(0, {
-            "rules": self._rules([(1, "a", 10.0, "big_a", 0.0, False)]),
-            "ev": self._events([("u1", "a", 12.0)])})
-        sess.store.shutdown()
-        # resume into a DIFFERENT shard count: rule registers re-bucket
-        sess2 = StreamSession(root, num_shards=5, checkpoint_every=1)
-        sess2.add(self._op())
-        nxt = sess2.resume()
-        assert nxt == 1
-        # replay epoch 0 (exactly-once no-op), then a fresh epoch with NO
-        # rule input — the restored rules must still tag events
-        sess2.process_epoch(0, {
-            "rules": self._rules([(1, "a", 10.0, "big_a", 0.0, False)]),
-            "ev": self._events([("u1", "a", 12.0)])})
-        sess2.process_epoch(1, {"ev": self._events([("u9", "a", 99.0)])})
-        assert self._committed(sess2) == [("u1", 1, "big_a", 0),
-                                          ("u9", 1, "big_a", 1)]
-        sess2.store.shutdown()
-
-    def test_rule_cap_and_validation(self, ray_session, tmp_path):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            BroadcastEnrich,
-        )
-
-        with pytest.raises(ValueError, match="apply"):
-            BroadcastEnrich(name="x", rules_input="r", stream_input="e",
-                            rule_key=["k"], rule_vals=["v"], apply=None)
-        with pytest.raises(ValueError, match="rule_key"):
-            BroadcastEnrich(name="x", rules_input="r", stream_input="e",
-                            rule_key=[], rule_vals=["v"],
-                            apply=lambda t, r: t)
-        sess = StreamSession(tmp_path / "b4", num_shards=2)
-        op = self._op()
-        op.max_rule_rows = 2
-        sess.add(op)
-        with pytest.raises(ValueError, match="max_rule_rows"):
-            sess.process_epoch(0, {
-                "rules": self._rules([(i, "a", 1.0, "l", 0.0, False)
-                                      for i in range(3)]),
-                "ev": self._events([])})
-        sess.store.shutdown()
-
-    def test_empty_rules_and_no_shuffle_output_schema(self, ray_session,
-                                                      tmp_path):
-        sess = StreamSession(tmp_path / "b5", num_shards=2)
-        sess.add(self._op())
-        # no rules yet: apply sees [], emits nothing; manifest still commits
-        sess.process_epoch(0, {"ev": self._events([("u1", "a", 5.0)])})
-        assert sess.sinks["tag"].read_committed_table([0]).num_rows == 0
-        assert sess.sinks["tag"].is_committed(0)
-        sess.store.shutdown()
-
-
 class TestWindowRollup:
     """Cascading window rollup as chained jobs: tier-1's exactly-once sink
     is the topic tier-2 tails; tier-2 watermark = tier-1 watermark − tier-1
@@ -5568,18 +4953,11 @@ class TestEnrichBlockProbe:
         assert self._run(tmp_path, "block", 4) == want
 
     def test_validation(self, ray_session):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            EnrichJoin,
-            TemporalEnrichJoin,
-        )
+        from diffdataflowmlpipelines_ray.streaming.engine import EnrichJoin
 
         with pytest.raises(ValueError, match="probe_mode"):
             EnrichJoin(name="x", dim_input="d", stream_input="s",
                        key=["k"], dim_vals=["v"], probe_mode="bogus")
-        with pytest.raises(ValueError, match="shuffle plan"):
-            TemporalEnrichJoin(name="x", dim_input="d", stream_input="s",
-                               key=["k"], dim_vals=["v"], stream_ts="ts",
-                               probe_mode="block")
 
 
 def test_session_route_late_equivalence(ray_session, tmp_path):
@@ -5625,492 +5003,6 @@ def test_session_route_late_equivalence(ray_session, tmp_path):
     a = bare_out[key].sort_values(key).reset_index(drop=True)
     b = routed_out[key].sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
-
-
-class TestAsofStreamJoin:
-    """Incremental AS-OF join: accumulated multiset == batch ASOF JOIN at
-    every prefix, differential repair on late better versions, insert-only
-    contract, retention compaction, checkpoint-resume with rescale."""
-
-    def _op(self, retention=None):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            AsofStreamJoin,
-        )
-
-        return AsofStreamJoin(
-            name="aj", left_input="L", right_input="R",
-            left_key=["k"], right_key=["k"],
-            left_cols=["lid"], right_cols=["rid", "rv"],
-            left_ts="lts", right_ts="rts", retention=retention)
-
-    @staticmethod
-    def _L(rows):
-        k, lid, lts = zip(*rows) if rows else ((), (), ())
-        return pa.table({"k": pa.array(k, pa.int64()),
-                         "lid": pa.array(lid, pa.int64()),
-                         "lts": pa.array(lts, pa.float64())})
-
-    @staticmethod
-    def _R(rows):
-        k, rid, rv, rts = zip(*rows) if rows else ((), (), (), ())
-        return pa.table({"k": pa.array(k, pa.int64()),
-                         "rid": pa.array(rid, pa.int64()),
-                         "rv": pa.array(rv, pa.int64()),
-                         "rts": pa.array(rts, pa.float64())})
-
-    @staticmethod
-    def _acc(sess):
-        df = sess.sinks["aj"].read_committed_table().to_pandas()
-        acc = (df.groupby(["k", "lid", "rid", "rv"], as_index=False)
-               ["diff"].sum())
-        return (acc[acc["diff"] != 0]
-                .sort_values(["k", "lid"]).reset_index(drop=True))
-
-    def test_accumulated_equals_batch_asof_any_interleaving(
-            self, ray_session, tmp_path):
-        rng = np.random.default_rng(7)
-        n_l, n_r = 120, 90
-        lk = rng.integers(0, 8, n_l)
-        lts = rng.uniform(0, 100, n_l)
-        rk = rng.integers(0, 8, n_r)
-        # unique (k, ts) on the right by construction
-        rts = np.round(rng.choice(np.arange(0, 10000), n_r,
-                                  replace=False) / 100.0, 2)
-        L = pd.DataFrame({"k": lk, "lid": np.arange(n_l), "lts": lts})
-        R = pd.DataFrame({"k": rk, "rid": np.arange(n_r) + 1000,
-                          "rv": rng.integers(0, 50, n_r), "rts": rts})
-        sess = StreamSession(tmp_path / "a1", num_shards=3)
-        sess.add(self._op())
-        # adversarial interleave: shuffled rows, 6 epochs, sides mixed
-        lp = L.sample(frac=1, random_state=1).reset_index(drop=True)
-        rp = R.sample(frac=1, random_state=2).reset_index(drop=True)
-        for e in range(6):
-            sess.process_epoch(e, {
-                "L": pa.Table.from_pandas(lp.iloc[e * 20:(e + 1) * 20],
-                                          preserve_index=False),
-                "R": pa.Table.from_pandas(rp.iloc[e * 15:(e + 1) * 15],
-                                          preserve_index=False)})
-        got = self._acc(sess)
-        sess.store.shutdown()
-        exp = pd.merge_asof(
-            L.sort_values("lts"), R.sort_values("rts"),
-            left_on="lts", right_on="rts", by="k")
-        exp = exp[exp["rts"].notna()][["k", "lid", "rid", "rv"]]
-        exp = exp.astype(np.int64).sort_values(["k", "lid"]).reset_index(
-            drop=True)
-        assert (got["diff"] == 1).all()
-        pd.testing.assert_frame_equal(
-            got.drop(columns=["diff"]), exp, check_dtype=False)
-
-    def test_late_better_version_retracts_exactly(self, ray_session,
-                                                  tmp_path):
-        sess = StreamSession(tmp_path / "a2", num_shards=2)
-        sess.add(self._op())
-        sess.process_epoch(0, {"L": self._L([(1, 100, 10.0)]),
-                               "R": self._R([(1, 200, 5, 2.0)])})
-        e0 = sess.sinks["aj"].read_committed_table([0]).to_pandas()
-        assert len(e0) == 1 and int(e0["diff"].iloc[0]) == 1
-        assert int(e0["rid"].iloc[0]) == 200
-        # better version inside (2.0, 10.0] -> -1 old pair, +1 new pair
-        sess.process_epoch(1, {"R": self._R([(1, 201, 9, 7.0)])})
-        e1 = (sess.sinks["aj"].read_committed_table([1]).to_pandas()
-              .sort_values("diff").reset_index(drop=True))
-        assert e1["diff"].tolist() == [-1, 1]
-        assert e1.loc[0, "rid"] == 200 and e1.loc[0, "rv"] == 5
-        assert e1.loc[1, "rid"] == 201 and e1.loc[1, "rv"] == 9
-        # an OLDER version (worse) and a FUTURE version (> lts): no emit
-        sess.process_epoch(2, {"R": self._R([(1, 202, 1, 1.0),
-                                             (1, 203, 99, 50.0)])})
-        assert sess.sinks["aj"].read_committed_table([2]).num_rows == 0
-        sess.store.shutdown()
-
-    def test_validation_and_insert_only(self, ray_session, tmp_path):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            AsofStreamJoin,
-        )
-
-        with pytest.raises(ValueError, match="left_ts"):
-            AsofStreamJoin(name="x", left_input="L", right_input="R",
-                           left_key=["k"], right_key=["k"],
-                           left_cols=[], right_cols=[])
-        with pytest.raises(ValueError, match="identical key"):
-            AsofStreamJoin(name="x", left_input="L", right_input="R",
-                           left_key=["a"], right_key=["b"],
-                           left_cols=[], right_cols=[],
-                           left_ts="t", right_ts="t")
-        with pytest.raises(ValueError, match="max_dt"):
-            # max_dt is the staleness tolerance now — must be positive
-            AsofStreamJoin(name="x", left_input="L", right_input="R",
-                           left_key=["k"], right_key=["k"],
-                           left_cols=[], right_cols=[],
-                           left_ts="t", right_ts="t", max_dt=-5.0)
-        sess = StreamSession(tmp_path / "a3", num_shards=2)
-        sess.add(self._op())
-        # retracting rows that were never inserted raises on both sides
-        bad = self._L([(1, 100, 10.0)]).append_column(
-            "diff", pa.array([-1], pa.int64()))
-        with pytest.raises(Exception, match="unknown left|empty buffer"):
-            sess.process_epoch(0, {"L": bad})
-        badr = self._R([(1, 200, 5, 2.0)]).append_column(
-            "diff", pa.array([-1], pa.int64()))
-        with pytest.raises(Exception, match="unknown right|empty history"):
-            sess.process_epoch(1, {"R": badr})
-        sess.store.shutdown()
-
-    def test_bilinear_retractions_net_equals_batch_asof(self, ray_session,
-                                                        tmp_path):
-        """Insert everything, then retract a deterministic subset of BOTH
-        sides: the accumulated multiset must equal pd.merge_asof over the
-        NET (surviving) multisets, and every net diff is +1."""
-        rng = np.random.default_rng(23)
-        n_l, n_r = 80, 60
-        L = pd.DataFrame({"k": rng.integers(0, 6, n_l),
-                          "lid": np.arange(n_l),
-                          "lts": rng.uniform(0, 100, n_l)})
-        rts = rng.choice(np.arange(0, 8000), n_r, replace=False) / 80.0
-        R = pd.DataFrame({"k": rng.integers(0, 6, n_r),
-                          "rid": np.arange(n_r) + 1000,
-                          "rv": rng.integers(0, 50, n_r), "rts": rts})
-        sess = StreamSession(tmp_path / "a6", num_shards=3)
-        sess.add(self._op())
-        sess.process_epoch(0, {
-            "L": pa.Table.from_pandas(L, preserve_index=False),
-            "R": pa.Table.from_pandas(R, preserve_index=False)})
-        lr = L[L["lid"] % 4 == 0]
-        rr = R[R["rid"] % 3 == 0]
-        sess.process_epoch(1, {
-            "L": pa.Table.from_pandas(
-                lr.assign(diff=np.int64(-1)), preserve_index=False),
-            "R": pa.Table.from_pandas(
-                rr.assign(diff=np.int64(-1)), preserve_index=False)})
-        got = self._acc(sess)
-        sess.store.shutdown()
-        Ln = L[L["lid"] % 4 != 0]
-        Rn = R[R["rid"] % 3 != 0]
-        exp = pd.merge_asof(Ln.sort_values("lts"), Rn.sort_values("rts"),
-                            left_on="lts", right_on="rts", by="k")
-        exp = (exp[exp["rts"].notna()][["k", "lid", "rid", "rv"]]
-               .astype(np.int64).sort_values(["k", "lid"])
-               .reset_index(drop=True))
-        assert (got["diff"] == 1).all()
-        pd.testing.assert_frame_equal(got.drop(columns=["diff"]), exp,
-                                      check_dtype=False)
-
-    def test_right_retraction_falls_back_to_next_older(self, ray_session,
-                                                       tmp_path):
-        sess = StreamSession(tmp_path / "a7", num_shards=2)
-        sess.add(self._op())
-        sess.process_epoch(0, {"L": self._L([(1, 100, 10.0)]),
-                               "R": self._R([(1, 200, 5, 2.0),
-                                             (1, 201, 9, 7.0)])})
-        # kill the current match: fall back to ts=2 version
-        sess.process_epoch(1, {"R": self._R([(1, 201, 9, 7.0)])
-                               .append_column("diff",
-                                              pa.array([-1], pa.int64()))})
-        e1 = (sess.sinks["aj"].read_committed_table([1]).to_pandas()
-              .sort_values("diff").reset_index(drop=True))
-        assert [tuple(r) for r in e1[["rid", "diff"]].to_numpy()] == [
-            (201, -1), (200, 1)]
-        # kill the fallback too: pair dies with no replacement
-        sess.process_epoch(2, {"R": self._R([(1, 200, 5, 2.0)])
-                               .append_column("diff",
-                                              pa.array([-1], pa.int64()))})
-        e2 = sess.sinks["aj"].read_committed_table([2]).to_pandas()
-        assert e2["diff"].tolist() == [-1] and e2["rid"].tolist() == [200]
-        # and a future re-insert of a version re-creates the pair
-        sess.process_epoch(3, {"R": self._R([(1, 202, 3, 4.0)])})
-        e3 = sess.sinks["aj"].read_committed_table([3]).to_pandas()
-        assert e3["diff"].tolist() == [1] and e3["rid"].tolist() == [202]
-        sess.store.shutdown()
-
-    def test_left_multiset_retraction_removes_one_instance(
-            self, ray_session, tmp_path):
-        sess = StreamSession(tmp_path / "a8", num_shards=2)
-        sess.add(self._op())
-        dup = self._L([(1, 100, 10.0), (1, 100, 10.0)])
-        sess.process_epoch(0, {"L": dup,
-                               "R": self._R([(1, 200, 5, 2.0)])})
-        assert sess.sinks["aj"].read_committed_table([0]).num_rows == 2
-        sess.process_epoch(1, {"L": self._L([(1, 100, 10.0)])
-                               .append_column("diff",
-                                              pa.array([-1], pa.int64()))})
-        e1 = sess.sinks["aj"].read_committed_table([1]).to_pandas()
-        assert e1["diff"].tolist() == [-1]
-        got = self._acc(sess)
-        sess.store.shutdown()
-        assert got["diff"].tolist() == [1]  # one instance survives
-
-    def test_retention_compacts_history_keeps_latest(self, ray_session,
-                                                     tmp_path):
-        sess = StreamSession(tmp_path / "a4", num_shards=2)
-        sess.add(self._op(retention=10.0))
-        sess.process_epoch(0, {"R": self._R([(1, 200, 5, 1.0),
-                                             (1, 201, 6, 3.0)])},
-                           watermark=20.0)  # horizon 10: both below
-        # rid 200 superseded by 201 at/below horizon -> compacted away;
-        # 201 (latest-at-horizon) must still match a future left
-        st = sess.store.stats()
-        rlens = [s["asof_keys"].get("aj", {}).get("right", 0) for s in st]
-        assert sum(rlens) == 1
-        sess.process_epoch(1, {"L": self._L([(1, 100, 15.0)])})
-        e1 = sess.sinks["aj"].read_committed_table([1]).to_pandas()
-        assert e1["rid"].tolist() == [201]
-        # expired left: a late better version must NOT retract its pair
-        sess.process_epoch(2, {}, watermark=40.0)  # horizon 30 > lts 15
-        sess.process_epoch(3, {"R": self._R([(1, 202, 7, 14.0)])})
-        assert sess.sinks["aj"].read_committed_table([3]).num_rows == 0
-        sess.store.shutdown()
-
-    def test_crash_resume_rescale_repairs_precrash_pairs(
-            self, ray_session, tmp_path):
-        root = tmp_path / "a5"
-        sess = StreamSession(root, num_shards=2, checkpoint_every=1)
-        sess.add(self._op())
-        sess.process_epoch(0, {"L": self._L([(1, 100, 10.0),
-                                             (2, 101, 20.0)]),
-                               "R": self._R([(1, 200, 5, 2.0)])})
-        sess.store.shutdown()
-        sess2 = StreamSession(root, num_shards=5, checkpoint_every=1)
-        sess2.add(self._op())
-        assert sess2.resume() == 1
-        # late better version for k=1 must retract the PRE-CRASH pair;
-        # first version for k=2 must match the pre-crash buffered left
-        sess2.process_epoch(1, {"R": self._R([(1, 201, 9, 8.0),
-                                              (2, 300, 4, 19.0)])})
-        e1 = (sess2.sinks["aj"].read_committed_table([1]).to_pandas()
-              .sort_values(["k", "diff"]).reset_index(drop=True))
-        assert [tuple(r) for r in
-                e1[["k", "lid", "rid", "diff"]].to_numpy()] == [
-            (1, 100, 200, -1), (1, 100, 201, 1), (2, 101, 300, 1)]
-        got = self._acc(sess2)
-        sess2.store.shutdown()
-        assert [tuple(r) for r in
-                got[["k", "lid", "rid", "rv"]].to_numpy()] == [
-            (1, 100, 201, 9), (2, 101, 300, 4)]
-
-    def test_table_and_dataset_paths_equal(self, ray_session, tmp_path):
-        rng = np.random.default_rng(11)
-        L = self._L([(int(k), i, float(t)) for i, (k, t) in enumerate(
-            zip(rng.integers(0, 5, 60), rng.uniform(0, 50, 60)))])
-        rts = rng.choice(np.arange(1, 5000), 40, replace=False) / 100.0
-        R = self._R([(int(k), 1000 + i, int(v), float(t))
-                     for i, (k, v, t) in enumerate(
-                         zip(rng.integers(0, 5, 40),
-                             rng.integers(0, 9, 40), rts))])
-
-        def run(root, blocks):
-            sess = StreamSession(root, num_shards=3)
-            sess.add(self._op())
-            for e in range(3):
-                lt = L.slice(e * 20, 20)
-                rt = R.slice(e * 13, 13 if e < 2 else 14)
-                sess.process_epoch(e, {"L": as_blocks(lt, blocks),
-                                       "R": as_blocks(rt, blocks)})
-            out = self._acc(sess)
-            sess.store.shutdown()
-            return out
-
-        a = run(tmp_path / "t", 0)
-        for blocks in (1, 4):
-            b = run(tmp_path / f"d{blocks}", blocks)
-            pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-    def test_chained_aggregation_rebooks_on_version_death(
-            self, ray_session, tmp_path):
-        """AsofStreamJoin ±diffs chained into KeyedAggregation
-        (weight_col='diff'): killing the matched version re-books the
-        revenue onto the fallback click IN THE SAME EPOCH."""
-        from diffdataflowmlpipelines_ray.state.aggregates import (
-            SumCountAgg,
-        )
-
-        sess = StreamSession(tmp_path / "a9", num_shards=2)
-        sess.add(self._op())
-        sess.add(KeyedAggregation(
-            name="rev", input="aj", key_cols=["rid"], value_col="lid",
-            aggs=("count", "sum"), weight_col="diff",
-            make_acc=lambda v, w: SumCountAgg.from_numpy(
-                v.astype(np.float64), w),
-            finalize=lambda a: {"n": a.count, "s": int(a.s)},
-        ))
-        sess.process_epoch(0, {"L": self._L([(1, 100, 10.0)]),
-                               "R": self._R([(1, 200, 5, 2.0),
-                                             (1, 201, 9, 7.0)])})
-        st = sess.state_table("rev").to_pandas()
-        assert st[st["n"] > 0]["rid"].tolist() == [201]
-        sess.process_epoch(1, {"R": self._R([(1, 201, 9, 7.0)])
-                               .append_column("diff",
-                                              pa.array([-1], pa.int64()))})
-        st = sess.state_table("rev").to_pandas()
-        live = st[st["n"] > 0]
-        assert live["rid"].tolist() == [200]
-        assert live["s"].tolist() == [100]
-        sess.store.shutdown()
-
-    def _op_outer(self, retention=None):
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            AsofStreamJoin,
-        )
-
-        return AsofStreamJoin(
-            name="aj", left_input="L", right_input="R",
-            left_key=["k"], right_key=["k"],
-            left_cols=["lid"], right_cols=["rid", "rv"],
-            left_ts="lts", right_ts="rts", retention=retention,
-            emit_unmatched=True)
-
-    def test_outer_unmatched_sweep_and_repairs(self, ray_session,
-                                               tmp_path):
-        """The side sink's net multiset is always {finalized lefts with
-        no current match}: sweep +1, late-match −1, version-death +1,
-        left-retraction −1 — each in its own epoch, pinned exactly."""
-        sess = StreamSession(tmp_path / "o1", num_shards=2)
-        sess.add(self._op_outer())
-        sess.process_epoch(0, {"L": self._L([(1, 100, 10.0),
-                                             (1, 101, 20.0)])},
-                           watermark=100.0)
-        u = sess.sinks["aj__unmatched"]
-        e0 = u.read_committed_table([0]).to_pandas()
-        assert sorted(e0["lid"]) == [100, 101]
-        assert (e0["diff"] == 1).all()
-        # late version at ts=15: 101 repairs (−1 unmatched, +1 match);
-        # 100 (ts=10 < 15) stays unmatched
-        sess.process_epoch(1, {"R": self._R([(1, 200, 5, 15.0)])})
-        e1 = u.read_committed_table([1]).to_pandas()
-        assert e1["lid"].tolist() == [101] and e1["diff"].tolist() == [-1]
-        # version death: 101 becomes unmatched again (+1)
-        sess.process_epoch(2, {"R": self._R([(1, 200, 5, 15.0)])
-                               .append_column("diff",
-                                              pa.array([-1], pa.int64()))})
-        e2 = u.read_committed_table([2]).to_pandas()
-        assert e2["lid"].tolist() == [101] and e2["diff"].tolist() == [1]
-        # left retraction of a swept-unmatched left: −1
-        sess.process_epoch(3, {"L": self._L([(1, 100, 10.0)])
-                               .append_column("diff",
-                                              pa.array([-1], pa.int64()))})
-        e3 = u.read_committed_table([3]).to_pandas()
-        assert e3["lid"].tolist() == [100] and e3["diff"].tolist() == [-1]
-        net = (u.read_committed_table().to_pandas()
-               .groupby("lid")["diff"].sum())
-        assert dict(net) == {100: 0, 101: 1}
-        sess.store.shutdown()
-
-    def test_outer_flags_survive_resume_and_rescale(self, ray_session,
-                                                    tmp_path):
-        """__um flags and the sweep bound checkpoint: after a rescaled
-        resume, a late version still retracts the pre-crash unmatched
-        row exactly once, and re-sweeps emit nothing."""
-        root = tmp_path / "o2"
-        sess = StreamSession(root, num_shards=2, checkpoint_every=1)
-        sess.add(self._op_outer())
-        sess.process_epoch(0, {"L": self._L([(1, 100, 10.0)])},
-                           watermark=50.0)
-        assert sess.sinks["aj__unmatched"].read_committed_table(
-            [0]).num_rows == 1
-        sess.store.shutdown()
-        sess2 = StreamSession(root, num_shards=5, checkpoint_every=1)
-        sess2.add(self._op_outer())
-        assert sess2.resume() == 1
-        # a re-advance sweeps nothing (flag survived the rescale)
-        sess2.process_epoch(1, {}, watermark=60.0)
-        assert sess2.sinks["aj__unmatched"].read_committed_table(
-            [1]).num_rows == 0
-        sess2.process_epoch(2, {"R": self._R([(1, 200, 5, 4.0)])})
-        e2u = sess2.sinks["aj__unmatched"].read_committed_table(
-            [2]).to_pandas()
-        e2m = sess2.sinks["aj"].read_committed_table([2]).to_pandas()
-        assert e2u["diff"].tolist() == [-1]
-        assert e2m["diff"].tolist() == [1] and e2m["rid"].tolist() == [200]
-        sess2.store.shutdown()
-
-    def test_tolerance_bounds_match_and_fallback(self, ray_session,
-                                                 tmp_path):
-        """max_dt staleness: a version older than the bound is NO match,
-        and a version death with only an out-of-bound fallback kills the
-        pair without replacement."""
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            AsofStreamJoin,
-        )
-
-        sess = StreamSession(tmp_path / "t1", num_shards=2)
-        sess.add(AsofStreamJoin(
-            name="aj", left_input="L", right_input="R",
-            left_key=["k"], right_key=["k"],
-            left_cols=["lid"], right_cols=["rid", "rv"],
-            left_ts="lts", right_ts="rts", max_dt=5.0))
-        # version at ts=1 is 9s stale for left ts=10 -> no match
-        sess.process_epoch(0, {"L": self._L([(1, 100, 10.0)]),
-                               "R": self._R([(1, 200, 5, 1.0)])})
-        assert sess.sinks["aj"].read_committed_table([0]).num_rows == 0
-        # in-bound version at ts=7 matches
-        sess.process_epoch(1, {"R": self._R([(1, 201, 9, 7.0)])})
-        e1 = sess.sinks["aj"].read_committed_table([1]).to_pandas()
-        assert e1["rid"].tolist() == [201] and e1["diff"].tolist() == [1]
-        # kill it: fallback ts=1 is out of bound -> -1 only
-        sess.process_epoch(2, {"R": self._R([(1, 201, 9, 7.0)])
-                               .append_column("diff",
-                                              pa.array([-1], pa.int64()))})
-        e2 = sess.sinks["aj"].read_committed_table([2]).to_pandas()
-        assert e2["diff"].tolist() == [-1]
-        sess.store.shutdown()
-
-
-class TestIncrementalReachability:
-    """Closure maintenance with retraction: every epoch's materialized
-    set equals a from-scratch BFS on the live edges."""
-
-    def test_matches_bfs_every_epoch(self, ray_session, tmp_path):
-        import numpy as np
-        import pyarrow as pa
-
-        from diffdataflowmlpipelines_ray.streaming.engine import (
-            IncrementalReachability, StreamSession)
-
-        def bfs(edges, sources):
-            adj = {}
-            for (u, v), c in edges.items():
-                if c > 0:
-                    adj.setdefault(u, []).append(v)
-            seen, stack = set(), list(sources)
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(adj.get(x, ()))
-            return seen
-
-        sess = StreamSession(str(tmp_path / "re"), num_shards=2)
-        sess.add(IncrementalReachability(name="re", input="e",
-                                         sources=(0, 100),
-                                         weight_col="diff"))
-        live: dict = {}
-        net: dict = {}
-        try:
-            batches = [
-                [(0, 1, 1), (1, 2, 1), (2, 3, 1), (100, 101, 1)],
-                [(3, 4, 1), (50, 51, 1)],          # 50 unreachable island
-                [(1, 2, -1)],                      # cut the bridge
-                [(0, 50, 1), (1, 2, 1)],           # reconnect + annex 50
-            ]
-            for e, rows in enumerate(batches):
-                for u, v, d in rows:
-                    live[(u, v)] = live.get((u, v), 0) + d
-                tbl = pa.table({
-                    "src": pa.array([r[0] for r in rows],
-                                    type=pa.int64()),
-                    "dst": pa.array([r[1] for r in rows],
-                                    type=pa.int64()),
-                    "diff": pa.array([r[2] for r in rows],
-                                     type=pa.int64())})
-                sess.process_epoch(e, {"e": tbl})
-                out = sess.sinks["re"].read_committed_table().to_pandas()
-                got = set(
-                    out.groupby("id")["diff"].sum()
-                    .loc[lambda s: s > 0].index.astype(int))
-                assert got == bfs(live, (0, 100)), f"epoch {e}"
-        finally:
-            sess.store.shutdown()
 
 
 class TestCpuHeadroom:

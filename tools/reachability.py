@@ -1,4 +1,5 @@
-"""Which package modules does any entry point reach?  A static inventory.
+"""Which package modules does any entry point reach, and which engine
+operators does one construct?  A static inventory.
 
 Walks the import graph with the stdlib ``ast`` module, never importing the
 package.  Every ``import``/``from ... import`` in a reached file is
@@ -15,13 +16,25 @@ Roots: every ``streaming/*`` module, ``pipelines/flagship.py``,
 ``sources/tokenized.py``, the reference-parity programs
 (``pipelines/demo.py``, ``diabetes.py``, ``census.py``, ``sources/csv.py``),
 and the imports of ``tools/job.py``, ``__ray_entry__.py`` and
-``perfbench/*.py``.  Usage::
+``perfbench/*.py``.
+
+The module walk treats every ``streaming/*`` module as a root, so it cannot
+see a dead operator inside the engine.  The op inventory does: the op
+classes of ``streaming/engine.py`` are its ``__all__`` minus
+``StreamSession`` and ``WindowSpec``, plus every engine class that
+subclasses one of them.  An op class is constructed when a root calls it,
+calls one of its attributes (a classmethod constructor such as
+``WindowSpec.tumbling(...)``) or subclasses it.  The roots here are the
+gate-reached ``queries.py`` definitions, the root modules and the root
+scripts, not the ``streaming/*`` modules: an ``isinstance`` check and the
+engine's own dispatch construct nothing.  Usage::
 
     python tools/reachability.py [--repo CHECKOUT]
 
 prints one line per package module (reached or UNREACHED, line count,
-path), the totals, and how many of ``queries.py``'s top-level functions
-and classes the gate reaches.
+path), the totals, how many of ``queries.py``'s top-level functions and
+classes the gate reaches, then one line per engine op class (constructed
+or UNCONSTRUCTED, line count, name) and their total.
 """
 
 from __future__ import annotations
@@ -33,6 +46,9 @@ from pathlib import Path
 
 PKG = "diffdataflowmlpipelines_ray"
 QUERIES_MOD = f"{PKG}.pipelines.queries"
+ENGINE_MOD = f"{PKG}.streaming.engine"
+#: the engine exports that are not operators
+NOT_OPS = {"StreamSession", "WindowSpec"}
 GATE_FILE = "CORRECTNESS_r05.json"
 ROOT_MODULES = [
     f"{PKG}.pipelines.flagship",
@@ -122,6 +138,49 @@ def _registry(tree: ast.Module) -> dict[str, str]:
     return reg
 
 
+def _ref_name(node: ast.AST) -> str | None:
+    """``Cls`` or ``mod.Cls`` → ``"Cls"``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def engine_ops(tree: ast.Module) -> dict[str, ast.ClassDef]:
+    """The op classes of ``engine.py``: ``__all__`` minus ``NOT_OPS``,
+    plus every engine class that subclasses one of them."""
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = {e.value for e in node.value.elts}
+    ops = (exported - NOT_OPS) & set(classes)
+    while True:
+        sub = {n for n, c in classes.items() if n not in ops
+               and any(_ref_name(b) in ops for b in c.bases)}
+        if not sub:
+            return {n: classes[n] for n in sorted(ops)}
+        ops |= sub
+
+
+def constructed(nodes, names: set[str]) -> set[str]:
+    """Which of the class ``names`` the AST ``nodes`` construct: by a call
+    of the class or of one of its attributes, or by a subclass."""
+    found: set[str | None] = set()
+    for root in nodes:
+        for n in ast.walk(root):
+            if isinstance(n, ast.Call):
+                found.add(_ref_name(n.func))
+                if isinstance(n.func, ast.Attribute):  # Cls.classmethod()
+                    found.add(_ref_name(n.func.value))
+            elif isinstance(n, ast.ClassDef):
+                found.update(_ref_name(b) for b in n.bases)
+    return found & names
+
+
 def walk(repo: Path) -> dict:
     mods = package_modules(repo)
     sources = {m: p.read_text() for m, p in mods.items()}
@@ -136,10 +195,10 @@ def walk(repo: Path) -> dict:
 
     roots = {m for m in mods if m.startswith(f"{PKG}.streaming.")}
     roots.update(ROOT_MODULES)
-    for pattern in ROOT_SCRIPTS:
-        for path in sorted(repo.glob(pattern)):
-            roots |= _imports(ast.walk(ast.parse(path.read_text())),
-                              "", False, mods)
+    scripts = [ast.parse(path.read_text()) for pattern in ROOT_SCRIPTS
+               for path in sorted(repo.glob(pattern))]
+    for tree in scripts:
+        roots |= _imports(ast.walk(tree), "", False, mods)
 
     # the gate: queries.py top-level definitions reached from the gate queries
     qtree = trees[QUERIES_MOD]
@@ -169,13 +228,23 @@ def walk(repo: Path) -> dict:
                 reached.add(m)
                 todo.extend(deps(m))
 
+    # engine ops: constructed by the gate's definitions, the root modules
+    # or the root scripts
+    ops = engine_ops(trees[ENGINE_MOD]) if ENGINE_MOD in trees else {}
+    made = constructed(
+        [defs[n] for n in reached_defs]
+        + [trees[m] for m in ROOT_MODULES if m in trees] + scripts,
+        set(ops))
+
     funcs = {n for n, node in defs.items()
              if not isinstance(node, (ast.Assign, ast.AnnAssign))}
     return {"modules": {m: (m in reached, len(sources[m].splitlines()),
                             mods[m].relative_to(repo))
                         for m in sorted(mods)},
             "queries_defs": (len(reached_defs & funcs), len(funcs)),
-            "gate": len(gate)}
+            "gate": len(gate),
+            "ops": {n: (n in made, c.end_lineno - c.lineno + 1)
+                    for n, c in ops.items()}}
 
 
 def main() -> None:
@@ -194,6 +263,11 @@ def main() -> None:
     got, of = res["queries_defs"]
     print(f"queries.py: the {res['gate']} gate queries reach {got} of {of} "
           "top-level functions and classes")
+    for name, (ok, n) in res["ops"].items():
+        print(f"{'constructed' if ok else 'UNCONSTRUCTED':13} {n:6d}  "
+              f"streaming/engine.py:{name}")
+    made = sum(ok for ok, _ in res["ops"].values())
+    print(f"engine ops: {made} of {len(res['ops'])} constructed by a root")
 
 
 if __name__ == "__main__":

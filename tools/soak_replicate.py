@@ -50,10 +50,10 @@ ID_COLS = {
 DEFAULT_QUERIES = [
     "fuzzy_join", "part_profit", "assoc_rules",
     "merge_upsert",
-    "supplier_cnt", "asof_attribution", "als_factors", "returned_items",
+    "supplier_cnt", "als_factors", "returned_items",
     "kbins_quantile", "stickiness", "nelson_aalen",
     "top_supplier_revenue",
-    "stream_asof_join", "dormant_customers", "disjunctive_revenue",
+    "dormant_customers", "disjunctive_revenue",
     "pareto_share", "session_early_firing", "kaplan_meier",
     "profile_table", "market_share", "large_volume_orders",
     "stream_join", "bloom_semi_join", "gbdt_predict",
