@@ -13,32 +13,29 @@ by construction — SURVEY §2.1) is handled by watermarks + allowed lateness:
 rows for already-finalized windows are counted and dropped.
 
 Data path per epoch:
-1. partial stage — vectorized accumulators keyed by (key…, window), or the
-   op's points, rows or probe keys.  Windowed ``KeyedAggregation`` and
-   ``StreamJoin`` keep columnar state (``arrangement.py``): their partials
-   and side rows are numpy/Arrow columns carrying one vectorized key hash,
-   which is also the shard (hash % num_shards); every other op keys its
-   state by the pickled key tuple (``shard_of``).  A ``pa.Table`` epoch is
-   folded on the driver, which scatters per-shard deltas to the
-   ``ShardedStateStore`` actors; the two columnar families queue theirs,
-   and the watermark's sweeps and the due snapshot, into one
+1. route and partial stage — vectorized accumulators keyed by (key…,
+   window), or the op's points, rows or probe keys.  Windowed
+   ``KeyedAggregation`` and ``StreamJoin`` keep columnar state
+   (``arrangement.py``) whose rows carry one vectorized key hash, which is
+   also the shard (hash % num_shards).  Each has one route (a block → its
+   per-shard parts plus a ``Summary``: late rows, max event time, parts
+   written): a ``pa.Table`` input is one block routed inline on the
+   driver, a ``ray.data.Dataset`` input runs its upstream once and routes
+   its blocks in ``exchange.route_blocks`` tasks.  Either way the driver
+   folds the summaries and queues the parts (or the tasks' refs, which the
+   shard fetches), the watermark's sweeps and the due snapshot into one
    ``StateShard.step`` call per touched shard at the end of the epoch
-   (sent earlier only when a later op reads one of their outputs).  Each
-   request is its own call argument; the shard writes the rows its kernels
-   emit as sink parts and its snapshot as a checkpoint file, and replies
-   with manifest entries, which the driver commits (``commit_files``)
-   before it reads the parts back for later ops.  A
-   ``ray.data.Dataset`` epoch is
-   shard-direct: its upstream runs once per epoch for its block refs, and
-   one ``exchange.shard_exchange`` runs a route task per block (the block's
-   payload split by shard, plus a summary: late rows, max event time, parts
-   written) and a reduce task per touched shard, which merges that shard's
-   payloads in a fixed sorted order and makes the shard's one actor call;
-   the shard's sink part is written by the reduce task, or, for windowed
-   aggregates and joins, by the shard itself.  The block-mode enrich probe
-   runs one task per block through ``exchange.run_blocks``.  The driver
-   only sums the summaries and commits the parts; shard calls are
-   idempotent per epoch;
+   (earlier only when a later op reads a queued output).  The shard writes
+   the rows its kernels emit as sink parts and its snapshot as a
+   checkpoint file, and replies with manifest entries, which the driver
+   commits and publishes.  Every other op keys its state by the pickled
+   key tuple (``shard_of``): a ``pa.Table`` epoch is folded on the driver,
+   which scatters per-shard deltas to the ``ShardedStateStore`` actors; a
+   Dataset epoch runs one ``exchange.shard_exchange`` (a route task per
+   block, a reduce task per touched shard, which merges that shard's
+   payloads in a fixed sorted order, makes the shard's one actor call and
+   writes its sink part); the block-mode enrich probe runs one task per
+   block (``exchange.run_blocks``).  Shard calls are idempotent per epoch;
 2. chaining — an op's epoch output feeds ops declared after it in the same
    ``process_epoch`` call;
 3. watermark advance sweeps closed windows/sessions out of the shards (a
@@ -70,11 +67,12 @@ import ray
 
 from ..state.aggregates import SumCountAgg
 from .exchange import (Summary, block_refs, blocks_to_table, combine,
-                       run_blocks, shard_exchange)
+                       route_blocks, run_blocks, shard_exchange)
 from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
 from .arrangement import Partials, Rows, key_hash, to_arrow
-from .state_store import (Emit, ShardedStateStore, StateShard,
-                          legacy_state, rescale_blobs, shard_of)
+from .state_store import (Emit, Gather, ShardedStateStore, StateShard,
+                          legacy_state, merge_partials, merge_payloads,
+                          rescale_blobs, shard_of)
 
 __all__ = [
     "WindowSpec",
@@ -175,16 +173,6 @@ def _keyed_parts(items, num_shards: int) -> dict[int, list]:
         parts.setdefault(shard_of(k, num_shards), []).append(
             (k, pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL)))
     return parts
-
-
-def _shard_step(shard, epoch: int, kernel: str, name: str, args: tuple,
-                emit: Emit | None = None):
-    """One arrangement kernel from a reduce task, as a ``StateShard.step``
-    of its own: the kernel's result (with ``emit``, the entry of the part
-    the shard wrote) and the reply's stats."""
-    reply = ray.get(shard.step.remote(epoch, None, (kernel, name, args, emit)))
-    return reply["out"][0], {k: reply[k] for k in
-                             ("kernel_s", "live_keys", "part_bytes")}
 
 
 def _read_parts(root: Path, entries: list) -> pa.Table:
@@ -381,8 +369,8 @@ class KeyedAggregation:
     #: watermark) is written — with its full original columns — into its
     #: own exactly-once sink, one commit per epoch, so a downstream
     #: backfill/repair job can reprocess exactly what the windows missed.
-    #: Table epochs split on the driver; Dataset epochs split per block
-    #: with worker-written parts (only manifest entries reach the driver).
+    #: The route splits them off per block and writes them as parts (for a
+    #: Dataset epoch in its tasks: only manifest entries reach the driver).
     late_output: bool = False
 
     def __post_init__(self):
@@ -425,6 +413,9 @@ class KeyedAggregation:
         #: Arrow types of the key columns, once an input has been seen:
         #: an epoch with nothing to emit still commits typed columns
         self._key_types: list | None = None
+        #: the input's schema, once ``split_late`` has seen it: the typed
+        #: empty ``<name>__late`` output of an epoch without late rows
+        self._late_schema: pa.Schema | None = None
 
     # ------------------------------------------------------------ late split
     def split_late(self, tbl: pa.Table,
@@ -445,7 +436,14 @@ class KeyedAggregation:
             newest_end = np.floor(ts / w.slide) * w.slide + w.size
         keep = newest_end + w.allowed_lateness > finalized_before
         mask = pa.array(keep)
+        self._late_schema = tbl.schema
         return tbl.filter(mask), tbl.filter(pc.invert(mask))
+
+    def late_rows_table(self, _rows: list, _epoch: int) -> pa.Table:
+        """The ``<name>__late`` output of an epoch without late rows: the
+        input's typed empty columns, once an input has been seen."""
+        return (pa.table({}) if self._late_schema is None
+                else self._late_schema.empty_table())
 
     # --------------------------------------------------------------- partials
     def partial_batch(self, tbl: pa.Table, finalized_before: float):
@@ -1821,7 +1819,8 @@ class StreamSession:
 
     # ------------------------------------------------------------- main loop
     def _observe_event_time(self, tbl: pa.Table, ts_col: str | None) -> None:
-        """Track max event time (Table inputs) for the auto-watermark."""
+        """Track max event time for the auto-watermark (Table epochs folded
+        on the driver; ``_fold`` takes the others' from their summaries)."""
         self._max_event_time = max(self._max_event_time,
                                    _block_max_ts(tbl, ts_col))
 
@@ -1834,12 +1833,12 @@ class StreamSession:
         self._observe_event_time(tbl, getattr(op, "ts_col", None))
         return partials
 
-    # ---------------------------------------------------- Dataset epochs
-    # Every Dataset-epoch op runs through ``exchange``: one shard exchange
-    # (route task per block, reduce task per touched shard) or, for the
-    # map-only plans, the block runner.  Each op below keeps only its own
-    # route and reduce kernels; the driver folds the block summaries and
-    # commits the worker-written parts.
+    # ------------------------------------------------ routes and exchanges
+    # Windowed aggregates and stream joins route every input with ``_route``
+    # (a Table inline, a Dataset in route tasks) into the epoch's step.
+    # Every other Dataset-epoch op runs one shard exchange (route task per
+    # block, reduce task per touched shard) or the block runner; the driver
+    # folds the block summaries and commits the worker-written parts.
     def _blocks(self, data) -> list:
         """``data``'s blocks, resolved once per epoch: a lazy input read by
         several ops (or chained from an earlier op) runs its upstream once.
@@ -1860,6 +1859,28 @@ class StreamSession:
         self.metrics["late_dropped"] += summary.late
         self._max_event_time = max(self._max_event_time, summary.max_ts)
         return summary.entries
+
+    def _route(self, routes: list) -> tuple[dict[int, list], list, bool]:
+        """Run each ``(route, epoch input)``'s route: a ``pa.Table`` is one
+        block, routed inline on the driver; a Dataset's blocks route in
+        ``route_blocks`` tasks.  Folds the summaries; returns {shard: [its
+        parts, inline or as refs]}, the parts the routes wrote, and whether
+        an input was a Dataset (the outputs then publish as Datasets)."""
+        routed, remote = [], []
+        for route, data in routes:
+            if isinstance(data, pa.Table):
+                parts, summary = route(data)
+                routed.append((summary, {s: [p] for s, p in parts.items()}))
+            else:
+                remote.append((route, self._blocks(data)))
+        if remote:
+            routed.append(route_blocks(remote, self.store.num_shards))
+        by_shard: dict[int, list] = {}
+        for _, parts in routed:
+            for sid, ps in parts.items():
+                by_shard.setdefault(sid, []).extend(ps)
+        return by_shard, self._fold(combine(s for s, _ in routed)), \
+            bool(remote)
 
     def _exchange(self, routes: list, reduce) -> tuple[list, list]:
         """One shard exchange over ``[(route, epoch input)]``; returns the
@@ -1890,20 +1911,6 @@ class StreamSession:
         emitted[sink_name] = tbl
         self.metrics["emitted_rows"] += tbl.num_rows
 
-    def _emit_committed(self, sink_name: str, epoch: int, rows: int,
-                        emitted: dict) -> None:
-        """Publish a Dataset epoch's output, which its workers wrote and
-        ``_commit_parts`` committed: later ops read the committed parts."""
-        emitted[sink_name] = self.sinks[sink_name].read_committed(
-            epochs=[epoch])
-        self.metrics["emitted_rows"] += rows
-
-    def _commit_parts(self, name: str, epoch: int, entries: list,
-                      kind: str) -> int:
-        self.sinks[name].commit_files(epoch, entries,
-                                      meta=self._meta(kind=kind))
-        return sum(e["rows"] for e in entries)
-
     def _emit_to(self, sink_name: str, epoch: int, finalize) -> Emit:
         """Where a row-emitting step kernel's shards write ``epoch``'s
         rows: sink ``sink_name``, unless it already committed the epoch
@@ -1914,22 +1921,30 @@ class StreamSession:
         return Emit(finalize, str(sink.root), sink.part_fsync)
 
     def _commit_emission(self, sink_name: str, epoch: int, entries: list,
-                         finalize, emitted: dict, **meta) -> None:
-        """Commit the parts the shards wrote for a step kernel's epoch
-        output (``_emit_to``) and publish their rows to later ops; an
-        epoch without rows commits ``finalize([])``'s typed columns.  A
-        replayed epoch publishes what its committed manifest lists."""
+                         finalize, emitted: dict, lazy: bool = False,
+                         **meta) -> None:
+        """Commit the parts written for an epoch output (by the shards,
+        ``_emit_to``, or by route or reduce tasks) and publish them to
+        later ops: as a ``pa.Table``, where an epoch without rows commits
+        ``finalize([])``'s typed columns, or with ``lazy`` (the epoch's
+        input was a Dataset) as a Dataset over the committed parts.  A
+        replayed epoch publishes what its committed manifest lists, and
+        ``emitted_rows`` counts it."""
         sink = self.sinks[sink_name]
-        if sink.is_committed(epoch):
-            tbl = sink.read_committed_table([epoch])
-        else:
+        fresh = not sink.is_committed(epoch)
+        if fresh:
             entries = [e for e in entries if e]
-            if not entries:
+            if not (entries or lazy):
                 entries = [write_epoch_part(
                     sink.root, epoch, finalize([], epoch),
                     tag=f"d-{uuid.uuid4().hex[:12]}", fsync=sink.part_fsync)]
             sink.commit_files(epoch, entries, meta=self._meta(**meta))
-            tbl = _read_parts(sink.root, entries)
+        if lazy:
+            emitted[sink_name] = sink.read_committed(epochs=[epoch])
+            self.metrics["emitted_rows"] += sink.manifest(epoch)["rows"]
+            return
+        tbl = (_read_parts(sink.root, entries) if fresh
+               else sink.read_committed_table([epoch]))
         emitted[sink_name] = tbl
         self.metrics["emitted_rows"] += tbl.num_rows
 
@@ -1968,15 +1983,15 @@ class StreamSession:
 
     def _request_rows(self, kernel: str, name: str, args: dict[int, tuple],
                       sink_name: str, finalize, emitted: dict,
-                      meta: Callable[[], dict]) -> None:
+                      meta: Callable[[], dict], lazy: bool = False) -> None:
         """Queue a row-emitting kernel: the shards finalize and write their
         rows into sink ``sink_name``, and the flush commits those parts
-        with ``meta()`` and publishes them."""
+        with ``meta()`` and publishes them (``_commit_emission``)."""
         epoch = self._batch.epoch
 
         def done(entries: list) -> None:
             self._commit_emission(sink_name, epoch, entries, finalize,
-                                  emitted, **meta())
+                                  emitted, lazy, **meta())
 
         self._request(kernel, name, args, done, emits=[sink_name],
                       emit=self._emit_to(sink_name, epoch, finalize))
@@ -2052,48 +2067,17 @@ class StreamSession:
 
     def _window_epoch(self, op: "KeyedAggregation", name: str, epoch: int,
                       data, emitted: dict) -> None:
-        """Windowed KeyedAggregation epoch: the columnar partials merge into
-        the op's window arrangement; ``late_output`` rows commit to
-        ``<op>__late`` and, with ``early_firing``, the touched open
-        windows' ±1 changelog to ``<op>__early``."""
-        if not isinstance(data, pa.Table):
-            return self._window_epoch_distributed(op, name, epoch, data,
-                                                  emitted)
-        if op.late_output:
-            data, late_tbl = op.split_late(data, self.watermark)
-            lsink = self.sinks[f"{name}__late"]
-            if not lsink.is_committed(epoch):
-                self.metrics["late_routed"] += late_tbl.num_rows
-            lsink.commit_tables(epoch, [late_tbl],
-                                meta=self._meta(kind="late_rows"))
-            emitted[f"{name}__late"] = late_tbl
-        part = self._merged_partials(op, data, self.watermark)
-        early = op.early_firing
-        args = {sid: (rows, early) for sid, rows in
-                part.split(self.store.num_shards).items()}
-        if early:
-            self._request_rows("apply_window_partials", name, args,
-                               f"{name}__early", op.changelog_to_table,
-                               emitted, lambda: {"kind": "early_firing"})
-        else:
-            self._request("apply_window_partials", name, args)
-
-    def _window_epoch_distributed(self, op: "KeyedAggregation", name: str,
-                                  epoch: int, data, emitted: dict) -> None:
-        """Dataset epoch of ``_window_epoch``: route tasks split off late
-        rows (writing ``<op>__late`` parts) and send each shard its
-        partials; a shard's reduce merges them in (end, hash, value) order,
-        makes the one apply call and, with ``early_firing``, the shard
-        writes its changelog part."""
-        early = op.early_firing
+        """Windowed KeyedAggregation epoch: the route (``partial_batch`` →
+        ``Partials.split``) sends each shard its columnar partials, which
+        merge into the op's window arrangement in the epoch's step.  With
+        ``late_output`` the route splits off late rows and writes them as
+        ``<op>__late`` parts; with ``early_firing`` the shards write the
+        touched open windows' ±1 changelog into ``<op>__early``."""
+        late_sink = f"{name}__late"
         late_write = None
-        if op.late_output and not self.sinks[f"{name}__late"].is_committed(
-                epoch):
-            late_write = self._part_writer(f"{name}__late", epoch)
-        emit = (self._emit_to(f"{name}__early", epoch, op.changelog_to_table)
-                if early else None)
-        num_shards, shards, wm = (self.store.num_shards, self.store.shards,
-                                  self.watermark)
+        if op.late_output and not self.sinks[late_sink].is_committed(epoch):
+            late_write = self._part_writer(late_sink, epoch)
+        num_shards, wm = self.store.num_shards, self.watermark
 
         def route(tbl: pa.Table):
             max_ts, entries = _block_max_ts(tbl, op.ts_col), []
@@ -2105,30 +2089,31 @@ class StreamSession:
             part, late = op.partial_batch(tbl, wm)
             return part.split(num_shards), Summary(late, max_ts, entries)
 
-        def reduce(sid: int, parts: list):
-            out, stats = _shard_step(
-                shards[sid], epoch, "apply_window_partials", name,
-                (Partials.concat(parts).canonical(), early), emit)
-            return (out if early else None), (sid, stats)
-
-        entries, results = self._exchange([(route, data)], reduce)
-        self._note_step(dict(st for _, st in results))
-        if late_write is not None:
-            self.metrics["late_routed"] += self._commit_parts(
-                f"{name}__late", epoch, entries, "late_rows")
+        parts, entries, lazy = self._route([(route, data)])
+        if op.late_output:  # rows the route wrote, none on a replay
+            self.metrics["late_routed"] += sum(e["rows"] for e in entries)
+            self._commit_emission(late_sink, epoch, entries,
+                                  op.late_rows_table, emitted, lazy,
+                                  kind="late_rows")
+        early = op.early_firing
+        args = {sid: (Gather(ps, merge_partials), early)
+                for sid, ps in parts.items()}
         if early:
-            n = self._commit_parts(f"{name}__early", epoch,
-                                   [e for e, _ in results if e],
-                                   "early_firing")
-            self._emit_committed(f"{name}__early", epoch, n, emitted)
+            self._request_rows("apply_window_partials", name, args,
+                               f"{name}__early", op.changelog_to_table,
+                               emitted, lambda: {"kind": "early_firing"},
+                               lazy)
+        else:
+            self._request("apply_window_partials", name, args)
 
     def _changelog_distributed(self, op, name: str, epoch: int, data,
-                               shard_method: str, to_table, kind: str) -> int:
+                               shard_method: str, to_table, emitted: dict,
+                               kind: str) -> None:
         """Shard-direct changelog (UpsertToRetract, ``KeyedAggregation``
         with ``emit_changelog``): the keyed partials exchange, whose
         reducers make the shard's one ``shard_method`` call and write the
         returned deltas (``to_table``) as the shard's part of sink
-        ``name``.  Returns committed delta rows."""
+        ``name``, which the driver commits and publishes."""
         shards, write = self.store.shards, self._part_writer(name, epoch)
 
         def reduce(sid: int, parts: list):
@@ -2141,8 +2126,8 @@ class StreamSession:
 
         _, results = self._exchange([(self._partials_route(op), data)],
                                     reduce)
-        return self._commit_parts(name, epoch, [e for e in results if e],
-                                  kind)
+        self._commit_emission(name, epoch, [e for e in results if e], None,
+                              emitted, True, kind=kind)
 
     def _scatter_points_distributed(self, op, name: str, epoch: int, data,
                                     kind: str) -> None:
@@ -2200,42 +2185,17 @@ class StreamSession:
                        for p, _ in results for lo, hi, est in p)
         return pairs, int(sum(d for _, d in results))
 
-    def _join_epoch(self, op: "StreamJoin", name: str, epoch: int,
-                    left, right) -> int:
-        """Dataset-epoch StreamJoin: both sides' blocks route by the Table
-        path's key hash (``side_shards``) and report their max event time;
-        each shard's reduce makes the one ``join_insert_probe`` step, whose
-        shard writes its matches as the shard's sink part.  Per-epoch input
-        and output never reside in driver memory.  Returns committed match
-        rows."""
-        num_shards, shards = self.store.num_shards, self.store.shards
-        emit = self._emit_to(name, epoch, op.matches_to_table)
+    def _join_route(self, op: "StreamJoin", side: str):
+        """Route kernel of one StreamJoin side (``shard_payloads``): each
+        block's rows go to their shards, co-located by key hash, with the
+        block's max event time."""
+        num_shards, ts_col = self.store.num_shards, op._side(side)[2]
 
-        def side_route(side: str):
-            ts_col = op.left_ts if side == "left" else op.right_ts
-
-            def route(tbl: pa.Table):
-                parts = op.side_shards(tbl, side, num_shards)
-                return ({s: (side, p) for s, p in parts.items()},
-                        Summary(max_ts=_block_max_ts(tbl, ts_col)))
-            return route
-
-        def reduce(sid: int, parts: list) -> tuple:
-            payload = op.payload_base()
-            for side in ("left", "right"):
-                got = [p for s, p in parts if s == side]
-                if got:
-                    payload[side] = Rows.concat(got)
-            m, stats = _shard_step(shards[sid], epoch, "join_insert_probe",
-                                   name, (payload,), emit)
-            return m, (sid, stats)
-
-        _, results = self._exchange(
-            [(side_route(s), d) for s, d in (("left", left), ("right", right))
-             if d is not None], reduce)
-        self._note_step(dict(step for _, step in results))
-        return self._commit_parts(name, epoch, [m for m, _ in results if m],
-                                  "join")
+        def route(tbl: pa.Table):
+            sides = (tbl, None) if side == "left" else (None, tbl)
+            return (op.shard_payloads(*sides, num_shards),
+                    Summary(max_ts=_block_max_ts(tbl, ts_col)))
+        return route
 
     def _enrich_kernel(self, op: "EnrichJoin", epoch: int, probe_name: str):
         """Enrich a frame of stream rows with the dim values registered for
@@ -2272,7 +2232,7 @@ class StreamSession:
         return enrich
 
     def _probe_epoch(self, op: "EnrichJoin", name: str, epoch: int,
-                     stream) -> int:
+                     stream, emitted: dict) -> None:
         """Stream epoch of an EnrichJoin (Table or Dataset).  Shuffle plan:
         route tasks split the events by their key's register shard
         (``shard_of(key_bytes)``), and each shard's reduce enriches its
@@ -2280,7 +2240,7 @@ class StreamSession:
         O(rows).  Block plan (``probe_mode="block"``, the skew-proof async
         lookup): events never move; each block task enriches its own rows,
         asking every touched shard once, and writes its part in place.  The
-        driver commits only the manifest."""
+        driver commits only the manifest, and publishes the parts."""
         num_shards, sk, stream_ts = self.store.num_shards, list(op.key), op.stream_ts
         carry = list(dict.fromkeys(
             sk + list(op.stream_cols) + ([stream_ts] if stream_ts else [])))
@@ -2312,7 +2272,8 @@ class StreamSession:
                              tag=f"shard{sid:04d}")
 
             _, entries = self._exchange([(route, stream)], reduce)
-        return self._commit_parts(name, epoch, entries, "enrich")
+        self._commit_emission(name, epoch, entries, None, emitted, True,
+                              kind="enrich")
 
     def _dedup_table_epoch(self, op: "StreamDedup", name: str, epoch: int,
                            tbl: pa.Table) -> pa.Table:
@@ -2335,12 +2296,12 @@ class StreamSession:
                                     preserve_index=False)
 
     def _dedup_probe_epoch(self, op: "StreamDedup", name: str, epoch: int,
-                           stream) -> int:
+                           stream, emitted: dict) -> None:
         """Dataset-epoch StreamDedup: route tasks pre-reduce each block to
         per-key min candidates (duplicates die in their block); each
         shard's reduce re-reduces across blocks, makes the shard's one
         claim call and writes the winners.  The driver commits only the
-        manifest."""
+        manifest, and publishes the parts."""
         num_shards, shards = self.store.num_shards, self.store.shards
         write = self._part_writer(name, epoch)
         cols = list(dict.fromkeys(
@@ -2371,7 +2332,8 @@ class StreamSession:
                          tag=f"shard{sid:04d}")
 
         _, entries = self._exchange([(route, stream)], reduce)
-        return self._commit_parts(name, epoch, entries, "dedup")
+        self._commit_emission(name, epoch, entries, None, emitted, True,
+                              kind="dedup")
 
     def process_epoch(self, epoch: int, inputs: dict[str, pa.Table | Any],
                       watermark: float | None = None,
@@ -2453,10 +2415,9 @@ class StreamSession:
                         self._emit(name, epoch, out_tbl, emitted,
                                    kind="agg_changelog")
                     else:
-                        n = self._changelog_distributed(
+                        self._changelog_distributed(
                             op, name, epoch, data, "apply_delta_changelog",
-                            op.changelog_to_table, kind="agg_changelog")
-                        self._emit_committed(name, epoch, n, emitted)
+                            op.changelog_to_table, emitted, "agg_changelog")
                 elif isinstance(data, pa.Table):
                     merged = self._merged_partials(op, data, self.watermark)
                     self.store.apply_deltas(name, epoch, merged,
@@ -2573,10 +2534,9 @@ class StreamSession:
                     out_tbl = op.rows_to_table(deltas, epoch)
                     self._emit(name, epoch, out_tbl, emitted, kind="upsert")
                 else:
-                    n = self._changelog_distributed(
+                    self._changelog_distributed(
                         op, name, epoch, data, "apply_upsert_retract",
-                        op.rows_to_table, kind="upsert")
-                    self._emit_committed(name, epoch, n, emitted)
+                        op.rows_to_table, emitted, "upsert")
             elif isinstance(op, EnrichJoin):
                 # shared arrangement: the owner op applied its upserts
                 # earlier this epoch (add order = processing order), so
@@ -2595,8 +2555,7 @@ class StreamSession:
                                                            dim)
                 stream = avail.get(op.stream_input)
                 if stream is not None:
-                    n = self._probe_epoch(op, name, epoch, stream)
-                    self._emit_committed(name, epoch, n, emitted)
+                    self._probe_epoch(op, name, epoch, stream, emitted)
             elif isinstance(op, StreamDedup):
                 data = avail.get(op.input)
                 if data is None:
@@ -2605,27 +2564,21 @@ class StreamSession:
                     tbl = self._dedup_table_epoch(op, name, epoch, data)
                     self._emit(name, epoch, tbl, emitted, kind="dedup")
                 else:
-                    n = self._dedup_probe_epoch(op, name, epoch, data)
-                    self._emit_committed(name, epoch, n, emitted)
+                    self._dedup_probe_epoch(op, name, epoch, data, emitted)
             elif isinstance(op, StreamJoin):
-                left_tbl = avail.get(op.left_input)
-                right_tbl = avail.get(op.right_input)
-                if any(d is not None and not isinstance(d, pa.Table)
-                       for d in (left_tbl, right_tbl)):
-                    # Dataset epoch: shard exchange + shard-side probe +
-                    # worker-written sink parts; driver sees metadata only
-                    n = self._join_epoch(op, name, epoch, left_tbl, right_tbl)
-                    self._emit_committed(name, epoch, n, emitted)
-                    continue
-                for d, ts_col in ((left_tbl, op.left_ts),
-                                  (right_tbl, op.right_ts)):
-                    if d is not None:
-                        self._observe_event_time(d, ts_col)
-                payloads = op.shard_payloads(
-                    left_tbl, right_tbl, self.store.num_shards
-                )
-                if payloads:
-                    self._join_probe(op, name, epoch, payloads, emitted)
+                # both sides' rows insert and probe in the epoch's step;
+                # the shards write the matches as the join's output
+                parts, _, lazy = self._route(
+                    [(self._join_route(op, side), avail[i]) for side, i in
+                     (("left", op.left_input), ("right", op.right_input))
+                     if avail.get(i) is not None])
+                if parts:
+                    self._request_rows(
+                        "join_insert_probe", name,
+                        {sid: (Gather(ps, merge_payloads),)
+                         for sid, ps in parts.items()},
+                        name, op.matches_to_table, emitted,
+                        lambda: {"kind": "join"}, lazy)
 
         if source_watermarks:
             for s, wm in source_watermarks.items():
@@ -2667,16 +2620,6 @@ class StreamSession:
                 self.sinks[name].consolidate(upto_epoch=epoch)
         self._epoch_blocks = {}
         return emitted
-
-    def _join_probe(self, op: "StreamJoin", name: str, epoch: int,
-                    payloads: dict[int, dict], emitted: dict) -> None:
-        """Table-epoch StreamJoin: queue each shard's insert-probe; the
-        shards write their matches, and the flush commits them as the
-        epoch's join output."""
-        self._request_rows("join_insert_probe", name,
-                           {sid: (p,) for sid, p in payloads.items()},
-                           name, op.matches_to_table, emitted,
-                           lambda: {"kind": "join"})
 
     def _changelog_sink_names(self) -> list[str]:
         """Sinks holding pure ±diff changelogs (safe to consolidate):

@@ -7,17 +7,20 @@ plain Ray tasks over those blocks, never as Ray Data executions:
 
 - ``run_blocks`` runs a map-only kernel, one task per block, results in
   block order (``IncrementalEncoderSession``'s partials and encode passes,
-  ``StreamSession``'s broadcast and block-probe enrich plans);
-- ``shard_exchange`` is the keyed exchange under every ``StreamSession``
+  ``StreamSession``'s block-probe enrich plan);
+- ``route_blocks`` is the keyed exchange under every ``StreamSession``
   arrangement — timely's hash exchange in the reference's Differential
   Dataflow.  A route task per block splits its block into one object per
-  shard (``num_returns``) plus a small ``Summary``; a reduce task per
-  touched shard receives that shard's objects in block order, makes the
-  shard's one actor call and writes its sink part.  The driver only sums
-  the summaries and commits the parts.
+  shard (``num_returns``) plus a small ``Summary``.  Windowed aggregates and
+  stream joins send each shard its objects' refs in the epoch's
+  ``StateShard.step``; ``shard_exchange`` adds, for every other family, a
+  reduce task per touched shard that receives that shard's objects in
+  block order, makes the shard's one actor call and writes its sink part.
+  The driver only sums the summaries and commits the parts.
 
-An epoch thus costs one task per block plus one per touched shard, and each
-kernel closure goes to the object store once per epoch.
+An epoch thus costs one task per block plus, in ``shard_exchange``, one per
+touched shard, and each kernel closure goes to the object store once per
+epoch.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import pyarrow as pa
 import ray
 
 __all__ = ["Summary", "combine", "block_refs", "blocks_to_table",
-           "run_blocks", "shard_exchange"]
+           "run_blocks", "route_blocks", "shard_exchange"]
 
 
 class Summary(NamedTuple):
@@ -102,16 +105,12 @@ def _reduce_shard(reduce, sid: int, *parts):
     return reduce(sid, list(parts))
 
 
-def shard_exchange(routes: list[tuple[Callable, list]],
-                   reduce: Callable[[int, list], Any],
-                   num_shards: int) -> tuple[Summary, list]:
-    """One keyed exchange over ``routes`` = [(route, blocks), …].
-
-    ``route(block) -> ({shard: object}, Summary)`` runs once per block
-    with rows;
-    ``reduce(shard, objects)`` runs once per touched shard with that shard's
-    objects in input-then-block order.  Returns the summed route summaries
-    and the reduce results in shard order."""
+def route_blocks(routes: list[tuple[Callable, list]],
+                 num_shards: int) -> tuple[Summary, dict[int, list]]:
+    """The route half of ``shard_exchange``: ``route(block) -> ({shard:
+    object}, Summary)`` as one task per block over ``routes`` = [(route,
+    blocks), …].  Returns the summed summaries and, per touched shard, the
+    object refs of its objects in input-then-block order."""
     routed = []
     for route, blocks in routes:
         ref = ray.put(route)
@@ -122,7 +121,21 @@ def shard_exchange(routes: list[tuple[Callable, list]],
     for refs, (sids, _) in zip(routed, heads):
         for s in sids:
             by_shard.setdefault(s, []).append(refs[s])
+    return combine(s for _, s in heads), by_shard
+
+
+def shard_exchange(routes: list[tuple[Callable, list]],
+                   reduce: Callable[[int, list], Any],
+                   num_shards: int) -> tuple[Summary, list]:
+    """One keyed exchange over ``routes`` = [(route, blocks), …].
+
+    ``route(block) -> ({shard: object}, Summary)`` runs once per block
+    with rows (``route_blocks``); ``reduce(shard, objects)`` runs once per
+    touched shard with that shard's objects in input-then-block order.
+    Returns the summed route summaries and the reduce results in shard
+    order."""
+    summary, by_shard = route_blocks(routes, num_shards)
     ref = ray.put(reduce)
     results = ray.get([_reduce_shard.remote(ref, s, *by_shard[s])
                        for s in sorted(by_shard)])
-    return combine(s for _, s in heads), results
+    return summary, results

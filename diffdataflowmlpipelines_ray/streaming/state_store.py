@@ -63,10 +63,10 @@ import pyarrow as pa
 
 import ray
 
-from .arrangement import JoinArrangement, Partials, WindowArrangement
+from .arrangement import JoinArrangement, Partials, Rows, WindowArrangement
 from .sink import CheckpointManager, write_epoch_part, write_shard_file
 
-__all__ = ["StateShard", "ShardedStateStore", "Emit", "shard_of",
+__all__ = ["StateShard", "ShardedStateStore", "Emit", "Gather", "shard_of",
            "rescale_blobs", "legacy_state", "check_cpu_headroom"]
 
 
@@ -963,11 +963,13 @@ class StateShard:
         inline, is ``(kernel, name, args, emit)`` for one of the
         ``STEP_KERNELS``: the epoch's window partial applies and join
         insert-probes in op order, then the watermark's window sweeps and
-        join unmatched sweeps and expiry.  A kernel marked as taking the
-        epoch gets it after ``name`` (its idempotency key).  A row-emitting
-        request carries an ``Emit``: the shard finalizes its result into the
-        op's output table and writes it as its own part of the sink
-        (``write_epoch_part``), so only the manifest entry travels back.
+        join unmatched sweeps and expiry.  A ``Gather`` argument is merged
+        here, so a Dataset epoch's rows come straight from its route tasks.
+        A kernel marked as taking the epoch gets it after ``name`` (its
+        idempotency key).  A row-emitting request carries an ``Emit``: the
+        shard finalizes its result into the op's output table and writes it
+        as its own part of the sink (``write_epoch_part``), so only the
+        manifest entry travels back.
         With ``snapshot`` (a checkpoint's epoch dir) the shard's ``dump``
         follows, written there by ``write_shard_file``.
 
@@ -980,6 +982,8 @@ class StateShard:
         out, secs, part_bytes = [], {}, 0
         for kernel, name, args, emit in requests:
             t = time.perf_counter()
+            args = [a.resolve() if isinstance(a, Gather) else a
+                    for a in args]
             fn = getattr(self, kernel)
             res = (fn(name, epoch, *args) if STEP_KERNELS[kernel]
                    else fn(name, *args))
@@ -1084,6 +1088,39 @@ class Emit(NamedTuple):
     finalize: Callable | None
     root: str | None
     fsync: bool = True
+
+
+class Gather(NamedTuple):
+    """A ``StateShard.step`` argument the shard assembles: its share of
+    an epoch's route outputs in input-then-block order, each inline (a
+    ``pa.Table`` epoch, routed on the driver) or the object ref of a route
+    task's output (a Dataset epoch), made one argument by ``merge``."""
+
+    parts: list
+    merge: Callable
+
+    def resolve(self):
+        refs = [p for p in self.parts if isinstance(p, ray.ObjectRef)]
+        got = iter(ray.get(refs) if refs else ())  # no Ray for inline parts
+        return self.merge([next(got) if isinstance(p, ray.ObjectRef) else p
+                           for p in self.parts])
+
+
+def merge_partials(parts: list) -> Partials:
+    """One shard's window partials of an epoch: one block's as routed,
+    several blocks' in (end, hash, value) order, which no block split or
+    arrival order changes."""
+    return parts[0] if len(parts) == 1 else Partials.concat(parts).canonical()
+
+
+def merge_payloads(payloads: list) -> dict:
+    """One shard's join probe payload of an epoch: each side's ``Rows``
+    from every block, concatenated in input-then-block order."""
+    out = dict(payloads[0])
+    for side in ("left", "right"):
+        if rows := [p[side] for p in payloads if side in p]:
+            out[side] = Rows.concat(rows)
+    return out
 
 
 #: the kernels ``StateShard.step`` runs, and whether each takes the epoch

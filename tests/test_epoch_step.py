@@ -1,7 +1,8 @@
 """Windowed aggregates and stream joins send each epoch's shard work as one
-``ShardedStateStore.step`` call: one actor call per touched shard, an
-earlier flush when a later op reads a pending output, checkpoints that
-never get ahead of the sinks, and per-kernel stats in ``stats()``."""
+``ShardedStateStore.step`` call: one actor call per touched shard, for
+``pa.Table`` and ``ray.data.Dataset`` inputs alike, an earlier flush when a
+later op reads a pending output, checkpoints that never get ahead of the
+sinks, and per-kernel stats in ``stats()``."""
 
 import gc
 import weakref
@@ -9,6 +10,7 @@ import weakref
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray.data as rd
 
 from diffdataflowmlpipelines_ray.streaming.engine import (
     KeyedAggregation,
@@ -37,6 +39,10 @@ def epoch_inputs(e: int, n: int = 40) -> dict:
         "rid": np.arange(8) + 1000 * e,
     })
     return {"ev": ev, "ref": ref}
+
+
+#: how an epoch's tables are fed: as they are, or as Ray Datasets
+FEEDS = {"table": lambda t: t, "dataset": rd.from_arrow}
 
 
 def watermark(e: int) -> float:
@@ -82,11 +88,13 @@ def canon(tbl: pa.Table) -> list:
     return sorted(map(tuple, df.to_numpy().tolist()))
 
 
-def test_one_step_call_per_epoch(ray_session, tmp_path):
+@pytest.mark.parametrize("feed", sorted(FEEDS))
+def test_one_step_call_per_epoch(ray_session, tmp_path, feed):
     sess = session(tmp_path / "s", checkpoint_every=1)
     steps, others = spy(sess)
     for e in range(EPOCHS):
-        sess.process_epoch(e, epoch_inputs(e), watermark=watermark(e))
+        inputs = {k: FEEDS[feed](t) for k, t in epoch_inputs(e).items()}
+        sess.process_epoch(e, inputs, watermark=watermark(e))
     stats = sess.stats()
     sess.store.shutdown()
     # applies, probes, sweeps, expiry and the due snapshot: one call per
@@ -106,12 +114,13 @@ def test_one_step_call_per_epoch(ray_session, tmp_path):
                                      "input_rows", "emitted_rows"}
 
 
-def test_untouched_shard_gets_no_call(ray_session, tmp_path):
+@pytest.mark.parametrize("feed", sorted(FEEDS))
+def test_untouched_shard_gets_no_call(ray_session, tmp_path, feed):
     sess = session(tmp_path / "u", checkpoint_every=0)
     steps, _ = spy(sess)
     one_key = pa.table({"k": [3, 3], "ts": [1.0, 2.0], "v": [1.0, 2.0],
                         "eid": [1, 2]})
-    sess.process_epoch(0, {"ev": one_key})
+    sess.process_epoch(0, {"ev": FEEDS[feed](one_key)})
     sess.store.shutdown()
     # no watermark, no checkpoint: the window apply and the join insert
     # of key 3 go to its one shard, in one call

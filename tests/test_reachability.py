@@ -184,6 +184,30 @@ def test_tools_name_only_registered_queries(rel, var):
     assert [n for n in names if n not in queries.QUERIES] == []
 
 
+def _literal_path_inserts(src: str) -> list[int]:
+    """Lines of ``src`` that put a string literal on ``sys.path``
+    (``sys.path.insert(i, "…")`` or ``sys.path.append("…")``)."""
+    return [node.lineno for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("insert", "append")
+            and ast.unparse(node.func.value) == "sys.path"
+            and any(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                    for a in node.args)]
+
+
+def test_tools_import_their_own_checkout():
+    """A tool that puts a fixed path first on ``sys.path`` imports and
+    checks that checkout, not its own; each derives it from ``__file__``."""
+    bad = {p.name: lines for p in sorted((REPO / "tools").glob("*.py"))
+           if (lines := _literal_path_inserts(p.read_text()))}
+    assert bad == {}
+    # the rule itself: a literal is caught, a derived path is not
+    assert _literal_path_inserts(
+        'import sys\nsys.path.insert(0, "/x")\nsys.path.append("/y")\n'
+        "sys.path.insert(0, str(ROOT))\n") == [2, 3]
+
+
 # ------------------------------------------------------- synthetic packages
 def _write(root: Path, rel: str, src: str = "") -> None:
     path = root / rel

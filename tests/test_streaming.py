@@ -819,7 +819,7 @@ class TestDistributedEpochRouting:
         left = pa.table({"k": [1, 2, 2, 3], "lv": [1.0, 2.0, 3.0, 4.0]})
         right = pa.table({"k2": [2, 3, 3], "rv": [10.0, 20.0, 30.0]})
 
-        def run(root, blocks):
+        def run(root, left_blocks, right_blocks):
             sess = StreamSession(root, num_shards=2)
             sess.add(StreamJoin(name="j", left_input="l", right_input="r",
                                 left_key=["k"], right_key=["k2"],
@@ -828,16 +828,18 @@ class TestDistributedEpochRouting:
                 for e in range(2):
                     l = left.slice(e * 2, 2)
                     r = right.slice(e, 2 - e)
-                    sess.process_epoch(e, {"l": as_blocks(l, blocks),
-                                           "r": as_blocks(r, blocks)})
+                    sess.process_epoch(e, {"l": as_blocks(l, left_blocks),
+                                           "r": as_blocks(r, right_blocks)})
                 return (sess.sinks["j"].read_committed_table().to_pandas()
                         .sort_values(["k", "lv", "rv"]).reset_index(drop=True))
             finally:
                 sess.store.shutdown()
 
-        a = run(tmp_path / "tbl", 0)
-        for blocks in (1, 4):  # one block; multi-block incl. empty blocks
-            b = run(tmp_path / f"dsd{blocks}", blocks)
+        a = run(tmp_path / "tbl", 0, 0)
+        # one block; multi-block incl. empty blocks; a Table left side
+        # beside a multi-block Dataset right side
+        for blocks in ((1, 1), (4, 4), (0, 4)):
+            b = run(tmp_path / "dsd{}-{}".format(*blocks), *blocks)
             pd.testing.assert_frame_equal(
                 a[["k", "lv", "rv", "diff"]], b[["k", "lv", "rv", "diff"]]
             )
@@ -2807,6 +2809,24 @@ class TestOpLateOutput:
         n2 = sess.sinks["win__late"].read_committed_table().num_rows
         sess.store.shutdown()
         assert n1 == n2 == 1
+
+    @pytest.mark.parametrize("feed", ["table", "dataset"])
+    def test_late_rows_feed_a_later_op(self, ray_session, tmp_path, feed):
+        """``<op>__late`` chains like any op output: an op declared after
+        the window reads the epoch's late rows, from a Table epoch and
+        from a Dataset epoch alike."""
+        sess = self._sess(tmp_path / f"ol6-{feed}")
+        sess.add(KeyedAggregation(name="late_by_k", input="win__late",
+                                  key_cols=["k"], aggs=("count",)))
+        sess.process_epoch(0, {"ev": self._ev([(1, 25.0, 1.0)])},
+                           watermark=25.0)
+        ev = self._ev([(1, 4.0, 1.0), (2, 7.0, 1.0), (2, 28.0, 1.0)])
+        sess.process_epoch(1, {"ev": ev if feed == "table"
+                               else rd.from_arrow(ev).repartition(2)})
+        got = sess.state_table("late_by_k").to_pandas()
+        sess.store.shutdown()
+        assert got[["k", "count"]].sort_values("k").to_dict("list") == \
+            {"k": [1, 2], "count": [1, 1]}
 
     def test_validation(self, ray_session):
         with pytest.raises(ValueError, match="late_output requires"):

@@ -9,10 +9,11 @@ sf dir, compares row count, column names, and order-insensitive values
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import numpy as np

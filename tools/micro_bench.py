@@ -14,11 +14,12 @@ new distinct every `unique`-th update).  Run:
 from __future__ import annotations
 
 import json
+import os
 import sys
 import tempfile
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import numpy as np
 import pyarrow as pa

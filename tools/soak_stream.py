@@ -1,8 +1,8 @@
 """Long-stream soak: hundreds of micro-batch epochs through windows + join +
 incremental encoders; verifies correctness at the end and that per-epoch
 latency stays flat (no state/applied-set growth effects)."""
-import sys, time, tempfile
-sys.path.insert(0, "/root/repo")
+import os, sys, time, tempfile
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np, pyarrow as pa
 
 def main(n_epochs=300, rows=200, sync_every=1, pipelined=False):
