@@ -7,10 +7,14 @@ Slicing keeps one partial per window slice so that closing a window touches
 only that slice (EDBT 2019).  This module ports both ideas to the two keyed
 ops that dominate high-cardinality streams:
 
-- **one key hash.**  ``key_hash`` is ``pandas.util.hash_pandas_object`` over
-  the key columns, by position, computed once per batch.  ``h % num_shards``
-  is the shard, so every window (and pane) of a key lives on one shard and
-  both sides of a join co-locate.
+- **one key hash.**  ``key_hash`` gives the values
+  ``pandas.util.hash_pandas_object(frame, index=False)`` gives for the frame
+  of the key columns, computed per column (``pd.util.hash_array``) and
+  folded with pandas' tuple-hash rule, once per batch and without building
+  a frame.  Window slabs checkpoint these hashes and a rescale re-splits by
+  them, so the values never change.  ``h % num_shards`` is the shard, so
+  every window (and pane) of a key lives on one shard and both sides of a
+  join co-locate.
 - **windowed aggregates.**  A shard holds ``WindowArrangement`` = ``{window
   end: Slab}``.  A slab is a set of key columns plus a hash→slot index; a
   hash hit is confirmed on the real key values, so a 64-bit collision gets a
@@ -35,16 +39,36 @@ import pickle
 import numpy as np
 import pyarrow as pa
 
-__all__ = ["key_hash", "keys_equal", "to_arrow", "Partials", "Slab",
-           "WindowArrangement", "Rows", "JoinArrangement"]
+__all__ = ["key_hash", "arrow_key_hash", "keys_equal", "to_arrow",
+           "Partials", "Slab", "WindowArrangement", "Rows", "JoinArrangement"]
 
 
-def key_hash(frame) -> np.ndarray:
-    """uint64 hash per row of the key columns of a pandas frame (names
-    ignored, order kept): the routing hash of every arrangement."""
+def key_hash(cols) -> np.ndarray:
+    """uint64 hash per row of key columns ``cols`` (numpy or pandas arrays,
+    in key order): the routing hash of every arrangement.  Bit-identical to
+    ``hash_pandas_object(frame, index=False)`` of a frame holding ``cols``:
+    each column is ``pd.util.hash_array``-ed (an object column first reads
+    as a frame column would, so pandas' datetime inference applies) and the
+    columns fold like a tuple hash (pandas' ``combine_hash_arrays``)."""
     import pandas as pd
 
-    return pd.util.hash_pandas_object(frame, index=False).to_numpy()
+    hashes = [pd.util.hash_array(pd.Series(c, copy=False).values
+                                 if c.dtype == object else c) for c in cols]
+    if not hashes:
+        return np.array([], dtype=np.uint64)
+    out = np.full(len(hashes[0]), 0x345678, dtype=np.uint64)
+    mult = np.uint64(1000003)
+    for i, h in enumerate(hashes):
+        out ^= h
+        out *= mult
+        mult += np.uint64(82520 + 2 * (len(hashes) - i))
+    return out + np.uint64(97531)
+
+
+def arrow_key_hash(tbl: pa.Table, names: list) -> np.ndarray:
+    """``key_hash`` of a table's key columns as ``to_pandas`` converts
+    them."""
+    return key_hash([tbl.column(n).to_pandas().values for n in names])
 
 
 def _shard_rows(h: np.ndarray, n: int) -> dict[int, np.ndarray]:
@@ -552,8 +576,7 @@ class JoinArrangement:
         self.__init__()
         for side, runs in state.items():
             self.sides[side].runs = [
-                Rows(tbl, names,
-                     key_hash(tbl.select(names).to_pandas()), ts,
+                Rows(tbl, names, arrow_key_hash(tbl, names), ts,
                      np.ones(len(ts), dtype=np.int64) if diff is None
                      else diff, matched)
                 for tbl, names, ts, diff, matched in runs]

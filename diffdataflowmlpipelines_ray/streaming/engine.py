@@ -67,9 +67,10 @@ import ray
 
 from ..state.aggregates import SumCountAgg
 from .exchange import (Summary, block_refs, blocks_to_table, combine,
-                       route_blocks, run_blocks, shard_exchange)
+                       route_blocks, run_blocks, shard_exchange, timed)
 from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
-from .arrangement import Partials, Rows, key_hash, to_arrow
+from .arrangement import (Partials, Rows, arrow_key_hash, key_hash,
+                          to_arrow)
 from .state_store import (Emit, Gather, ShardedStateStore, StateShard,
                           legacy_state, merge_partials, merge_payloads,
                           rescale_blobs, shard_of)
@@ -159,6 +160,30 @@ def _block_max_ts(tbl: pa.Table, ts_col: str | None) -> float:
         return -math.inf
     col = tbl.column(ts_col)
     return float(_ts_seconds(pa.array([pc.max(col)], type=col.type))[0])
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _groups(cols: list) -> list:
+    """Group rows by ``cols`` as pandas' ``groupby(sort=True, dropna=False)``
+    does: each column factorizes as the groupby's own grouping does, and
+    the codes fold into one group id, first column most significant.  When
+    the next fold could overflow int64 the id so far is made dense first
+    (pandas' ``get_group_index`` rule), which keeps the order.  Returns
+    each column's value per group, in group order, then each row's
+    group."""
+    gid, size = np.zeros(len(cols[0]), dtype=np.int64), 1
+    factors = []
+    for col in cols:
+        code, uniq = pd.factorize(col, sort=True, use_na_sentinel=False)
+        if size * len(uniq) > _INT64_MAX:
+            seen, gid = np.unique(gid, return_inverse=True)
+            size = len(seen)
+        gid, size = gid * len(uniq) + code, size * len(uniq)
+        factors.append((code, uniq))
+    _, first, group = np.unique(gid, return_index=True, return_inverse=True)
+    return [uniq.take(code[first]) for code, uniq in factors] + [group]
 
 
 # ------------------------------------------- shard exchange route/reduce parts
@@ -448,32 +473,23 @@ class KeyedAggregation:
     # --------------------------------------------------------------- partials
     def partial_batch(self, tbl: pa.Table, finalized_before: float):
         """One block → (partials, late_rows).  Windowed: columnar
-        ``Partials``, one row per (window, key) — the same pandas groupby
-        over (key…, window) the accumulators always used, plus the key hash
-        that routes them.  Unwindowed: {key_bytes: acc}."""
-        cols = list(self.key_cols)
-        if self.value_col:
-            cols.append(self.value_col)
-        if self.ts_col:
-            cols.append(self.ts_col)
-        if self.weight_col and self.weight_col in tbl.column_names:
-            cols.append(self.weight_col)
-        pdf = tbl.select(dict.fromkeys(cols)).to_pandas()
-        values = (
-            pdf[self.value_col].to_numpy(dtype=np.float64)
-            if self.value_col
-            else np.ones(len(pdf))
-        )
-        weights = (
-            pdf[self.weight_col].to_numpy(dtype=np.int64)
-            if self.weight_col and self.weight_col in pdf
-            else None
-        )
+        ``Partials``, one row per (window, key) in (key…, window start)
+        order with the key hash that routes them — the groups, order and
+        key values a sorted pandas group-by that keeps null keys gives
+        (``_groups``); ``s``/``c`` sum by ``np.bincount``, monoids fold each
+        group's rows in input order.  Unwindowed: {key_bytes: acc}."""
         key_cols = list(self.key_cols)
+        values = (tbl.column(self.value_col).to_pandas()
+                  .to_numpy(dtype=np.float64)
+                  if self.value_col else np.ones(tbl.num_rows))
+        weights = (tbl.column(self.weight_col).to_pandas()
+                   .to_numpy(dtype=np.int64)
+                   if self.weight_col and self.weight_col in tbl.column_names
+                   else None)
         if self.window is None:
-            return self._keyed_partials(pdf[key_cols].copy(), values,
-                                        weights), 0
-        ts = _ts_to_float(pdf[self.ts_col])
+            return self._keyed_partials(tbl.select(key_cols).to_pandas(),
+                                        values, weights), 0
+        ts = _ts_seconds(tbl.column(self.ts_col))
         w = self.window
         if w.use_panes and not self.early_firing:
             idx, start, _ = w.assign_panes(ts)
@@ -487,36 +503,31 @@ class KeyedAggregation:
             width = w.size
         late = int((~keep).sum())
         idx, start = idx[keep], start[keep]
-        frame = pd.DataFrame({**{k: pdf[k].to_numpy()[idx] for k in key_cols},
-                              "__ws": start})
+        *keys, start, group = _groups(
+            [tbl.column(k).to_pandas().to_numpy()[idx] for k in key_cols]
+            + [start])
         values = values[idx]
         weights = weights[idx] if weights is not None else None
-        groups = key_cols + ["__ws"]
+        n = len(start)
         s = c = acc = None
         if self.make_acc is None and not self._track_extremes:
-            ww = (weights if weights is not None
-                  else np.ones(len(frame), dtype=np.int64))
-            agg = (frame.assign(__wv=values * ww, __w=ww)
-                   .groupby(groups, sort=True, dropna=False)[["__wv", "__w"]]
-                   .sum())
-            s, c = agg["__wv"].to_numpy(), agg["__w"].to_numpy(np.int64)
-            index = agg.index
+            wv = values if weights is None else values * weights
+            if np.isnan(wv).any():  # a pandas group-by sum skips NaN
+                wv = np.where(np.isnan(wv), 0.0, wv)
+            s = np.bincount(group, weights=wv, minlength=n)
+            c = (np.bincount(group, minlength=n) if weights is None else
+                 np.bincount(group, weights=weights, minlength=n)
+                 ).astype(np.int64)
         else:
-            grouped = frame.assign(__pos=np.arange(len(frame))).groupby(
-                groups, sort=True, dropna=False)
-            acc = np.empty(grouped.ngroups, dtype=object)
-            for i, (_, grp) in enumerate(grouped):
-                acc[i] = self._group_acc(values, weights,
-                                         grp["__pos"].to_numpy())
-            index = grouped.size().index
-        cols = ([index.get_level_values(i).to_numpy()
-                 for i in range(len(groups))] if len(index)
-                else [frame[g].to_numpy() for g in groups])
-        keys, start = cols[:-1], cols[-1]
+            # each group's rows in input order
+            order = np.argsort(group, kind="stable")
+            bounds = np.cumsum(np.bincount(group, minlength=n))
+            acc = np.empty(n, dtype=object)
+            for i, pos in enumerate(np.split(order, bounds)[:-1]):
+                acc[i] = self._group_acc(values, weights, pos)
         self._key_types = [tbl.schema.field(k).type for k in key_cols]
-        return Partials(keys, self._key_types,
-                        key_hash(pd.DataFrame(dict(zip(key_cols, keys)))),
-                        start, start + width, s, c, acc), late
+        return Partials(keys, self._key_types, key_hash(keys), start,
+                        start + width, s, c, acc), late
 
     def _group_acc(self, values, weights, pos):
         w = weights[pos] if weights is not None else None
@@ -1380,8 +1391,9 @@ class StreamJoin:
     def side_shards(self, tbl: pa.Table, side: str,
                     num_shards: int) -> dict[int, Rows]:
         """One side's epoch rows → ``Rows`` per shard: the carried Arrow
-        columns, key hash (shard = hash % num_shards, identical on both
-        sides, so matching keys co-locate), event time in float seconds and
+        columns, key hash (``arrow_key_hash`` of the key columns, computed
+        per column; shard = hash % num_shards, identical on both sides, so
+        matching keys co-locate), event time in float seconds and
         ``diff``.  A ``diff`` column on the input makes the join
         **bilinear** like DD's: a retraction row (diff = −1) matches the
         other side's buffered rows and emits matches with diff = diff_left ·
@@ -1392,10 +1404,9 @@ class StreamJoin:
         self._schemas[side] = out.schema
         if not tbl.num_rows:
             return {}
-        kdf = tbl.select(keys).to_pandas()
         n = tbl.num_rows
         rows = Rows(
-            out, keys, key_hash(kdf),
+            out, keys, arrow_key_hash(tbl, keys),
             _ts_seconds(tbl.column(ts_col)) if ts_col else np.zeros(n),
             (tbl.column("diff").to_numpy().astype(np.int64)
              if "diff" in tbl.column_names else np.ones(n, dtype=np.int64)))
@@ -1707,6 +1718,10 @@ class StreamSession:
         #: ``metrics``, which manifests and checkpoints carry)
         self._store_stats = {"calls": 0, "kernel_s": {}, "live_keys": {},
                              "part_bytes": 0, "snapshot_bytes": 0}
+        #: seconds the windowed aggregates' and joins' routes ran, per op,
+        #: on the driver or in route tasks (``stats()["route_s"]``; kept
+        #: out of ``metrics`` for the same reason)
+        self._route_s: dict[str, float] = {}
 
     def _meta(self, **kw) -> dict:
         if self.current_lineage is not None:
@@ -1860,14 +1875,18 @@ class StreamSession:
         self._max_event_time = max(self._max_event_time, summary.max_ts)
         return summary.entries
 
-    def _route(self, routes: list) -> tuple[dict[int, list], list, bool]:
-        """Run each ``(route, epoch input)``'s route: a ``pa.Table`` is one
-        block, routed inline on the driver; a Dataset's blocks route in
-        ``route_blocks`` tasks.  Folds the summaries; returns {shard: [its
-        parts, inline or as refs]}, the parts the routes wrote, and whether
-        an input was a Dataset (the outputs then publish as Datasets)."""
+    def _route(self, name: str,
+               routes: list) -> tuple[dict[int, list], list, bool]:
+        """Run each ``(route, epoch input)``'s route of op ``name``: a
+        ``pa.Table`` is one block, routed inline on the driver; a Dataset's
+        blocks route in ``route_blocks`` tasks.  Folds the summaries and
+        adds the routes' own run time to ``stats()["route_s"][name]``;
+        returns {shard: [its parts, inline or as refs]}, the parts the
+        routes wrote, and whether an input was a Dataset (the outputs then
+        publish as Datasets)."""
         routed, remote = [], []
         for route, data in routes:
+            route = timed(route)
             if isinstance(data, pa.Table):
                 parts, summary = route(data)
                 routed.append((summary, {s: [p] for s, p in parts.items()}))
@@ -1879,8 +1898,9 @@ class StreamSession:
         for _, parts in routed:
             for sid, ps in parts.items():
                 by_shard.setdefault(sid, []).extend(ps)
-        return by_shard, self._fold(combine(s for s, _ in routed)), \
-            bool(remote)
+        summary = combine(s for s, _ in routed)
+        self._route_s[name] = self._route_s.get(name, 0.0) + summary.route_s
+        return by_shard, self._fold(summary), bool(remote)
 
     def _exchange(self, routes: list, reduce) -> tuple[list, list]:
         """One shard exchange over ``[(route, epoch input)]``; returns the
@@ -2089,7 +2109,7 @@ class StreamSession:
             part, late = op.partial_batch(tbl, wm)
             return part.split(num_shards), Summary(late, max_ts, entries)
 
-        parts, entries, lazy = self._route([(route, data)])
+        parts, entries, lazy = self._route(name, [(route, data)])
         if op.late_output:  # rows the route wrote, none on a replay
             self.metrics["late_routed"] += sum(e["rows"] for e in entries)
             self._commit_emission(late_sink, epoch, entries,
@@ -2568,8 +2588,8 @@ class StreamSession:
             elif isinstance(op, StreamJoin):
                 # both sides' rows insert and probe in the epoch's step;
                 # the shards write the matches as the join's output
-                parts, _, lazy = self._route(
-                    [(self._join_route(op, side), avail[i]) for side, i in
+                parts, _, lazy = self._route(name, [
+                    (self._join_route(op, side), avail[i]) for side, i in
                      (("left", op.left_input), ("right", op.right_input))
                      if avail.get(i) is not None])
                 if parts:
@@ -2816,12 +2836,15 @@ class StreamSession:
         ``calls`` (shard calls), ``kernel_s`` (compute seconds per kernel,
         summed over shards), ``live_keys`` (per shard, as of its last
         step), and ``part_bytes`` and ``snapshot_bytes`` (the bytes of the
-        sink parts and checkpoint files the shards wrote)."""
+        sink parts and checkpoint files the shards wrote); under
+        ``route_s``, the seconds each windowed aggregate's or join's route
+        ran (op name → seconds, inline on the driver or in route tasks)."""
         st = self._store_stats
         return {"metrics": dict(self.metrics), "watermark": self.watermark,
                 "shards": self.store.stats(),
                 "store": {**st, "kernel_s": dict(st["kernel_s"]),
-                          "live_keys": dict(st["live_keys"])}}
+                          "live_keys": dict(st["live_keys"])},
+                "route_s": dict(self._route_s)}
 
     def route_late(self, epoch: int, inputs: dict,
                    ts_cols: dict[str, str], lateness: float = 0.0) -> dict:

@@ -26,30 +26,44 @@ epoch.
 from __future__ import annotations
 
 import math
+import time
 from typing import Any, Callable, Iterable, NamedTuple
 
 import pyarrow as pa
 import ray
 
-__all__ = ["Summary", "combine", "block_refs", "blocks_to_table",
+__all__ = ["Summary", "combine", "timed", "block_refs", "blocks_to_table",
            "run_blocks", "route_blocks", "shard_exchange"]
 
 
 class Summary(NamedTuple):
     """What a block task reports to the driver: rows it dropped as late,
-    its max event time and the manifest entries of the parts it wrote."""
+    its max event time, the manifest entries of the parts it wrote and, for
+    a timed route (``timed``), the seconds the route ran."""
     late: int = 0
     max_ts: float = -math.inf
     entries: tuple | list = ()
+    route_s: float = 0.0
 
 
 def combine(summaries: Iterable[Summary]) -> Summary:
-    late, max_ts, entries = 0, -math.inf, []
+    late, max_ts, entries, route_s = 0, -math.inf, [], 0.0
     for s in summaries:
         late += s.late
         max_ts = max(max_ts, s.max_ts)
         entries.extend(s.entries)
-    return Summary(late, max_ts, entries)
+        route_s += s.route_s
+    return Summary(late, max_ts, entries, route_s)
+
+
+def timed(route: Callable) -> Callable:
+    """``route`` that reports its own run time as ``Summary.route_s``,
+    wherever it runs (inline on the driver or in a route task)."""
+    def run(block: pa.Table):
+        t0 = time.perf_counter()
+        parts, summary = route(block)
+        return parts, summary._replace(route_s=time.perf_counter() - t0)
+    return run
 
 
 def _arrow(block) -> pa.Table:

@@ -7,8 +7,9 @@ of the key space for every registered state table.  Two routing rules
 exist:
 
 - **columnar arrangements** (``arrangement.py``), for windowed
-  ``KeyedAggregation`` and ``StreamJoin``: ``hash_pandas_object(key cols)
-  % num_shards``, hashed once per batch.
+  ``KeyedAggregation`` and ``StreamJoin``: ``key_hash(key cols) %
+  num_shards`` (the values of ``hash_pandas_object``), hashed once per
+  batch.
   - ``windows``  name → {window end: slab of key columns, hash→slot index
     and numpy ``s``/``c`` accumulators, or one object column of monoids}
   - ``spines``   name → per side, runs of rows sorted by key hash (the

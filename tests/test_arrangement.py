@@ -14,7 +14,7 @@ import pytest
 
 from diffdataflowmlpipelines_ray.state.aggregates import SumCountAgg
 from diffdataflowmlpipelines_ray.streaming.arrangement import (
-    Partials, Slab, WindowArrangement)
+    Partials, Slab, WindowArrangement, arrow_key_hash, key_hash)
 from diffdataflowmlpipelines_ray.streaming.engine import (
     KeyedAggregation, StreamJoin, StreamSession, WindowSpec, _block_max_ts,
     _ts_to_float)
@@ -111,13 +111,114 @@ class TestBlockMaxTs:
         assert _block_max_ts(pa.table({"x": [1.0]}), None) == -math.inf
 
 
+KEY_COLUMNS = {
+    "int64": pa.array([3, 1, 3, -7, 0], pa.int64()),
+    "float64_nan": pa.array([1.5, float("nan"), None, -0.0, 1.5]),
+    "string_none": pa.array(["a", None, "", "a", "é"]),
+    "bool": pa.array([True, False, True, True, False]),
+    "bool_none": pa.array([True, None, False, True, None]),
+    "timestamp_us": pa.array([1, None, 2_000_000, 1, -5],
+                             pa.timestamp("us")),
+    "nullable_int": pa.array([4, None, 4, 2**40, None], pa.int64()),
+}
+
+
+class TestKeyHash:
+    """``key_hash`` is persisted: window slabs checkpoint it and
+    ``rescale_blobs`` re-splits by it, so it must stay bit-identical to
+    ``hash_pandas_object(frame, index=False)`` of the key columns as
+    ``to_pandas`` converts them."""
+
+    @pytest.mark.parametrize("names", [[n] for n in KEY_COLUMNS] + [
+        ["string_none", "int64"], ["nullable_int", "bool_none"],
+        ["int64", "string_none", "timestamp_us"],
+        ["float64_nan", "bool", "string_none"]], ids="+".join)
+    @pytest.mark.parametrize("rows", [5, 0])
+    def test_matches_hash_pandas_object(self, names, rows):
+        import pandas as pd
+
+        tbl = pa.table({n: KEY_COLUMNS[n] for n in names}).slice(0, rows)
+        df = tbl.to_pandas()
+        want = pd.util.hash_pandas_object(df, index=False).to_numpy()
+        assert want.dtype == np.uint64 and len(want) == rows
+        assert np.array_equal(arrow_key_hash(tbl, names), want)
+        assert np.array_equal(key_hash([df[n].values for n in names]), want)
+        assert np.array_equal(
+            key_hash([df[n].to_numpy() for n in names]), want)
+
+    def test_object_datetimes_hash_as_a_frame_column(self):
+        """An object column of datetimes hashes as the datetime64 column
+        a frame built from it holds."""
+        import pandas as pd
+
+        col = pd.Series(pd.to_datetime([1, 2, None], unit="s", utc=True)
+                        ).to_numpy()
+        assert col.dtype == object
+        want = pd.util.hash_pandas_object(pd.DataFrame({"t": col}),
+                                          index=False).to_numpy()
+        assert np.array_equal(key_hash([col]), want)
+
+    def test_null_key_hashes_alike_in_every_block(self):
+        """A null key keeps one hash whatever else its block holds, so its
+        window keeps one slot: an epoch whose only key is null adds to the
+        slot of an epoch that also held ``"a"``."""
+        op = KeyedAggregation(name="win", input="ev", key_cols=["k"],
+                              value_col="v", ts_col="ts",
+                              aggs=("count", "sum"),
+                              window=WindowSpec.tumbling(10.0))
+        blocks = [pa.table({"k": pa.array(k, pa.string()), "ts": ts,
+                            "v": v})
+                  for k, ts, v in ((["a", None], [1.0, 2.0], [1.0, 2.0]),
+                                   ([None], [3.0], [4.0]))]
+        arr = WindowArrangement([pa.string()], obj=False)
+        for b in blocks:
+            arr.apply(op.partial_batch(b, -math.inf)[0])
+        out = op.rows_to_table([arr.sweep(10.0)], 0).to_pylist()
+        assert sorted((r["k"] or "", r["count"], r["sum"]) for r in out) \
+            == [("", 2, 6.0), ("a", 1, 1.0)]
+
+
+class TestJoinRoute:
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_side_shards_match_a_hash_pandas_object_route(self, num_shards):
+        """Each shard's ``Rows``: the rows whose ``hash_pandas_object`` key
+        hash falls on it, in hash order (stable), with their hash, carried
+        columns, event time and diff."""
+        import pandas as pd
+
+        rng = np.random.default_rng(num_shards)
+        n = 200
+        tbl = pa.table({
+            "c": pa.array(rng.choice(["x", "y", "z"], n).tolist(),
+                          mask=rng.random(n) < 0.2),
+            "k": pa.array(rng.integers(0, 9, n), pa.int64()),
+            "ts": rng.uniform(0, 50, n),
+            "eid": np.arange(n, dtype=np.int64),
+            "diff": rng.choice([1, -1], n),
+        })
+        op = StreamJoin(name="j", left_input="ev", right_input="ref",
+                        left_key=["c", "k"], right_key=["c", "k"],
+                        left_cols=["eid"], right_cols=["rid"],
+                        left_ts="ts", right_ts="rts")
+        got = op.side_shards(tbl, "left", num_shards)
+        h = pd.util.hash_pandas_object(tbl.select(["c", "k"]).to_pandas(),
+                                       index=False).to_numpy()
+        order = np.argsort(h, kind="stable")
+        shard = h[order] % np.uint64(num_shards)
+        assert sorted(got) == sorted(np.unique(shard).tolist())
+        for sid, rows in got.items():
+            idx = order[shard == sid]
+            assert np.array_equal(rows.h, h[idx])
+            assert rows.tbl.equals(tbl.select(["c", "k", "eid"]).take(idx))
+            assert np.array_equal(rows.ts, tbl["ts"].to_numpy()[idx])
+            assert np.array_equal(rows.diff, tbl["diff"].to_numpy()[idx])
+            assert rows.key_names == ["c", "k"]
+
+
 def partials(keys, ends, s, size=10.0):
     keys = np.asarray(keys, dtype=np.int64)
-    from diffdataflowmlpipelines_ray.streaming.arrangement import key_hash
-    import pandas as pd
-
     end = np.asarray(ends, dtype=np.float64)
-    return Partials([keys], [pa.int64()], key_hash(pd.DataFrame({"k": keys})),
+    return Partials([keys], [pa.int64()], key_hash([keys]),
                     end - size, end, np.asarray(s, dtype=np.float64),
                     np.ones(len(keys), dtype=np.int64))
 

@@ -129,6 +129,23 @@ def test_untouched_shard_gets_no_call(ray_session, tmp_path, feed):
     assert epoch == 0 and len(shards) == 1 and not snapshot
 
 
+def test_route_time_reported_per_op(ray_session, tmp_path):
+    """The windowed aggregate's and the join's routes time themselves: a
+    Table epoch routed on the driver and a Dataset epoch routed in route
+    tasks each add to ``stats()["route_s"]`` of both ops."""
+    sess = session(tmp_path / "r", checkpoint_every=0)
+    seen = []
+    for e, feed in enumerate(("table", "dataset")):
+        inputs = {k: FEEDS[feed](t) for k, t in epoch_inputs(e).items()}
+        sess.process_epoch(e, inputs, watermark=watermark(e))
+        seen.append(sess.stats())
+    sess.store.shutdown()
+    table, dataset = (st["route_s"] for st in seen)
+    assert set(table) == set(dataset) == {"win", "j"}
+    assert all(table[op] > 0 and dataset[op] > table[op] for op in table)
+    assert "route_s" not in seen[-1]["metrics"]
+
+
 def test_op_chained_off_the_join_sees_its_matches(ray_session, tmp_path):
     sess = session(tmp_path / "c", checkpoint_every=0)
     sess.add(KeyedAggregation(name="per_k", input="j", key_cols=["k"],

@@ -2,6 +2,8 @@
 session-interval merge invariance, pattern sweep vs brute force, window
 assignment coverage.  Pure functions — no Ray session needed."""
 
+import pickle
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -546,3 +548,163 @@ class TestArrangementAlgebra:
         for name, c in cols.items():
             assert self.canon(got[name], c) == self.canon(ref[name], c), name
             assert self.canon(got[name], c) == want[name], name
+
+
+class TestPartialBatchReference:
+    """``KeyedAggregation.partial_batch`` (factorize + ``np.bincount``)
+    equals a pandas ``groupby(keys + [window start], sort=True,
+    dropna=False)`` over the same window assignment: the same rows in the
+    same order, key values, hashes (the input frame's
+    ``hash_pandas_object`` of each group's rows), bounds, counts, late
+    count, and sums — exact on integer-valued inputs, within ``rtol=1e-12``
+    on arbitrary floats (pandas sums with Kahan compensation,
+    ``np.bincount`` does not).  Monoid ops get each group's rows in input
+    order."""
+
+    WINDOWS = {
+        "tumbling": (WindowSpec.tumbling(10.0), False),
+        "tumbling_lateness": (WindowSpec.tumbling(10.0, 5.0), False),
+        "sliding_panes": (WindowSpec.sliding(30.0, 10.0), False),
+        "sliding_replicated": (WindowSpec.sliding(30.0, 10.0), True),
+        "sliding_uneven": (WindowSpec.sliding(25.0, 10.0, 5.0), False),
+    }
+
+    @staticmethod
+    def op(window: str, agg: str, key_cols: list, weighted: bool):
+        from diffdataflowmlpipelines_ray.streaming.engine import (
+            KeyedAggregation)
+
+        spec, early = TestPartialBatchReference.WINDOWS[window]
+        kw = dict(name="a", input="ev", key_cols=key_cols, value_col="v",
+                  ts_col="ts", window=spec, early_firing=early,
+                  weight_col="w" if weighted else None)
+        if agg == "minmax":
+            kw["aggs"] = ("count", "min", "max")
+        elif agg == "make_acc":  # records each group's rows, in order
+            kw["make_acc"] = lambda v, w: ("acc", v.tolist(),
+                                           None if w is None else w.tolist())
+            kw["finalize"] = lambda a: {}
+        return KeyedAggregation(**kw)
+
+    @staticmethod
+    def reference(op, tbl: pa.Table, finalized_before: float) -> dict:
+        import pandas as pd
+
+        pdf = tbl.to_pandas()
+        ts = pdf["ts"].to_numpy(dtype=np.float64)
+        w = op.window
+        if w.use_panes and not op.early_firing:
+            idx, start, _ = w.assign_panes(ts)
+            last_end = start + w.size
+        else:
+            idx, start, last_end = w.assign(ts)
+        keep = last_end + w.allowed_lateness > finalized_before
+        idx, start = idx[keep], start[keep]
+        keys = list(op.key_cols)
+        values = pdf["v"].to_numpy(dtype=np.float64)[idx]
+        weights = (pdf["w"].to_numpy(dtype=np.int64)[idx]
+                   if op.weight_col else np.ones(len(idx), dtype=np.int64))
+        frame = pd.DataFrame({**{k: pdf[k].to_numpy()[idx] for k in keys},
+                              "__ws": start, "__row": idx,
+                              "__pos": np.arange(len(idx)),
+                              "__wv": values * weights, "__w": weights})
+        g = frame.groupby(keys + ["__ws"], sort=True, dropna=False)
+        rows = g["__row"].first().to_numpy()
+        h = pd.util.hash_pandas_object(pdf[keys], index=False).to_numpy()
+        width = w.slide if w.use_panes and not op.early_firing else w.size
+        ws = g["__ws"].first().to_numpy()
+        return {"keys": [pdf[k].to_numpy()[rows] for k in keys],
+                "h": h[rows], "start": ws, "end": ws + width,
+                "s": g["__wv"].sum().to_numpy(),
+                "c": g["__w"].sum().to_numpy(),
+                "pos": [grp["__pos"].to_numpy() for _, grp in g],
+                "values": values, "weights": weights,
+                "late": int((~keep).sum())}
+
+    @staticmethod
+    def same_values(a, b) -> bool:
+        import pandas as pd
+
+        na, nb = pd.isna(a), pd.isna(b)
+        return len(a) == len(b) and bool((na == nb).all()) and all(
+            x == y for x, y in zip(np.asarray(a)[~na], np.asarray(b)[~nb]))
+
+    def check(self, op, tbl, finalized_before, exact: bool = True):
+        part, late = op.partial_batch(tbl, finalized_before)
+        ref = self.reference(op, tbl, finalized_before)
+        assert late == ref["late"]
+        assert len(part) == len(ref["h"])
+        for got, want in zip(part.keys, ref["keys"]):
+            assert self.same_values(got, want)
+        assert part.h.dtype == np.uint64
+        assert np.array_equal(part.h, ref["h"])
+        assert np.array_equal(part.start, ref["start"])
+        assert np.array_equal(part.end, ref["end"])
+        if part.acc is None:
+            assert part.c.dtype == np.int64
+            assert np.array_equal(part.c, ref["c"])
+            if exact:
+                assert np.array_equal(part.s, ref["s"])
+            else:
+                # atol: a sum that cancels to ~0 keeps no relative digits
+                np.testing.assert_allclose(part.s, ref["s"], rtol=1e-12,
+                                           atol=1e-9)
+            return
+        assert part.s is None and part.c is None
+        weighted = op.weight_col is not None
+        for acc, pos in zip(part.acc, ref["pos"]):
+            want = op._group_acc(ref["values"], ref["weights"]
+                                 if weighted else None, pos)
+            assert pickle.dumps(acc) == pickle.dumps(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_pandas_groupby(self, data):
+        window = data.draw(st.sampled_from(sorted(self.WINDOWS)))
+        agg = data.draw(st.sampled_from(["sum", "minmax", "make_acc"]))
+        key_cols = data.draw(st.sampled_from(
+            [["s"], ["i"], ["s", "i"], ["i", "s"], ["s", "i", "s2"]]))
+        weighted = data.draw(st.booleans())
+        ints = data.draw(st.booleans())
+        n = data.draw(st.integers(0, 40))
+        col = lambda s: data.draw(st.lists(s, min_size=n, max_size=n))  # noqa: E731
+        ts = col(st.integers(0, 60).map(float) if ints else
+                 st.floats(0.0, 60.0, allow_nan=False))
+        if ints:  # integer-valued, some null (a NaN value the sum skips)
+            v = col(st.one_of(st.none(), st.integers(-5, 20).map(float)))
+        else:
+            v = col(st.floats(-1e3, 1e3, allow_nan=False))
+        tbl = pa.table({
+            "s": pa.array(col(st.sampled_from(["a", "b", "c", None])),
+                          pa.string()),
+            "s2": pa.array(col(st.sampled_from(["x", "", None])),
+                           pa.string()),
+            "i": pa.array(col(st.sampled_from([0, 1, -2, None])), pa.int64()),
+            "ts": pa.array(ts, pa.float64()),
+            "v": pa.array(v, pa.float64()),
+            "w": pa.array(col(st.sampled_from([1, -1])), pa.int64()),
+        })
+        finalized_before = data.draw(st.sampled_from(
+            [-np.inf, 0.0, 10.0, 25.0, 40.0]))
+        self.check(self.op(window, agg, key_cols, weighted), tbl,
+                   finalized_before, exact=ints)
+
+    @pytest.mark.parametrize("agg", ["sum", "make_acc"])
+    def test_cardinalities_past_int64(self, agg):
+        """Eleven key columns of 60 distinct values each, plus the window
+        start: the product of the cardinalities passes 2^63, so the group
+        id cannot be one fold of all the codes."""
+        rng = np.random.default_rng(0)
+        n, key_cols = 60, [f"k{j}" for j in range(11)]
+        cols = {k: pa.array(rng.permutation(n) - 30, pa.int64())
+                for k in key_cols}
+        # a few repeated key tuples, so groups of several rows exist
+        cols = {k: pa.concat_arrays([c, c.slice(0, 10)])
+                for k, c in cols.items()}
+        ts = rng.integers(0, 30, n + 10).astype(np.float64)
+        tbl = pa.table({**cols, "ts": ts,
+                        "v": rng.integers(0, 9, n + 10).astype(np.float64),
+                        "w": np.ones(n + 10, dtype=np.int64)})
+        starts = len(np.unique(np.floor(ts / 10.0)))
+        assert n ** len(key_cols) * starts > 2 ** 63
+        self.check(self.op("tumbling", agg, key_cols, False), tbl, -np.inf)

@@ -12,7 +12,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from diffdataflowmlpipelines_ray.streaming.arrangement import Rows, key_hash
+from diffdataflowmlpipelines_ray.streaming.arrangement import (Rows,
+                                                               arrow_key_hash)
 from diffdataflowmlpipelines_ray.streaming.engine import (
     IncrementalComponents,
     KeyedAggregation,
@@ -80,7 +81,7 @@ def _join_rows(keys, ts0: float, id_col: str = "eid") -> Rows:
     """One join side's rows: key ``k``, a row id, event time ``ts0``."""
     k = np.asarray(keys, dtype=np.int64)
     tbl = pa.table({"k": k, id_col: np.arange(len(k), dtype=np.int64)})
-    h = key_hash(tbl.select(["k"]).to_pandas())
+    h = arrow_key_hash(tbl, ["k"])
     return Rows(tbl, ["k"], h, np.full(len(k), ts0),
                 np.ones(len(k), dtype=np.int64)).sorted()
 
