@@ -17,25 +17,27 @@ Data path per epoch:
    window), or the op's points, rows or probe keys.  Windowed
    ``KeyedAggregation`` and ``StreamJoin`` keep columnar state
    (``arrangement.py``) whose rows carry one vectorized key hash, which is
-   also the shard (hash % num_shards).  Each has one route (a block → its
+   also the shard (hash % num_shards); unwindowed aggregates, upserts,
+   enrich registers, sessions and patterns key theirs by the pickled key
+   tuple (``shard_of``).  Every keyed op has one route (a block → its
    per-shard parts plus a ``Summary``: late rows, max event time, parts
    written): a ``pa.Table`` input is one block routed inline on the
    driver, a ``ray.data.Dataset`` input runs its upstream once and routes
    its blocks in ``exchange.route_blocks`` tasks.  Either way the driver
    folds the summaries and queues the parts (or the tasks' refs, which the
-   shard fetches), the watermark's sweeps and the due snapshot into one
-   ``StateShard.step`` call per touched shard at the end of the epoch
-   (earlier only when a later op reads a queued output).  The shard writes
-   the rows its kernels emit as sink parts and its snapshot as a
-   checkpoint file, and replies with manifest entries, which the driver
-   commits and publishes.  Every other op keys its state by the pickled
-   key tuple (``shard_of``): a ``pa.Table`` epoch is folded on the driver,
-   which scatters per-shard deltas to the ``ShardedStateStore`` actors; a
-   Dataset epoch runs one ``exchange.shard_exchange`` (a route task per
-   block, a reduce task per touched shard, which merges that shard's
-   payloads in a fixed sorted order, makes the shard's one actor call and
-   writes its sink part); the block-mode enrich probe runs one task per
-   block (``exchange.run_blocks``).  Shard calls are idempotent per epoch;
+   shard fetches and merges), the watermark's sweeps and the due snapshot
+   into one ``StateShard.step`` call per touched shard at the end of the
+   epoch (earlier when a later op reads a queued output, or before a
+   direct store call: a session or pattern sweep, an early session
+   emission, an enrich probe, a register sweep).  The shard writes the
+   rows its kernels emit as sink parts and its snapshot as a checkpoint
+   file, and replies with manifest entries, which the driver commits and
+   publishes.  The enrich probe, ``StreamDedup`` and ``StreamNearDup`` run
+   one ``exchange.shard_exchange`` per epoch (a route task per block, a
+   reduce task per touched shard, which merges that shard's payloads in a
+   fixed sorted order, makes the shard's one actor call and writes its
+   sink part); the block-mode enrich probe runs one task per block
+   (``exchange.run_blocks``).  Shard calls are idempotent per epoch;
 2. chaining — an op's epoch output feeds ops declared after it in the same
    ``process_epoch`` call;
 3. watermark advance sweeps closed windows/sessions out of the shards (a
@@ -228,6 +230,14 @@ def _merge_sorted(a: list, b: list) -> list:
     return sorted(a + b)
 
 
+def _unpickled_rows(to_table, results: list, epoch: int) -> pa.Table:
+    """A changelog kernel's pickled row lists → ``to_table``'s output
+    (its typed empty columns for ``[]``): the ``Emit`` finalize of
+    ``apply_delta_changelog`` and ``apply_upsert_retract``."""
+    return to_table([r for blob in results for r in pickle.loads(blob)],
+                    epoch)
+
+
 def _frame_parts(df: pd.DataFrame) -> dict[int, bytes]:
     """Route side: a frame with a ``__sid`` column → one pickled sub-frame
     per shard."""
@@ -374,7 +384,7 @@ class KeyedAggregation:
     #: emits NOTHING.  Requires ``emit_changelog=True``, no window, no
     #: value_col, ``aggs=()`` (output schema = keys + diff + epoch); the
     #: callable must be deterministic with ``f(0) == 0`` and picklable
-    #: (it ships to the shard-group workers on Dataset epochs).
+    #: (it ships to the shards, which write the changelog rows).
     threshold_fn: Callable[[int], int] | None = None
     #: tumbling/sliding windows: besides the exactly-once emission when the
     #: watermark closes a window, emit a PER-EPOCH changelog of the still-
@@ -998,8 +1008,8 @@ class KleenePattern:
     Watermark-driven and exactly-once like ``PatternMatch``: a start
     finalizes when the watermark passes ``first.ts + within`` (no future
     event can extend it), swept events drop (retention = ``within``).
-    Shares the pattern point state (``apply_pattern_points``), so Table and
-    shard-direct Dataset epochs both work unchanged.
+    Shares the pattern point state and its apply
+    (``apply_pattern_points``).
     """
 
     name: str
@@ -1277,8 +1287,8 @@ class UpsertToRetract:
         if len(self.val_types) != len(self.vals):
             raise ValueError("val_types must match vals")
 
-    # same partial contract as KeyedAggregation/EnrichJoin: both the Table
-    # and shard-direct Dataset paths fold blocks into per-key LWW offers
+    # same partial contract as KeyedAggregation/EnrichJoin: the route folds
+    # each block into per-key LWW offers
     def partial_batch(self, tbl: pa.Table, finalized_before: float
                       ) -> tuple[dict, int]:
         return _lww_partials(tbl, self.key, self.vals, self.ts_col,
@@ -1561,8 +1571,8 @@ class EnrichJoin:
             raise ValueError(f"probe_mode {self.probe_mode!r}: use "
                              "'shuffle' or 'block'")
 
-    # dim side → {key_bytes: LastValueAgg}; same partial contract as
-    # KeyedAggregation so the Table and shard-direct Dataset paths both work
+    # dim side → {key_bytes: LastValueAgg}; same partial contract and route
+    # as the unwindowed KeyedAggregation
     def partial_batch(self, tbl: pa.Table, finalized_before: float
                       ) -> tuple[dict, int]:
         dk = list(self.dim_key or self.key)
@@ -1646,7 +1656,7 @@ class StreamSession:
     def __init__(self, root: str | Path, num_shards: int = 4,
                  checkpoint_every: int = 1,
                  auto_watermark_delay: float | None = None,
-                 fsync: bool = True, pipelined: bool = False,
+                 fsync: bool = True,
                  consolidate_every: int | None = None,
                  sync_every: int = 1):
         #: sync_every=K > 1: group commit for every op sink — per-epoch
@@ -1662,14 +1672,6 @@ class StreamSession:
         #: consumers keep the exact running sum but lose per-epoch replay
         #: granularity of the consolidated span (by design)
         self.consolidate_every = consolidate_every
-        #: pipelined=True submits Table-epoch state applies WITHOUT blocking
-        #: (per-actor submission order keeps shard state serialized); every
-        #: read surface — sweeps, collect, checkpoint, probes — fences
-        #: first, so emissions and snapshots always observe a consistent
-        #: frontier.  Cuts per-epoch latency for high-rate micro-batches.
-        #: Windowed aggregates and stream joins ignore it: their whole epoch
-        #: is already one ``step`` call per shard.
-        self.pipelined = pipelined
         #: fsync=False relaxes commit durability (no power-loss guarantee)
         #: for latency-sensitive jobs; exactly-once vs process crashes keeps
         #: holding either way (manifest atomicity needs only rename)
@@ -1718,9 +1720,9 @@ class StreamSession:
         #: ``metrics``, which manifests and checkpoints carry)
         self._store_stats = {"calls": 0, "kernel_s": {}, "live_keys": {},
                              "part_bytes": 0, "snapshot_bytes": 0}
-        #: seconds the windowed aggregates' and joins' routes ran, per op,
-        #: on the driver or in route tasks (``stats()["route_s"]``; kept
-        #: out of ``metrics`` for the same reason)
+        #: seconds the keyed ops' routes ran, per op, on the driver or in
+        #: route tasks (``stats()["route_s"]``; kept out of ``metrics`` for
+        #: the same reason)
         self._route_s: dict[str, float] = {}
 
     def _meta(self, **kw) -> dict:
@@ -1839,19 +1841,10 @@ class StreamSession:
         self._max_event_time = max(self._max_event_time,
                                    _block_max_ts(tbl, ts_col))
 
-    def _merged_partials(self, op, tbl: pa.Table,
-                         finalized_before: float) -> dict:
-        """Table partial stage: the op's per-key partials of the epoch;
-        late rows are counted and the max event time observed."""
-        partials, late = op.partial_batch(tbl, finalized_before)
-        self.metrics["late_dropped"] += late
-        self._observe_event_time(tbl, getattr(op, "ts_col", None))
-        return partials
-
     # ------------------------------------------------ routes and exchanges
-    # Windowed aggregates and stream joins route every input with ``_route``
-    # (a Table inline, a Dataset in route tasks) into the epoch's step.
-    # Every other Dataset-epoch op runs one shard exchange (route task per
+    # Every keyed op routes its input with ``_route`` (a Table inline, a
+    # Dataset in route tasks) into the epoch's step.  The enrich probe,
+    # StreamDedup and StreamNearDup run one shard exchange (route task per
     # block, reduce task per touched shard) or the block runner; the driver
     # folds the block summaries and commits the worker-written parts.
     def _blocks(self, data) -> list:
@@ -1969,10 +1962,12 @@ class StreamSession:
         self.metrics["emitted_rows"] += tbl.num_rows
 
     # ------------------------------------------------ the epoch's step batch
-    # Windowed aggregates and stream joins send their epoch's shard work as
-    # one ``store.step`` call per touched shard: the ops and the watermark
-    # queue requests, and the flush runs their callbacks, which commit the
-    # emissions, in op order.
+    # Keyed ops send their epoch's shard work as one ``store.step`` call per
+    # touched shard: the ops and the watermark queue requests, and the
+    # flush runs their callbacks, which commit the emissions, in op order.
+    # A direct store call inside the epoch (a session or pattern sweep, an
+    # early session emission, an enrich probe, a register sweep) reads
+    # what the batch applies, so the batch is flushed before it.
     @contextlib.contextmanager
     def _epoch_step(self, epoch: int):
         """Open a step batch for ``epoch``, flushed (and its snapshot
@@ -2059,31 +2054,28 @@ class StreamSession:
         return any(getattr(op, a, None) in self._batch.outputs
                    for a in _INPUT_ATTRS)
 
-    def _partials_route(self, op):
-        """Route kernel of the keyed partials (``partial_batch``): each
-        block's per-key partials go to their shards."""
+    def _keyed_args(self, op, name: str, data, batch, merge,
+                    gap: float | None = None) -> tuple[dict[int, tuple], bool]:
+        """Route ``data`` of a pickled-key op (``_route``): each block's
+        ``batch(block, watermark) -> ({key bytes: value}, late)`` goes to
+        the keys' shards, insert-only session points compressed to
+        sessions (``gap``) first.  Returns the step arguments, {shard:
+        (its parts as a ``Gather`` merged per key by ``merge``, in (key,
+        value bytes) order,)}, and whether ``data`` was a Dataset."""
         num_shards, wm = self.store.num_shards, self.watermark
         ts_col = getattr(op, "ts_col", None)
 
         def route(tbl: pa.Table):
-            part, late = op.partial_batch(tbl, wm)
+            part, late = batch(tbl, wm)
+            if gap is not None:
+                part = {k: StateShard.build_sessions(v, gap)
+                        for k, v in part.items()}
             return (_keyed_parts(part.items(), num_shards),
                     Summary(late, _block_max_ts(tbl, ts_col)))
-        return route
 
-    def _scatter_partials_distributed(self, op, name: str, epoch: int,
-                                      data) -> None:
-        """Shard-direct keyed partials (unwindowed KeyedAggregation, enrich
-        dims): each shard's reduce merges its partials and makes the shard's
-        one ``apply_delta`` call, so per-epoch key cardinality never touches
-        driver memory."""
-        shards = self.store.shards
-
-        def reduce(sid: int, parts: list):
-            return ray.get(shards[sid].apply_delta.remote(
-                name, epoch, _merged_payload(parts, _merge_acc)))
-
-        self._exchange([(self._partials_route(op), data)], reduce)
+        parts, _, lazy = self._route(name, [(route, data)])
+        merged = functools.partial(_merged_payload, merge=merge)
+        return {sid: (Gather(ps, merged),) for sid, ps in parts.items()}, lazy
 
     def _window_epoch(self, op: "KeyedAggregation", name: str, epoch: int,
                       data, emitted: dict) -> None:
@@ -2125,59 +2117,6 @@ class StreamSession:
                                lazy)
         else:
             self._request("apply_window_partials", name, args)
-
-    def _changelog_distributed(self, op, name: str, epoch: int, data,
-                               shard_method: str, to_table, emitted: dict,
-                               kind: str) -> None:
-        """Shard-direct changelog (UpsertToRetract, ``KeyedAggregation``
-        with ``emit_changelog``): the keyed partials exchange, whose
-        reducers make the shard's one ``shard_method`` call and write the
-        returned deltas (``to_table``) as the shard's part of sink
-        ``name``, which the driver commits and publishes."""
-        shards, write = self.store.shards, self._part_writer(name, epoch)
-
-        def reduce(sid: int, parts: list):
-            deltas = pickle.loads(ray.get(getattr(
-                shards[sid], shard_method).remote(
-                    name, epoch, _merged_payload(parts, _merge_acc))))
-            tbl = to_table(deltas, epoch)
-            # empty parts add nothing; skip the file
-            return write(tbl, tag=f"shard{sid:04d}") if tbl.num_rows else None
-
-        _, results = self._exchange([(self._partials_route(op), data)],
-                                    reduce)
-        self._commit_emission(name, epoch, [e for e in results if e], None,
-                              emitted, True, kind=kind)
-
-    def _scatter_points_distributed(self, op, name: str, epoch: int, data,
-                                    kind: str) -> None:
-        """Shard-direct session/pattern points: insert-only sessions
-        compress to intervals per block ("session_delta" and "pattern"
-        payloads stay raw, concatenation-mergeable point lists); each
-        shard's reduce merges them and makes the shard's one apply call."""
-        num_shards, shards = self.store.num_shards, self.store.shards
-        wm, gap, ts_col = self.watermark, getattr(op, "gap", None), op.ts_col
-
-        def route(tbl: pa.Table):
-            pts, late = op.points_batch(tbl, wm)
-            if kind == "session":
-                pts = {k: StateShard.build_sessions(v, gap)
-                       for k, v in pts.items()}
-            return (_keyed_parts(pts.items(), num_shards),
-                    Summary(late, _block_max_ts(tbl, ts_col)))
-
-        def reduce(sid: int, parts: list):
-            if kind == "session":
-                return ray.get(shards[sid].apply_session_points.remote(
-                    name, epoch,
-                    _merged_payload(parts, StateShard.merge_session_lists),
-                    gap))
-            method = ("apply_session_point_deltas" if kind == "session_delta"
-                      else "apply_pattern_points")
-            return ray.get(getattr(shards[sid], method).remote(
-                name, epoch, _merged_payload(parts, _merge_sorted)))
-
-        self._exchange([(route, data)], reduce)
 
     def _neardup_distributed(self, op: "StreamNearDup", name: str,
                              epoch: int, data) -> tuple[list, int]:
@@ -2260,7 +2199,9 @@ class StreamSession:
         O(rows).  Block plan (``probe_mode="block"``, the skew-proof async
         lookup): events never move; each block task enriches its own rows,
         asking every touched shard once, and writes its part in place.  The
-        driver commits only the manifest, and publishes the parts."""
+        driver commits only the manifest, and publishes the parts: as a
+        ``pa.Table`` after a Table epoch (typed empty columns when it had
+        no rows), as a Dataset after a Dataset epoch."""
         num_shards, sk, stream_ts = self.store.num_shards, list(op.key), op.stream_ts
         carry = list(dict.fromkeys(
             sk + list(op.stream_cols) + ([stream_ts] if stream_ts else [])))
@@ -2292,8 +2233,19 @@ class StreamSession:
                              tag=f"shard{sid:04d}")
 
             _, entries = self._exchange([(route, stream)], reduce)
-        self._commit_emission(name, epoch, entries, None, emitted, True,
-                              kind="enrich")
+        schema = stream.schema if isinstance(stream, pa.Table) else None
+        dim_types = dict(zip(op.dim_vals, op.dim_types or ()))
+
+        def empty(_rows: list, epoch: int) -> pa.Table:
+            return pa.table({
+                **{c: pa.array([], type=schema.field(c).type)
+                   for c in carry},
+                **{c: pa.array([], type=dim_types.get(c, pa.null()))
+                   for c in op.dim_vals},
+                "epoch": pa.array([], type=pa.int64())})
+
+        self._commit_emission(name, epoch, entries, empty, emitted,
+                              schema is None, kind="enrich")
 
     def _dedup_table_epoch(self, op: "StreamDedup", name: str, epoch: int,
                            tbl: pa.Table) -> pa.Table:
@@ -2381,11 +2333,11 @@ class StreamSession:
         watermark-advance commits until the next epoch), giving each output
         partition a durable input-lineage record.
 
-        Windowed aggregates and stream joins queue their shard work and
-        send it, with the watermark's sweeps and the due checkpoint's
-        snapshot, as one ``store.step`` call per touched shard at the end
-        of the epoch; an op that reads an output still in that batch sends
-        it first.
+        Keyed ops queue their shard work and send it, with the
+        watermark's sweeps and the due checkpoint's snapshot, as one
+        ``store.step`` call per touched shard at the end of the epoch; an
+        op that reads an output still in that batch, or a direct store
+        call, sends it first.
         """
         with self._epoch_step(epoch):
             return self._process_epoch(epoch, inputs, watermark, lineage,
@@ -2422,61 +2374,43 @@ class StreamSession:
                 data = avail[op.input]
                 if op.window is not None:
                     self._window_epoch(op, name, epoch, data, emitted)
-                elif op.emit_changelog:
+                    continue
+                args, lazy = self._keyed_args(op, name, data,
+                                              op.partial_batch, _merge_acc)
+                if op.emit_changelog:
                     # the aggregate's OWN ±1 changelog: old/new finalized
-                    # values per touched key, committed per epoch (chains
-                    # into later-declared differential consumers)
-                    if isinstance(data, pa.Table):
-                        merged = self._merged_partials(op, data,
-                                                       self.watermark)
-                        pairs = self.store.apply_delta_changelog(
-                            name, epoch, merged)
-                        out_tbl = op.changelog_to_table(pairs, epoch)
-                        self._emit(name, epoch, out_tbl, emitted,
-                                   kind="agg_changelog")
-                    else:
-                        self._changelog_distributed(
-                            op, name, epoch, data, "apply_delta_changelog",
-                            op.changelog_to_table, emitted, "agg_changelog")
-                elif isinstance(data, pa.Table):
-                    merged = self._merged_partials(op, data, self.watermark)
-                    self.store.apply_deltas(name, epoch, merged,
-                                            wait=not self.pipelined)
-                else:  # Dataset epoch: shard-direct, no driver key merge
-                    self._scatter_partials_distributed(op, name, epoch, data)
+                    # values per touched key, written by the shards and
+                    # committed per epoch (chains into later-declared
+                    # differential consumers)
+                    self._request_rows(
+                        "apply_delta_changelog", name, args, name,
+                        functools.partial(_unpickled_rows,
+                                          op.changelog_to_table),
+                        emitted, lambda: {"kind": "agg_changelog"}, lazy)
+                else:
+                    self._request("apply_delta", name, args)
             elif isinstance(op, SessionWindowAggregation):
                 if op.input not in avail:
                     continue
                 data = avail[op.input]
-                if op.retractable and isinstance(data, pa.Table):
-                    points, late = op.points_batch(data, self.watermark)
-                    self.metrics["late_dropped"] += late
-                    self._observe_event_time(data, op.ts_col)
-                    self.store.apply_session_point_deltas(
-                        name, epoch, points, wait=not self.pipelined)
-                elif op.retractable:
-                    # Dataset epoch of (ts, value, diff) point deltas:
-                    # shard-direct like every other keyed payload
-                    self._scatter_points_distributed(op, name, epoch, data,
-                                                     kind="session_delta")
-                elif isinstance(data, pa.Table):
-                    points, late = op.points_batch(data, self.watermark)
-                    self.metrics["late_dropped"] += late
-                    self._observe_event_time(data, op.ts_col)
-                    self.store.apply_session_points(name, epoch, points,
-                                                    op.gap,
-                                                    wait=not self.pipelined)
+                if op.retractable:
+                    # (ts, value, diff) point deltas per key
+                    args, _ = self._keyed_args(op, name, data,
+                                               op.points_batch, _merge_sorted)
+                    self._request("apply_session_point_deltas", name, args)
                 else:
-                    # shard-direct: per-block local sessions (raw rows
-                    # compress to intervals before leaving workers) ride the
-                    # shard exchange straight to the shard actors — no
-                    # driver-side per-key merge
-                    self._scatter_points_distributed(op, name, epoch, data,
-                                                     kind="session")
+                    # each block's points compress to sessions in the route
+                    args, _ = self._keyed_args(
+                        op, name, data, op.points_batch,
+                        StateShard.merge_session_lists, gap=op.gap)
+                    self._request("apply_session_points", name,
+                                  {sid: (*a, op.gap)
+                                   for sid, a in args.items()})
                 if op.early_firing:
                     # speculative changelog of the epoch's touched OPEN
-                    # sessions (fences the applies above first); a cross-
-                    # epoch merge retracts both prior partials
+                    # sessions (after the applies above); a cross-epoch
+                    # merge retracts both prior partials
+                    self._flush()
                     rows = self.store.emit_early_sessions(
                         name, op.gap, op.retractable)
                     out_tbl = op.early_rows_to_table(rows, epoch)
@@ -2485,18 +2419,10 @@ class StreamSession:
             elif isinstance(op, (PatternMatch, AbsenceDetect, KleenePattern)):
                 if op.input not in avail:
                     continue
-                data = avail[op.input]
-                if isinstance(data, pa.Table):
-                    points, late = op.points_batch(data, self.watermark)
-                    self.metrics["late_dropped"] += late
-                    self._observe_event_time(data, op.ts_col)
-                    self.store.apply_pattern_points(name, epoch, points,
-                                                    wait=not self.pipelined)
-                else:
-                    # shard-direct: raw (window-bounded) pattern events ride
-                    # the shard exchange straight to the shard actors
-                    self._scatter_points_distributed(op, name, epoch, data,
-                                                     kind="pattern")
+                # raw (window-bounded) typed event points per key
+                args, _ = self._keyed_args(op, name, avail[op.input],
+                                           op.points_batch, _merge_sorted)
+                self._request("apply_pattern_points", name, args)
             elif isinstance(op, IncrementalComponents):
                 if op.input not in avail:
                     continue
@@ -2523,8 +2449,6 @@ class StreamSession:
                     pairs, drops = self._neardup_distributed(
                         op, name, epoch, data)
                 if drops:
-                    import logging
-
                     logging.getLogger(__name__).warning(
                         "StreamNearDup(%s) epoch %d: %d offers dropped by "
                         "bucket_cap=%d (hot buckets)", name, epoch, drops,
@@ -2546,35 +2470,26 @@ class StreamSession:
             elif isinstance(op, UpsertToRetract):
                 if op.input not in avail:
                     continue
-                data = avail[op.input]
-                if isinstance(data, pa.Table):
-                    merged = self._merged_partials(op, data, self.watermark)
-                    deltas = self.store.apply_upsert_retract(name, epoch,
-                                                             merged)
-                    out_tbl = op.rows_to_table(deltas, epoch)
-                    self._emit(name, epoch, out_tbl, emitted, kind="upsert")
-                else:
-                    self._changelog_distributed(
-                        op, name, epoch, data, "apply_upsert_retract",
-                        op.rows_to_table, emitted, "upsert")
+                args, lazy = self._keyed_args(op, name, avail[op.input],
+                                              op.partial_batch, _merge_acc)
+                self._request_rows(
+                    "apply_upsert_retract", name, args, name,
+                    functools.partial(_unpickled_rows, op.rows_to_table),
+                    emitted, lambda: {"kind": "upsert"}, lazy)
             elif isinstance(op, EnrichJoin):
-                # shared arrangement: the owner op applied its upserts
+                # shared arrangement: the owner op queued its upserts
                 # earlier this epoch (add order = processing order), so
                 # probes read the epoch-current registers; no dim state here
                 dim = None if op.share_from else avail.get(op.dim_input)
                 if dim is not None:
                     # upsert registers FIRST: epoch-e dim updates are visible
-                    # to epoch-e events (both paths block until applied, and
-                    # pipelined probes serialize behind the apply per actor)
-                    if isinstance(dim, pa.Table):
-                        merged = self._merged_partials(op, dim, self.watermark)
-                        self.store.apply_deltas(name, epoch, merged,
-                                                wait=not self.pipelined)
-                    else:
-                        self._scatter_partials_distributed(op, name, epoch,
-                                                           dim)
+                    # to epoch-e events
+                    args, _ = self._keyed_args(op, name, dim,
+                                               op.partial_batch, _merge_acc)
+                    self._request("apply_delta", name, args)
                 stream = avail.get(op.stream_input)
                 if stream is not None:
+                    self._flush()  # the probes read the applied registers
                     self._probe_epoch(op, name, epoch, stream, emitted)
             elif isinstance(op, StreamDedup):
                 data = avail.get(op.input)
@@ -2717,8 +2632,9 @@ class StreamSession:
         return emitted
 
     def _sweep(self, epoch: int, emitted: dict) -> None:
-        """The watermark's sweeps and expiry, in op order; windowed
-        aggregates and stream joins queue theirs in the step batch."""
+        """The watermark's sweeps and expiry, in op order: windowed
+        aggregates and stream joins queue theirs in the step batch; the
+        others are direct store calls, which flush the batch first."""
         for name, op in self.ops.items():
             if isinstance(op, KeyedAggregation) and op.window is not None:
                 bound = self.watermark - op.window.allowed_lateness
@@ -2727,6 +2643,7 @@ class StreamSession:
                     op, name, epoch, emitted, bound,
                     *((op.window.size, op.window.slide) if panes else ()))
             elif isinstance(op, SessionWindowAggregation):
+                self._flush()
                 bound = self.watermark - op.allowed_lateness
                 if op.retractable:
                     items = self.store.sweep_closed_retractable_sessions(
@@ -2747,29 +2664,18 @@ class StreamSession:
                 self._emit(name, epoch, tbl, emitted,
                            watermark=self.watermark, op=name,
                            metrics=dict(self.metrics))
-            elif isinstance(op, PatternMatch):
+            elif isinstance(op, (PatternMatch, KleenePattern, AbsenceDetect)):
+                self._flush()
                 bound = self.watermark - op.allowed_lateness
-                items = self.store.sweep_pattern_matches(
-                    name, bound, list(op.pattern), op.within
-                )
-                tbl = op.rows_to_table(items, epoch)
-                self._emit(name, epoch, tbl, emitted,
-                           watermark=self.watermark, op=name,
-                           metrics=dict(self.metrics))
-            elif isinstance(op, KleenePattern):
-                bound = self.watermark - op.allowed_lateness
-                items = self.store.sweep_kleene_matches(
-                    name, bound, op.first, op.mid, op.last, op.within
-                )
-                tbl = op.rows_to_table(items, epoch)
-                self._emit(name, epoch, tbl, emitted,
-                           watermark=self.watermark, op=name,
-                           metrics=dict(self.metrics))
-            elif isinstance(op, AbsenceDetect):
-                bound = self.watermark - op.allowed_lateness
-                items = self.store.sweep_absence(
-                    name, bound, op.first, op.absent, op.within
-                )
+                if isinstance(op, PatternMatch):
+                    items = self.store.sweep_pattern_matches(
+                        name, bound, list(op.pattern), op.within)
+                elif isinstance(op, KleenePattern):
+                    items = self.store.sweep_kleene_matches(
+                        name, bound, op.first, op.mid, op.last, op.within)
+                else:
+                    items = self.store.sweep_absence(
+                        name, bound, op.first, op.absent, op.within)
                 tbl = op.rows_to_table(items, epoch)
                 self._emit(name, epoch, tbl, emitted,
                            watermark=self.watermark, op=name,
@@ -2786,12 +2692,12 @@ class StreamSession:
                 if op.retention is not None:
                     self._request("join_expire", name, self._all_shards(
                         self.watermark - op.retention))
-            elif isinstance(op, EnrichJoin) and op.dim_ttl is not None:
-                self.store.sweep_stale_registers(
-                    name, self.watermark - op.dim_ttl)
-            elif isinstance(op, StreamDedup) and op.ttl is not None:
-                self.store.sweep_stale_registers(
-                    name, self.watermark - op.ttl)
+            elif isinstance(op, (EnrichJoin, StreamDedup)):
+                ttl = op.dim_ttl if isinstance(op, EnrichJoin) else op.ttl
+                if ttl is not None:
+                    self._flush()
+                    self.store.sweep_stale_registers(
+                        name, self.watermark - ttl)
 
     def _sweep_windows(self, op: "KeyedAggregation", name: str, epoch: int,
                        emitted: dict, bound: float, *panes) -> None:
@@ -2837,8 +2743,8 @@ class StreamSession:
         summed over shards), ``live_keys`` (per shard, as of its last
         step), and ``part_bytes`` and ``snapshot_bytes`` (the bytes of the
         sink parts and checkpoint files the shards wrote); under
-        ``route_s``, the seconds each windowed aggregate's or join's route
-        ran (op name → seconds, inline on the driver or in route tasks)."""
+        ``route_s``, the seconds each keyed op's route ran (op name →
+        seconds, inline on the driver or in route tasks)."""
         st = self._store_stats
         return {"metrics": dict(self.metrics), "watermark": self.watermark,
                 "shards": self.store.stats(),

@@ -11,11 +11,12 @@ plain Ray tasks over those blocks, never as Ray Data executions:
 - ``route_blocks`` is the keyed exchange under every ``StreamSession``
   arrangement — timely's hash exchange in the reference's Differential
   Dataflow.  A route task per block splits its block into one object per
-  shard (``num_returns``) plus a small ``Summary``.  Windowed aggregates and
-  stream joins send each shard its objects' refs in the epoch's
-  ``StateShard.step``; ``shard_exchange`` adds, for every other family, a
-  reduce task per touched shard that receives that shard's objects in
-  block order, makes the shard's one actor call and writes its sink part.
+  shard (``num_returns``) plus a small ``Summary``.  Every keyed op sends
+  each shard its objects' refs in the epoch's ``StateShard.step``;
+  ``shard_exchange`` adds, for the enrich probe, ``StreamDedup`` and
+  ``StreamNearDup``, a reduce task per touched shard that receives that
+  shard's objects in block order, makes the shard's one actor call and
+  writes its sink part.
   The driver only sums the summaries and commits the parts.
 
 An epoch thus costs one task per block plus, in ``shard_exchange``, one per

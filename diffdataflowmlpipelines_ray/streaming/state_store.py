@@ -26,11 +26,11 @@ exist:
 
 Deltas arrive pre-combined per key per epoch (the two-phase aggregation fix
 for the reference's key=`1` hot spot); each ``apply_*`` call is **idempotent
-per (table, epoch)** so a restarted driver can replay epochs blindly.  The
-arrangement families run one epoch per shard in one ``StateShard.step``
-call (the Differential Dataflow worker's local progress step): applies and
-probes in op order, then the watermark's sweeps and expiry, then the
-snapshot when a checkpoint is due.  Like a DD worker, the shard owns the
+per (table, epoch)** so a restarted driver can replay epochs blindly.  Every
+keyed apply of a ``StreamSession`` runs in ``StateShard.step``, one call per
+touched shard per epoch (the Differential Dataflow worker's local progress
+step): applies and probes in op order, then the watermark's window sweeps
+and join expiry, then the snapshot when a checkpoint is due.  Like a DD worker, the shard owns the
 output it produces: each request travels as its own actor-call argument,
 a row-emitting kernel's result is finalized and written as the shard's
 part of the op's sink (``write_epoch_part``), and the snapshot is written
@@ -99,10 +99,11 @@ class StateShard:
     """One shard of every state table.  Runs as a Ray actor (see
     ``ShardedStateStore``); the arrangement methods take and return columns
     (``Partials``, ``Rows``, Arrow tables), the others pickled payloads, to
-    keep actor-call overhead flat.  The driver reaches the arrangement
-    kernels (windowed aggregates, stream joins) only through ``step``,
-    which runs a whole epoch of them, and the snapshot when one is due, in
-    one call; each kernel is also callable on its own, in process."""
+    keep actor-call overhead flat.  A ``StreamSession`` reaches the
+    ``STEP_KERNELS`` (every keyed apply, the window sweeps and the join
+    probes, unmatched sweeps and expiry) only through ``step``, which runs
+    a whole epoch of them, and the snapshot when one is due, in one call;
+    each kernel is also callable on its own, in process."""
 
     def __init__(self, shard_id: int, num_shards: int):
         self.shard_id = shard_id
@@ -962,10 +963,10 @@ class StateShard:
 
         Each request, its own actor-call argument so that each travels
         inline, is ``(kernel, name, args, emit)`` for one of the
-        ``STEP_KERNELS``: the epoch's window partial applies and join
-        insert-probes in op order, then the watermark's window sweeps and
-        join unmatched sweeps and expiry.  A ``Gather`` argument is merged
-        here, so a Dataset epoch's rows come straight from its route tasks.
+        ``STEP_KERNELS``: the epoch's keyed applies and join insert-probes
+        in op order, then the watermark's window sweeps and join unmatched
+        sweeps and expiry.  A ``Gather`` argument is merged here, so a
+        Dataset epoch's rows come straight from its route tasks.
         A kernel marked as taking the epoch gets it after ``name`` (its
         idempotency key).  A row-emitting request carries an ``Emit``: the
         shard finalizes its result into the op's output table and writes it
@@ -1128,6 +1129,12 @@ def merge_payloads(payloads: list) -> dict:
 STEP_KERNELS = {
     "apply_window_partials": True,
     "join_insert_probe": True,
+    "apply_delta": True,
+    "apply_delta_changelog": True,
+    "apply_upsert_retract": True,
+    "apply_session_points": True,
+    "apply_session_point_deltas": True,
+    "apply_pattern_points": True,
     "sweep_windows": False,
     "sweep_join_unmatched": False,
     "join_expire": False,
@@ -1154,12 +1161,14 @@ class ShardedStateStore:
     gathers results.  All remote calls for one step are issued concurrently
     (one round-trip per step, not per shard).
 
-    Windowed aggregates and stream joins go through ``step`` alone: the
-    session collects their epoch's applies, probes, sweeps, expiry and
-    snapshot request into one call per touched shard.  Snapshots of every
-    family, both sessions' checkpoints included, are written by the shards
-    through ``step``.  Every other family still has one method per
-    operation."""
+    A ``StreamSession`` applies every keyed family through ``step``: the
+    session collects its epoch's applies, window sweeps, join probes,
+    expiry and snapshot request into one call per touched shard.
+    Snapshots of every family, both sessions' checkpoints included, are
+    written by the shards through ``step``.  The other methods are the
+    direct calls: the session and pattern sweeps, the early session
+    emission, register probes and sweeps, dedup claims, the graph and
+    near-dup ops, reads, and the encoder session's ``apply_deltas``."""
 
     def __init__(self, num_shards: int = 8, num_cpus_per_shard: float = 0.25,
                  checkpoints: CheckpointManager | None = None):
@@ -1172,9 +1181,10 @@ class ShardedStateStore:
         self.checkpoints = checkpoints
         actor_cls = ray.remote(num_cpus=num_cpus_per_shard)(StateShard)
         self.shards = [actor_cls.remote(i, num_shards) for i in range(num_shards)]
-        #: in-flight apply refs when the session pipelines epochs (writes
-        #: are submitted without blocking; per-actor submission order keeps
-        #: them serialized).  Every READ surface fences first.
+        #: in-flight apply refs when the encoder session pipelines its
+        #: state (writes are submitted without blocking; per-actor
+        #: submission order keeps them serialized).  Every READ surface
+        #: fences first.
         self._pending: list = []
 
     def fence(self) -> None:
@@ -1244,19 +1254,6 @@ class ShardedStateStore:
                                     for s in self.shards]) if p is not None]
 
     # --------------------------------------------------------------- sessions
-    def apply_session_points(self, name: str, epoch: int,
-                             per_key: dict[bytes, list], gap: float,
-                             wait: bool = True):
-        by_shard = self._scatter(sorted(per_key.items()))
-        refs = [
-            self.shards[sid].apply_session_points.remote(name, epoch, _dumps(items), gap)
-            for sid, items in by_shard.items()
-        ]
-        if not wait:
-            self._pending.extend(refs)
-            return None
-        return sum(ray.get(refs)) if refs else 0
-
     def sweep_closed_sessions(self, name: str, watermark: float, gap: float,
                               early: bool = False):
         self.fence()
@@ -1285,8 +1282,8 @@ class ShardedStateStore:
 
     def emit_early_sessions(self, name: str, gap: float,
                             retractable: bool) -> list:
-        """Per-epoch speculative session changelog across all shards —
-        ordered after the epoch's applies (fence) so diffs see them."""
+        """Per-epoch speculative session changelog across all shards; the
+        caller sends the epoch's applies first, so the diffs see them."""
         self.fence()
         blobs = ray.get(
             [s.emit_early_sessions.remote(name, gap, retractable)
@@ -1297,21 +1294,6 @@ class ShardedStateStore:
             rows.extend(pickle.loads(b))
         rows.sort()
         return rows
-
-    def apply_session_point_deltas(self, name: str, epoch: int,
-                                   per_key: dict[bytes, list],
-                                   wait: bool = True):
-        by_shard = self._scatter(sorted(per_key.items()))
-        refs = [
-            self.shards[sid].apply_session_point_deltas.remote(
-                name, epoch, _dumps(items)
-            )
-            for sid, items in by_shard.items()
-        ]
-        if not wait:
-            self._pending.extend(refs)
-            return None
-        return sum(ray.get(refs)) if refs else 0
 
     def sweep_closed_retractable_sessions(self, name: str, watermark: float,
                                           gap: float, early: bool = False):
@@ -1324,20 +1306,6 @@ class ShardedStateStore:
         return self._collect_session_sweep(blobs, early)
 
     # --------------------------------------------------------------- patterns
-    def apply_pattern_points(self, name: str, epoch: int,
-                             per_key: dict[bytes, list],
-                             wait: bool = True):
-        by_shard = self._scatter(sorted(per_key.items()))
-        refs = [
-            self.shards[sid].apply_pattern_points.remote(name, epoch,
-                                                         _dumps(items))
-            for sid, items in by_shard.items()
-        ]
-        if not wait:
-            self._pending.extend(refs)
-            return None
-        return sum(ray.get(refs)) if refs else 0
-
     def sweep_pattern_matches(self, name: str, watermark: float,
                               pattern: list, within: float) -> list:
         self.fence()
@@ -1350,41 +1318,6 @@ class ShardedStateStore:
         for b in blobs:
             out.extend(pickle.loads(b))
         out.sort(key=lambda kv: (kv[0], kv[1]))
-        return out
-
-    def apply_delta_changelog(self, name: str, epoch: int,
-                              merged: dict[bytes, Any]) -> list:
-        """Scatter the epoch's partials, gather ``(key_bytes, old_acc,
-        new_acc)`` for every touched key (sorted by key)."""
-        self.fence()
-        by_shard = self._scatter(sorted(merged.items()))
-        refs = [
-            self.shards[sid].apply_delta_changelog.remote(
-                name, epoch, _dumps(items))
-            for sid, items in by_shard.items()
-        ]
-        out: list = []
-        for b in ray.get(refs):
-            out.extend(pickle.loads(b))
-        out.sort(key=lambda kv: kv[0])
-        return out
-
-    def apply_upsert_retract(self, name: str, epoch: int,
-                             merged: dict[bytes, Any]) -> list:
-        """Scatter per-key LWW offers to their shards, gather the emitted
-        consolidated deltas ``(diff, key_bytes, value)`` (retraction before
-        addition per key; sorted by key for a deterministic table)."""
-        self.fence()
-        by_shard = self._scatter(sorted(merged.items()))
-        refs = [
-            self.shards[sid].apply_upsert_retract.remote(
-                name, epoch, _dumps(items))
-            for sid, items in by_shard.items()
-        ]
-        out: list = []
-        for b in ray.get(refs):
-            out.extend(pickle.loads(b))
-        out.sort(key=lambda d: (d[1], d[0]))
         return out
 
     def apply_cc_edges(self, name: str, epoch: int, edges: list) -> list:
@@ -1466,7 +1399,7 @@ class ShardedStateStore:
         ``snapshot``, whose shards then write their files into the
         checkpoint dir of ``epoch`` (reopened first); returns shard id →
         reply."""
-        if self._pending:  # pipelined applies of the other families
+        if self._pending:  # the encoder session's pipelined applies
             self.fence()
         sids = range(self.num_shards) if snapshot else sorted(msgs)
         sdir = None

@@ -1,8 +1,8 @@
-"""Windowed aggregates and stream joins send each epoch's shard work as one
-``ShardedStateStore.step`` call: one actor call per touched shard, for
-``pa.Table`` and ``ray.data.Dataset`` inputs alike, an earlier flush when a
-later op reads a pending output, checkpoints that never get ahead of the
-sinks, and per-kernel stats in ``stats()``."""
+"""Keyed ops send each epoch's shard work as one ``ShardedStateStore.step``
+call: one actor call per touched shard, for ``pa.Table`` and
+``ray.data.Dataset`` inputs alike, an earlier flush when a later op reads a
+pending output or a direct store call reads the applies, checkpoints that
+never get ahead of the sinks, and per-kernel stats in ``stats()``."""
 
 import gc
 import weakref
@@ -13,9 +13,13 @@ import pytest
 import ray.data as rd
 
 from diffdataflowmlpipelines_ray.streaming.engine import (
+    EnrichJoin,
     KeyedAggregation,
+    PatternMatch,
+    SessionWindowAggregation,
     StreamJoin,
     StreamSession,
+    UpsertToRetract,
     WindowSpec,
 )
 from diffdataflowmlpipelines_ray.streaming.state_store import (
@@ -61,6 +65,64 @@ def session(root, **kw) -> StreamSession:
     return s
 
 
+def keyed_inputs(e: int, n: int = 40) -> dict:
+    """An upsert stream ``up`` and an event stream ``ev`` with ±1 diffs
+    and event types, for the pickled-key families."""
+    rng = np.random.default_rng(100 + e)
+    up = pa.table({
+        "k": rng.integers(0, 10, n // 2),
+        "v": rng.integers(0, 4, n // 2),
+        "ts": e * 10.0 + rng.uniform(0, 10, n // 2),
+    })
+    ev = pa.table({
+        "k": rng.integers(0, 10, n),
+        "ts": e * 10.0 + rng.uniform(0, 10, n),
+        "x": rng.integers(1, 9, n).astype(np.float64),
+        "diff": rng.choice(np.array([1, 1, 1, -1]), n),
+        "typ": rng.choice(np.array(["a", "b", "c"]), n),
+    })
+    return {"up": up, "ev": ev}
+
+
+def keyed_session(root, **kw) -> StreamSession:
+    """Every pickled-key family: an upsert changelog chained into an
+    aggregate's changelog, a distinct, an enrich join, a retractable
+    session with early firing and a pattern."""
+    s = StreamSession(root, num_shards=2, **kw)
+    s.add(UpsertToRetract(name="chg", input="up", key=["k"], vals=["v"],
+                          key_types=[pa.int64()], val_types=[pa.int64()]))
+    s.add(KeyedAggregation(name="per_v", input="chg", key_cols=["v"],
+                           aggs=("count",), weight_col="diff",
+                           emit_changelog=True))
+    s.add(KeyedAggregation(name="distinct_k", input="ev", key_cols=["k"],
+                           aggs=(), weight_col="diff", emit_changelog=True,
+                           threshold_fn=lambda m: int(m > 0)))
+    s.add(EnrichJoin(name="en", dim_input="up", stream_input="ev", key=["k"],
+                     dim_vals=["v"], stream_cols=["x"],
+                     dim_types=[pa.int64()]))
+    s.add(SessionWindowAggregation(name="sess", input="ev", key_cols=["k"],
+                                   ts_col="ts", gap=3.0, value_col="x",
+                                   retractable=True, weight_col="diff",
+                                   early_firing=True))
+    s.add(PatternMatch(name="pat", input="ev", key_cols=["k"], ts_col="ts",
+                       type_col="typ", pattern=["a", "b"], within=5.0))
+    return s
+
+
+def four_blocks(t: pa.Table):
+    """``t`` as a Dataset of four blocks."""
+    q = -(-t.num_rows // 4)
+    return rd.from_arrow([t.slice(i * q, q) for i in range(4)])
+
+
+#: the sessions a kill/resume must replay: (builder, epoch inputs, the
+#: epoch's watermark).  The keyed session sweeps at close only: an early-
+#: firing session's per-epoch ``__early`` commit refuses a watermark advance
+#: under the same epoch id.
+SESSIONS = {"windowed": (session, epoch_inputs, watermark),
+            "keyed": (keyed_session, keyed_inputs, lambda e: None)}
+
+
 def spy(sess: StreamSession) -> tuple[list, list]:
     """Record each ``store.step`` call as (epoch, shards, snapshot), and
     the name of every other store method that makes actor calls."""
@@ -84,8 +146,9 @@ def spy(sess: StreamSession) -> tuple[list, list]:
 
 def canon(tbl: pa.Table) -> list:
     df = tbl.to_pandas()
-    df = df[sorted(df.columns)]
-    return sorted(map(tuple, df.to_numpy().tolist()))
+    df = df[sorted(df.columns)].astype(object)
+    df = df.where(df.notna(), None)  # a null compares equal to a null
+    return sorted(map(tuple, df.to_numpy().tolist()), key=repr)
 
 
 @pytest.mark.parametrize("feed", sorted(FEEDS))
@@ -157,8 +220,8 @@ def test_op_chained_off_the_join_sees_its_matches(ray_session, tmp_path):
     j = out["j"].to_pandas()
     assert len(j)
     # per_k read "j" while its probe was queued: the batch flushed before
-    # per_k ran, and nothing was left for the end of the epoch
-    assert len(steps) == 1
+    # per_k ran, and per_k's changelog apply went in the end-of-epoch call
+    assert len(steps) == 2
     got = out["per_k"].to_pandas()
     assert (got["diff"] == 1).all()
     assert dict(zip(got["k"], got["count"])) == \
@@ -166,12 +229,14 @@ def test_op_chained_off_the_join_sees_its_matches(ray_session, tmp_path):
 
 
 @pytest.mark.parametrize("crash", ["after_epoch", "before_save"])
-def test_kill_resume_replays_identically(ray_session, tmp_path, crash):
+@pytest.mark.parametrize("kind", sorted(SESSIONS))
+def test_kill_resume_replays_identically(ray_session, tmp_path, crash, kind):
     """A crash after an epoch, or between its sink commits and its
     checkpoint save, resumes to the outputs of a run without one."""
+    build, epoch_inputs, watermark = SESSIONS[kind]
 
     def run(root, crash_at=None):
-        sess = session(root, checkpoint_every=1)
+        sess = build(root, checkpoint_every=1)
         start = sess.resume()
         if crash == "before_save" and crash_at is not None:
             save = sess.chk.save
@@ -197,10 +262,61 @@ def test_kill_resume_replays_identically(ray_session, tmp_path, crash):
     resumed, start = run(tmp_path / "cr")
     clean, _ = run(tmp_path / "clean")
     assert start == (3 if crash == "after_epoch" else 2)
-    for name in ("win", "j"):
+    assert set(resumed.sinks) == set(clean.sinks)
+    for name in clean.sinks:
         assert canon(resumed.sinks[name].read_committed_table()) == \
             canon(clean.sinks[name].read_committed_table())
         assert resumed.sinks[name].verify()
+
+
+def test_keyed_families_ride_one_route_and_step(ray_session, tmp_path):
+    """Upserts, aggregate changelogs, a distinct, enrich registers, a
+    retractable session and a pattern commit the same rows and make the
+    same shard calls whether an epoch comes as a Table or as a Dataset of
+    four blocks, and their applies run as step kernels."""
+
+    def run(root, feed):
+        sess = keyed_session(root, checkpoint_every=1)
+        for e in range(EPOCHS):
+            # the watermark advances under its own epoch id (see SESSIONS)
+            sess.process_epoch(2 * e, {k: feed(t) for k, t in
+                                       keyed_inputs(e).items()})
+            sess.advance_watermark(2 * e + 1, watermark(e))
+        sess.close(2 * EPOCHS)
+        return sess
+
+    table, dataset = run(tmp_path / "t", FEEDS["table"]), run(
+        tmp_path / "d", four_blocks)
+    for name in table.sinks:
+        rows = canon(table.sinks[name].read_committed_table())
+        assert rows == canon(dataset.sinks[name].read_committed_table()), name
+        assert rows or name == "pat", name
+    st = table.stats()["store"]
+    assert st["calls"] == dataset.stats()["store"]["calls"]
+    assert {"apply_delta", "apply_delta_changelog", "apply_upsert_retract",
+            "apply_session_point_deltas",
+            "apply_pattern_points"} <= set(st["kernel_s"])
+
+
+def test_enrich_table_epoch_publishes_a_table(ray_session, tmp_path):
+    """A Table epoch's enrich output reaches later ops as a Table, and an
+    epoch without stream rows as typed empty columns."""
+    sess = StreamSession(tmp_path / "e", num_shards=1, checkpoint_every=0)
+    sess.add(EnrichJoin(name="e", dim_input="dim", stream_input="ev",
+                        key=["k"], dim_vals=["name"], stream_cols=["x"],
+                        dim_types=[pa.string()]))
+    dim = pa.table({"k": [1, 2], "name": ["a", "b"], "ts": [0.0, 0.0]})
+    ev = pa.table({"k": [1, 3], "x": [10, 30]})
+    out = sess.process_epoch(0, {"dim": dim, "ev": ev})["e"]
+    empty = sess.process_epoch(1, {"ev": ev.slice(0, 0)})["e"]
+    sess.store.shutdown()
+    assert isinstance(out, pa.Table)
+    assert sorted(out.select(["k", "x", "name"]).to_pylist(),
+                  key=lambda r: r["k"]) == [
+        {"k": 1, "x": 10, "name": "a"}, {"k": 3, "x": 30, "name": None}]
+    assert isinstance(empty, pa.Table) and empty.num_rows == 0
+    assert [(f.name, f.type) for f in empty.schema] == \
+        [(f.name, f.type) for f in out.schema]
 
 
 def test_process_epoch_returns_one_class(ray_session, tmp_path):

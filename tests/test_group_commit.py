@@ -215,11 +215,11 @@ def test_stream_session_group_commit(tmp_path, ray_session):
         return got, sess
 
     base, _ = run(tmp_path / "base")
-    piped, sess = run(tmp_path / "gc", sync_every=4, pipelined=True)
+    grouped, sess = run(tmp_path / "gc", sync_every=4)
     cols = sorted(base.column_names)
     key = [(c, "ascending") for c in cols]
     assert base.select(cols).sort_by(key).equals(
-        piped.select(cols).sort_by(key))
+        grouped.select(cols).sort_by(key))
     wm = tmp_path / "gc" / "win" / "_manifests" / "_durable.json"
     assert wm.exists()  # close() forced the barrier
     assert json.loads(wm.read_text())["epoch"] >= 5

@@ -208,6 +208,48 @@ def test_tools_import_their_own_checkout():
         "sys.path.insert(0, str(ROOT))\n") == [2, 3]
 
 
+def _requested_kernels(src: str) -> set[str]:
+    """Kernel names ``src`` queues: the string literal that is the first
+    argument of a ``…._request(…)`` or ``…._request_rows(…)`` call."""
+    return {node.args[0].value for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("_request", "_request_rows")
+            and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+def _step_kernels(src: str) -> list[str]:
+    """The keys of the ``STEP_KERNELS`` dict literal in ``src``."""
+    for node in ast.parse(src).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "STEP_KERNELS"
+                for t in node.targets):
+            return [k.value for k in node.value.keys]
+    raise AssertionError("no STEP_KERNELS literal")
+
+
+def _methods(src: str, cls: str) -> set[str]:
+    tree = ast.parse(src)
+    body = next(n for n in tree.body
+                if isinstance(n, ast.ClassDef) and n.name == cls).body
+    return {n.name for n in body if isinstance(n, ast.FunctionDef)}
+
+
+def test_step_kernels_are_shard_methods_the_engine_requests():
+    """Every ``STEP_KERNELS`` entry is a ``StateShard`` method that
+    ``streaming/engine.py`` queues by name, so no entry goes stale."""
+    store = (REPO / PKG / "streaming" / "state_store.py").read_text()
+    engine = (REPO / PKG / "streaming" / "engine.py").read_text()
+    kernels = _step_kernels(store)
+    assert kernels
+    assert [k for k in kernels if k not in _methods(store, "StateShard")] == []
+    assert [k for k in kernels if k not in _requested_kernels(engine)] == []
+    # the rule itself: literal first arguments of either call count
+    assert _requested_kernels(
+        'self._request("a", n, x)\nself._request_rows("b", n)\n'
+        'self._request(k, n)\nself.other("c")\n') == {"a", "b"}
+
+
 # ------------------------------------------------------- synthetic packages
 def _write(root: Path, rel: str, src: str = "") -> None:
     path = root / rel

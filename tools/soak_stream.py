@@ -5,7 +5,7 @@ import os, sys, time, tempfile
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np, pyarrow as pa
 
-def main(n_epochs=300, rows=200, sync_every=1, pipelined=False):
+def main(n_epochs=300, rows=200, sync_every=1):
     import ray
     ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
@@ -15,7 +15,7 @@ def main(n_epochs=300, rows=200, sync_every=1, pipelined=False):
     rng = np.random.default_rng(0)
     root = tempfile.mkdtemp(prefix="soak-", dir="/tmp")
     sess = StreamSession(root, num_shards=4, checkpoint_every=50,
-                         sync_every=sync_every, pipelined=pipelined)
+                         sync_every=sync_every)
     sess.add(KeyedAggregation(name="win", input="e", key_cols=["u"], value_col="v",
                               ts_col="ts", aggs=("count", "sum"),
                               window=WindowSpec.tumbling(100.0)))
