@@ -51,7 +51,11 @@ def tokenize_column(col: pa.ChunkedArray | pa.Array) -> pa.ListArray:
     ``" "`` → ``["", ""]``); those are dropped, so the result matches
     ``default_tokenizer`` row-wise.  A null row yields ``[]``.
     """
-    toks = pc.utf8_split_whitespace(col)
+    # trailing whitespace is trimmed first: on a string that ends in
+    # whitespace, utf8_split_whitespace (Arrow 16) decodes one code point
+    # past the string's end, and when those bytes are not valid UTF-8 (after
+    # the last string of a buffer) it keeps the trailing run in a token
+    toks = pc.utf8_split_whitespace(pc.utf8_rtrim_whitespace(col))
     if isinstance(toks, pa.ChunkedArray):
         toks = toks.combine_chunks()
     # drop empty strings: flatten, mask, rebuild offsets

@@ -12,6 +12,12 @@ Derivation is deterministic from the driver-provided ``documents`` table
 vocab), so every scale factor yields the same tokens for the same text —
 the per-row invariant the driver checks is token-array equality.
 
+``tokenized_dataset`` runs eagerly, as one plain Ray task per block (the
+rule ``streaming/exchange.py`` follows for every epoch kernel), never as a
+Ray Data execution: each task tokenizes one contiguous row range of the
+file, and the result is a ``MaterializedDataset`` whose blocks are in file
+row order on every call.
+
 Also provides the micro-batch (epoch) splitter: a deterministic partition of
 a Dataset/table into K epochs by row position — the reference's
 ``advance_to``-delimited insertion batches (src/main.rs:489-513).
@@ -19,9 +25,14 @@ a Dataset/table into K epochs by row position — the reference's
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
+import ray.data
 
 from ..functions.hashing import fast_hash64_array
 from ..functions.tokenize import tokenize_column
@@ -54,69 +65,95 @@ def derive_tokenized(tbl: pa.Table, vocab_size: int = VOCAB_SIZE) -> pa.Table:
     )
 
 
+# each task's row range is sized so that its block holds ~48k rows (≈2.5M
+# tokens) AFTER replication: a fat block (10M+ tokens) blows a worker's heap
+# and forces object-store spill, while too-small blocks pay task-launch
+# overhead in every later per-block stage
+_ROWS_PER_TASK = 49152
+
+
+@ray.remote
+def _tokenize_range(path: str, groups: list[int], offset: int, length: int,
+                    vocab_size: int, replicate: int,
+                    hot_source_frac: float | None) -> pa.Table:
+    """One block: rows ``[offset, offset + length)`` of the row groups
+    ``groups`` (offset counted from the first of them), tokenized, tiled
+    ``replicate`` times, with the hot ``source`` rewrite."""
+    tbl = pq.ParquetFile(path).read_row_groups(
+        groups, columns=["doc_id", "text", "source"]).slice(offset, length)
+    # tokenize FIRST, then tile the tokenized rows: the string
+    # tokenize+hash (the expensive part) runs once per distinct doc, not
+    # once per replica; copies share identical token arrays by
+    # construction (the determinism the bench relies on)
+    tok = derive_tokenized(tbl, vocab_size)
+    if replicate > 1:
+        n = tok.num_rows
+        idx = np.tile(np.arange(n, dtype=np.int64), replicate)
+        tok = tok.take(pa.array(idx))
+        rep_tag = pa.array(
+            np.repeat(np.arange(replicate, dtype=np.int64), n).astype(str)
+        )
+        new_id = pc.binary_join_element_wise(rep_tag, tok["doc_id"], "_")
+        tok = tok.set_column(
+            tok.schema.get_field_index("doc_id"), "doc_id", new_id
+        )
+    if hot_source_frac:
+        # deterministic by doc_id hash: the same rows are hot on every
+        # run and at every parallelism; Arrow if_else, no Python rows
+        h = fast_hash64_array(tok["doc_id"], seed=7)
+        hot = pa.array((h % np.uint64(1000))
+                       < np.uint64(int(hot_source_frac * 1000)))
+        src = pc.if_else(hot, pa.scalar("web"), tok["source"])
+        tok = tok.set_column(
+            tok.schema.get_field_index("source"), "source", src)
+    return tok
+
+
 def tokenized_dataset(sf_dir: str, vocab_size: int = VOCAB_SIZE,
                       replicate: int = 1, parallelism: int | None = None,
                       hot_source_frac: float | None = None):
-    """Ray Dataset of tokenized sequences derived from ``documents.parquet``
-    (columns pruned at the read).
+    """``MaterializedDataset`` of tokenized sequences derived from
+    ``documents.parquet``, blocks in file row order.
+
+    Runs eagerly as one Ray task per block: each task reads only the row
+    groups that overlap its contiguous row range (three columns), tokenizes
+    the range and tiles it.  The ranges are as even as possible (sizes
+    differ by at most one row); there are ``max(parallelism,
+    ceil(rows × replicate / 49152))`` of them, so a block holds about 48k
+    rows after replication, and ``parallelism`` fans a small file out
+    across the cluster.  Every caller reads all of it, so running eagerly
+    gives up no laziness, and ``.materialize()`` on the result runs
+    nothing.
 
     ``replicate`` synthesizes an N×-larger corpus (distinct doc_ids per copy,
     identical token arrays — deterministic) for throughput benchmarking;
-    ``parallelism`` repartitions the small source table before the CPU-heavy
-    tokenize stage so it fans out across the cluster (a single parquet file
-    otherwise yields a single block → a single task).
+    each block holds its range's copies one after another.
 
     ``hot_source_frac``: deterministically rewrite that fraction of rows'
     ``source`` to one hot key (``"web"``) — the skew-stress input for the
     keyed window aggregate / OneHot fit / shard state paths (BASELINE.md
-    skew bench).
+    skew bench).  The hot rows depend on the doc_id only, not on
+    ``parallelism``.
     """
-    import math
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    # bound rows-per-task AFTER replication: a fat block (10M+ tokens) blows
-    # a worker's heap and forces object-store spill, while too-small blocks
-    # pay task-launch overhead per stage; ~48k rows (≈2.5M tokens) per task
-    # balances both
-    total_rows = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows * replicate
-    auto_blocks = max(1, math.ceil(total_rows / 49152))
-    blocks = max(parallelism or 0, auto_blocks)
-    ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"],
-        override_num_blocks=blocks,
-    )
-
-    def prep(tbl: pa.Table) -> pa.Table:
-        # tokenize FIRST, then tile the tokenized rows: the string
-        # tokenize+hash (the expensive part) runs once per distinct doc, not
-        # once per replica; copies share identical token arrays by
-        # construction (the determinism the bench relies on)
-        tok = derive_tokenized(tbl, vocab_size)
-        if replicate > 1:
-            n = tok.num_rows
-            idx = np.tile(np.arange(n, dtype=np.int64), replicate)
-            tok = tok.take(pa.array(idx))
-            rep_tag = pa.array(
-                np.repeat(np.arange(replicate, dtype=np.int64), n).astype(str)
-            )
-            new_id = pc.binary_join_element_wise(rep_tag, tok["doc_id"], "_")
-            tok = tok.set_column(
-                tok.schema.get_field_index("doc_id"), "doc_id", new_id
-            )
-        if hot_source_frac:
-            # deterministic by doc_id hash: the same rows are hot on every
-            # run and at every parallelism; Arrow if_else, no Python rows
-            h = fast_hash64_array(tok["doc_id"], seed=7)
-            hot = pa.array((h % np.uint64(1000))
-                           < np.uint64(int(hot_source_frac * 1000)))
-            src = pc.if_else(hot, pa.scalar("web"), tok["source"])
-            tok = tok.set_column(
-                tok.schema.get_field_index("source"), "source", src)
-        return tok
-
-    return ds.map_batches(prep, batch_format="pyarrow")
+    path = f"{sf_dir}/documents.parquet"
+    meta = pq.read_metadata(path)
+    n = meta.num_rows
+    group_start = np.cumsum(
+        [0] + [meta.row_group(g).num_rows for g in range(meta.num_row_groups)])
+    blocks = max(parallelism or 0, math.ceil(n * replicate / _ROWS_PER_TASK), 1)
+    # the first n % blocks ranges take the extra row
+    q, r = divmod(n, blocks)
+    bounds = [i * q + min(i, r) for i in range(blocks + 1)]
+    refs = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        # the row groups overlapping [a, b): the last one starting at or
+        # before a up to the last one starting before b (none if a == b == n)
+        g0 = int(np.searchsorted(group_start, a, side="right")) - 1
+        g1 = int(np.searchsorted(group_start, b, side="left"))
+        refs.append(_tokenize_range.remote(
+            path, list(range(g0, g1)), a - int(group_start[g0]), b - a,
+            vocab_size, replicate, hot_source_frac))
+    return ray.data.from_arrow_refs(refs)
 
 
 def epoch_tables(tbl: pa.Table, n_epochs: int) -> list[pa.Table]:

@@ -22,6 +22,9 @@ plain Ray tasks over those blocks, never as Ray Data executions:
 An epoch thus costs one task per block plus, in ``shard_exchange``, one per
 touched shard, and each kernel closure goes to the object store once per
 epoch.
+
+The flagship source (``sources/tokenized.py``) follows the same rule: one
+plain task per block, no Ray Data execution.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,17 @@ def test_tokenize_column_vector_scalar_sql_agree(docs, cut):
     assert want[:2] == [[], []]
     assert tokenize_column(col).to_pylist() == want
     assert _duckdb_tokens(texts) == want
+
+
+@pytest.mark.parametrize("text", ["a\u3000", "a\n\u2005\u3000", "a ", "a b\t"])
+def test_tokenize_column_ignores_bytes_after_the_last_string(text):
+    """The bytes after a string's end do not change its tokens, even when
+    they are not valid UTF-8 (as after the last string of a buffer)."""
+    raw = text.encode()
+    offsets = pa.array([0, len(raw)], pa.int32()).buffers()[1]
+    col = pa.Array.from_buffers(pa.string(), 1, [
+        None, offsets, pa.py_buffer(raw + b"\x80" * 4)])
+    assert tokenize_column(col).to_pylist() == [default_tokenizer(text)]
 
 
 def test_tokenize_column_null_row_is_empty():

@@ -1,5 +1,7 @@
 """IncrementalEncoderSession + flagship pipeline tests."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -19,6 +21,11 @@ from diffdataflowmlpipelines_ray.streaming.encoders import IncrementalEncoderSes
 SF = "/root/testdata/sf0.001"
 
 
+def _sf(name: str) -> str:
+    """The scale-factor directory ``name`` beside ``SF``."""
+    return os.path.join(os.path.dirname(SF), name)
+
+
 class TestTokenizedSource:
     def test_derive_deterministic_schema(self, ray_session):
         import pyarrow.parquet as pq
@@ -34,6 +41,90 @@ class TestTokenizedSource:
     def test_dataset_source(self, ray_session):
         ds = tokenized_dataset(SF)
         assert ds.count() == 500
+
+    @staticmethod
+    def _blocks(ds) -> list[pa.Table]:
+        import ray
+        from ray.data.dataset import MaterializedDataset
+
+        assert isinstance(ds, MaterializedDataset)
+        return ray.get(ds.to_arrow_refs())
+
+    @pytest.mark.parametrize("sf, parallelism", [
+        ("sf0.1", 1), ("sf0.1", 4), ("sf0.001", 3), ("sf0.001", 7)])
+    def test_rows_equal_local_derive(self, ray_session, sf, parallelism):
+        import pyarrow.parquet as pq
+
+        d = _sf(sf)
+        blocks = self._blocks(tokenized_dataset(d, parallelism=parallelism))
+        sizes = [b.num_rows for b in blocks]
+        assert len(blocks) == parallelism
+        assert max(sizes) - min(sizes) <= 1
+        want = derive_tokenized(pq.read_table(f"{d}/documents.parquet"))
+        assert pa.concat_tables(blocks).equals(want)
+
+    @pytest.mark.parametrize("parallelism", [1, 3, 7])
+    def test_many_row_groups(self, ray_session, tmp_path, parallelism):
+        import pyarrow.parquet as pq
+
+        docs = pq.read_table(f"{SF}/documents.parquet")
+        pq.write_table(docs, tmp_path / "documents.parquet", row_group_size=37)
+        blocks = self._blocks(tokenized_dataset(str(tmp_path),
+                                                parallelism=parallelism))
+        assert len(blocks) == parallelism
+        assert pa.concat_tables(blocks).equals(derive_tokenized(docs))
+
+    def test_replicate_and_hot_source_equal_local_recompute(self, ray_session):
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from diffdataflowmlpipelines_ray.functions.hashing import fast_hash64_array
+
+        d, rep, frac = _sf("sf0.1"), 3, 0.3
+        blocks = self._blocks(tokenized_dataset(
+            d, replicate=rep, parallelism=4, hot_source_frac=frac))
+        sizes = [b.num_rows // rep for b in blocks]
+        assert [b.num_rows for b in blocks] == [s * rep for s in sizes]
+        assert max(sizes) - min(sizes) <= 1
+        docs = derive_tokenized(pq.read_table(f"{d}/documents.parquet"))
+        start = 0
+        for block, size in zip(blocks, sizes):
+            part = docs.slice(start, size)
+            start += size
+            ids = [f"{r}_{i}" for r in range(rep)
+                   for i in part["doc_id"].to_pylist()]
+            hot = fast_hash64_array(pa.array(ids), seed=7) % np.uint64(1000) \
+                < np.uint64(300)
+            src = np.where(hot, "web", np.tile(
+                np.asarray(part["source"].to_pylist(), dtype=object), rep))
+            assert block["doc_id"].to_pylist() == ids
+            assert block["source"].to_pylist() == src.tolist()
+            assert block["tokens"].to_pylist() == part["tokens"].to_pylist() * rep
+            assert block["n_tok"].to_pylist() == part["n_tok"].to_pylist() * rep
+            assert pc.sum(pc.equal(block["source"], "web")).as_py() > 0
+        assert start == docs.num_rows
+
+    def test_hot_rows_independent_of_parallelism(self, ray_session):
+        d = _sf("sf0.1")
+
+        def hot_ids(parallelism):
+            tbl = pa.concat_tables(self._blocks(tokenized_dataset(
+                d, parallelism=parallelism, hot_source_frac=0.3)))
+            src, ids = tbl["source"].to_pylist(), tbl["doc_id"].to_pylist()
+            return {i for i, s in zip(ids, src) if s == "web"}
+
+        assert hot_ids(1) == hot_ids(4)
+        assert len(hot_ids(1)) > 0
+
+    def test_blocks_in_file_order_on_every_call(self, ray_session):
+        import pyarrow.parquet as pq
+
+        want = [str(i) for i in pq.read_table(
+            f"{SF}/documents.parquet", columns=["doc_id"])["doc_id"].to_pylist()]
+        for _ in range(20):
+            blocks = self._blocks(tokenized_dataset(SF, parallelism=4))
+            got = [i for b in blocks for i in b["doc_id"].to_pylist()]
+            assert got == want
 
 
 class TestIncrementalEncoderSession:
