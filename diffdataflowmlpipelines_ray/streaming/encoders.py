@@ -52,7 +52,7 @@ from ..stages.multi_column import MultiColumnEncoder
 from .arrangement import to_arrow
 from .exchange import block_refs, run_blocks
 from .sink import CheckpointManager, ExactlyOnceParquetSink, write_epoch_part
-from .state_store import ShardedStateStore
+from .state_store import ShardedStateStore, scatter
 
 __all__ = ["IncrementalEncoderSession"]
 
@@ -162,8 +162,7 @@ class IncrementalEncoderSession:
                  checkpoint_every: int = 1, pre_transform=None,
                  archive_input: bool = True, output_cols: list | None = None,
                  epoch_aggs: list | None = None, fsync: bool = True,
-                 pre_transform_in_fit: bool = False, sync_every: int = 1,
-                 pipeline_state: bool = False):
+                 pre_transform_in_fit: bool = False, sync_every: int = 1):
         #: fsync=False relaxes power-loss durability for latency-sensitive
         #: jobs; crash-level exactly-once (manifest rename atomicity) holds
         #: either way
@@ -175,15 +174,6 @@ class IncrementalEncoderSession:
         #: Loss window on POWER failure: up to K epochs past the last
         #: barrier (replayable — exactly-once replay re-commits them).
         self.sync_every = max(int(sync_every), 1)
-        #: pipeline_state=True removes the blocking state-store round-trip
-        #: from the epoch critical path: the driver keeps a local mirror of
-        #: the encoder accumulators (same merge algebra as StateShard,
-        #: epoch-high-water idempotent) and ships each epoch's deltas
-        #: one-way (`wait=False`); checkpoints and all read surfaces fence
-        #: first, so durability and resume semantics are unchanged.
-        self.pipeline_state = bool(pipeline_state)
-        self._local_state: dict[bytes, object] | None = {} if pipeline_state else None
-        self._local_hwm = -1
         self.mce = MultiColumnEncoder(config)
         self.weight_col = weight_col
         self.keep_input = keep_input
@@ -262,12 +252,6 @@ class IncrementalEncoderSession:
         blobs, extra = self.chk.load(latest)
         self.store.load_all(blobs)
         self.last_epoch = latest
-        if self._local_state is not None:
-            # mirror = restored checkpoint state; replayed epochs (> the
-            # checkpoint, not in the restored high-water marks) apply once
-            # on both sides
-            self._local_state = dict(self.store.collect("encoders"))
-            self._local_hwm = latest
         self._refresh_encoder_state()
         return latest + 1
 
@@ -297,8 +281,12 @@ class IncrementalEncoderSession:
         block: the partials tasks also write their block as an
         input-archive part (``archive_input``), the encode tasks write
         their block's output part, and the driver merges the partials in
-        block order and commits the parts with ``commit_files``.  Replaying a committed epoch
-        re-applies its (idempotent) state delta but writes no data.
+        block order and commits the parts with ``commit_files``.  The
+        merged fit partials apply, and the due checkpoint's shards write
+        their snapshot files, in the epoch's one ``store.step``, before the
+        encode; the checkpoint's ``DONE`` marker lands after the sinks
+        commit and their barrier.  Replaying a committed epoch re-applies
+        its (idempotent) state delta but writes no data.
         Returns the encoded table (table path) or the sink manifest (Dataset
         path; use ``read_epoch_output``).
         """
@@ -360,39 +348,21 @@ class IncrementalEncoderSession:
                     elif kt[0] == "__epoch_agg_types":
                         key_types[kt[1]] = merged.pop(k).types
                 self._commit_epoch_aggs(epoch, win_items, key_types)
-            if self._local_state is not None:
-                # pipelined: ship the delta one-way (pickled NOW, before the
-                # local merge mutates shared accumulators) and fold it into
-                # the driver mirror with StateShard.apply_delta's exact
-                # algebra; the epoch high-water mark mirrors its idempotency
-                self.store.apply_deltas("encoders", epoch, merged,
-                                        wait=False)
-                if epoch > self._local_hwm:
-                    self._local_hwm = epoch
-                    local = self._local_state
-                    for k, acc in sorted(merged.items()):
-                        cur = local.get(k)
-                        if cur is None:
-                            if not (hasattr(acc, "is_identity")
-                                    and acc.is_identity()):
-                                local[k] = acc
-                        else:
-                            cur.merge(acc)
-                            if (hasattr(cur, "is_identity")
-                                    and cur.is_identity()):
-                                del local[k]
-                items = self._local_state
-            else:
-                # one round-trip: apply the deltas AND get the merged meta
-                # back
-                post = self.store.apply_deltas("encoders", epoch, merged,
-                                               return_merged=True)
-                items = dict(post)
+            # one step: apply the deltas, get the merged meta back, and
+            # write the due snapshot
+            by_shard = scatter(sorted(merged.items()), self.store.num_shards)
+            msgs = {sid: [("apply_delta", "encoders", (pickle.dumps(
+                        pairs, protocol=pickle.HIGHEST_PROTOCOL), True), None)]
+                    for sid, pairs in by_shard.items()}
+            replies = self._step(epoch, msgs)
+            items = dict(kv for r in replies.values() for blob in r["out"]
+                         for kv in pickle.loads(blob))
             for i, col, enc in self._stateful:
                 acc = items.get(_kb(i))
                 if acc is not None:
                     enc.load_accumulator(acc)
         else:
+            replies = self._step(epoch, {})
             self._refresh_encoder_state()
         if self.inspect_meta is not None:
             for i, col, enc in self._stateful:
@@ -423,16 +393,22 @@ class IncrementalEncoderSession:
         if self.emit_corrections:
             self._maybe_emit_corrections(epoch, encode)
         self.last_epoch = epoch
-        if self.checkpoint_every and epoch % self.checkpoint_every == 0:
-            # a checkpoint must never outrun the sinks' durable watermark:
-            # resume skips every epoch it covers.  The shards write their
-            # own snapshot files; the save commits them.
+        if snapshot := sorted(sid for sid, r in replies.items()
+                              if r["snapshot"] is not None):
+            # the shards wrote their snapshot files in the epoch's step; a
+            # checkpoint must never outrun the sinks' durable watermark
+            # (resume skips every epoch it covers), so its DONE marker
+            # lands after the barrier
             self.sync()
-            replies = self.store.step(epoch, {}, snapshot=True)
-            self.chk.save(epoch, [sid for sid, r in replies.items()
-                                  if r["snapshot"] is not None], extra={})
+            self.chk.save(epoch, snapshot, extra={})
             self.chk.prune(keep_last=2)
         return out_tbl if small else result
+
+    def _step(self, epoch: int, msgs: dict[int, list]) -> dict[int, dict]:
+        """The epoch's one ``store.step``, with the snapshot when a
+        checkpoint is due; no call when there is neither."""
+        due = bool(self.checkpoint_every) and epoch % self.checkpoint_every == 0
+        return self.store.step(epoch, msgs, due) if msgs or due else {}
 
     def _prior_effective(self, epoch: int):
         """Last emitted version of every prior row = latest effective snapshot
@@ -553,8 +529,7 @@ class IncrementalEncoderSession:
 
     def sync(self) -> None:
         """Force a group-commit barrier on every sink (durable through the
-        last committed epoch) and fence pipelined state writes."""
-        self.store.fence()
+        last committed epoch)."""
         for s in (self.sink, self.input_archive, self.corrections_sink,
                   self.effective_sink, *self.epoch_agg_sinks.values()):
             s.sync()

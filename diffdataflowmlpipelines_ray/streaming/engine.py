@@ -27,12 +27,13 @@ Data path per epoch:
    folds the summaries and queues the parts (or the tasks' refs, which the
    shard fetches and merges), the watermark's sweeps and the due snapshot
    into one ``StateShard.step`` call per touched shard at the end of the
-   epoch (earlier when a later op reads a queued output, or before a
-   direct store call: a session or pattern sweep, an early session
-   emission, an enrich probe, a register sweep).  The shard writes the
-   rows its kernels emit as sink parts and its snapshot as a checkpoint
+   epoch (earlier when a later op reads a queued output, or before an
+   enrich probe).  The shard writes the rows its window, join and
+   changelog kernels emit as sink parts and its snapshot as a checkpoint
    file, and replies with manifest entries, which the driver commits and
-   publishes.  The enrich probe, ``StreamDedup`` and ``StreamNearDup`` run
+   publishes; the session, pattern and graph kernels reply with their
+   rows, which the driver sorts and commits.  The enrich probe,
+   ``StreamDedup`` and ``StreamNearDup`` run
    one ``exchange.shard_exchange`` per epoch (a route task per block, a
    reduce task per touched shard, which merges that shard's payloads in a
    fixed sorted order, makes the shard's one actor call and writes its
@@ -228,6 +229,12 @@ def _merge_acc(a, b):
 
 def _merge_sorted(a: list, b: list) -> list:
     return sorted(a + b)
+
+
+def _sorted_rows(results: list) -> list:
+    """The rows of a kernel's shards, each a pickled sorted list, as one
+    sorted list."""
+    return sorted(r for blob in results for r in pickle.loads(blob))
 
 
 def _unpickled_rows(to_table, results: list, epoch: int) -> pa.Table:
@@ -1724,6 +1731,9 @@ class StreamSession:
         #: route tasks (``stats()["route_s"]``; kept out of ``metrics`` for
         #: the same reason)
         self._route_s: dict[str, float] = {}
+        #: the epoch's early session rows awaiting their ``<op>__early``
+        #: commit (op name → rows; ``_hold_early``)
+        self._early: dict[str, list] = {}
 
     def _meta(self, **kw) -> dict:
         if self.current_lineage is not None:
@@ -1965,9 +1975,9 @@ class StreamSession:
     # Keyed ops send their epoch's shard work as one ``store.step`` call per
     # touched shard: the ops and the watermark queue requests, and the
     # flush runs their callbacks, which commit the emissions, in op order.
-    # A direct store call inside the epoch (a session or pattern sweep, an
-    # early session emission, an enrich probe, a register sweep) reads
-    # what the batch applies, so the batch is flushed before it.
+    # The batch is sent early when a later op reads an output it has yet
+    # to emit, and before the enrich probe, whose shard exchange reads the
+    # registers the batch applies.
     @contextlib.contextmanager
     def _epoch_step(self, epoch: int):
         """Open a step batch for ``epoch``, flushed (and its snapshot
@@ -2336,8 +2346,10 @@ class StreamSession:
         Keyed ops queue their shard work and send it, with the
         watermark's sweeps and the due checkpoint's snapshot, as one
         ``store.step`` call per touched shard at the end of the epoch; an
-        op that reads an output still in that batch, or a direct store
-        call, sends it first.
+        op that reads an output still in that batch, or an enrich probe,
+        sends it first.  An early-firing session's ``<op>__early`` rows
+        commit once per epoch: with the close retractions of a watermark
+        advanced in the same call, else at the epoch's end.
         """
         with self._epoch_step(epoch):
             return self._process_epoch(epoch, inputs, watermark, lineage,
@@ -2408,14 +2420,14 @@ class StreamSession:
                                    for sid, a in args.items()})
                 if op.early_firing:
                     # speculative changelog of the epoch's touched OPEN
-                    # sessions (after the applies above); a cross-epoch
-                    # merge retracts both prior partials
-                    self._flush()
-                    rows = self.store.emit_early_sessions(
-                        name, op.gap, op.retractable)
-                    out_tbl = op.early_rows_to_table(rows, epoch)
-                    self._emit(f"{name}__early", epoch, out_tbl, emitted,
-                               kind="session_early")
+                    # sessions, on the shards the apply above touched; a
+                    # cross-epoch merge retracts both prior partials
+                    self._request(
+                        "emit_early_sessions", name,
+                        {sid: (op.gap, op.retractable) for sid in args},
+                        functools.partial(self._hold_early, op, name, epoch,
+                                          emitted),
+                        emits=[f"{name}__early"])
             elif isinstance(op, (PatternMatch, AbsenceDetect, KleenePattern)):
                 if op.input not in avail:
                     continue
@@ -2428,12 +2440,12 @@ class StreamSession:
                     continue
                 # edge deltas are narrow (16 B/row) and the union-find is one
                 # logical graph: the epoch's edges collapse to a Table and
-                # ride one actor call to the op's designated shard
-                tbl = self._as_table(avail[op.input])
-                deltas = self.store.apply_cc_edges(
-                    op.name, epoch, op.edges_from(tbl))
-                out_tbl = op.rows_to_table(deltas, epoch)
-                self._emit(name, epoch, out_tbl, emitted, kind="cc")
+                # ride one request to the op's designated shard
+                self._request("apply_cc_edges", name,
+                              self._graph_args(op, avail[op.input]),
+                              functools.partial(self._graph_changed, op, name,
+                                                epoch, emitted, "cc"),
+                              emits=[name])
             elif isinstance(op, StreamNearDup):
                 if op.input not in avail:
                     continue
@@ -2461,12 +2473,13 @@ class StreamSession:
                     continue
                 # same designated-shard contract as components; the rank
                 # changelog commits per epoch and chains like any changelog
-                tbl = self._as_table(avail[op.input])
-                deltas = self.store.apply_pagerank_edges(
-                    op.name, epoch, op.edges_from(tbl), op.damping,
-                    op.tol, op.max_iters, op.emit_tol)
-                out_tbl = op.rows_to_table(deltas, epoch)
-                self._emit(name, epoch, out_tbl, emitted, kind="pagerank")
+                self._request("apply_pagerank_edges", name,
+                              self._graph_args(op, avail[op.input], op.damping,
+                                               op.tol, op.max_iters,
+                                               op.emit_tol),
+                              functools.partial(self._graph_changed, op, name,
+                                                epoch, emitted, "pagerank"),
+                              emits=[name])
             elif isinstance(op, UpsertToRetract):
                 if op.input not in avail:
                     continue
@@ -2539,6 +2552,10 @@ class StreamSession:
         self._batch.snapshot = bool(self.checkpoint_every) and (
             epoch % self.checkpoint_every == 0)
         shards = self._flush()
+        for name in self._early:  # no sweep took them along
+            self._emit(f"{name}__early", epoch, emitted[f"{name}__early"],
+                       emitted, kind="session_early")
+        self._early = {}
         self.last_epoch = epoch
         self.metrics["epochs"] += 1
         if shards is not None:
@@ -2581,9 +2598,12 @@ class StreamSession:
         sinks a sweep commits are checked (windowed aggregates, session
         windows, patterns, outer-join unmatched sides): the in-epoch
         commits of changelogs, joins, upserts or graph ops are not a
-        sweep.  Replayed epochs (below the resume floor) re-sweep
-        deterministically into their existing manifests, which is the
-        exactly-once path.
+        sweep.  An early-firing session's ``<op>__early`` sink is checked
+        too: a ``process_epoch`` without a watermark committed its early
+        rows, so its watermark goes to ``process_epoch`` itself or to an
+        advance under a new epoch id.  Replayed epochs (below the resume
+        floor) re-sweep deterministically into their existing manifests,
+        which is the exactly-once path.
         """
         emitted = emitted if emitted is not None else {}
         if epoch >= self._replay_floor:
@@ -2605,9 +2625,8 @@ class StreamSession:
                     if isinstance(o, SessionWindowAggregation) and \
                             o.early_firing:
                         # the early side sink ALSO sweep-commits on advance
-                        # (close retractions) — same fresh-epoch guard; an
-                        # advance must use a fresh epoch id, not one the
-                        # per-epoch early commit already used
+                        # (close retractions, with the epoch's early rows
+                        # when they are still held) — same fresh-epoch guard
                         sweep_sinks.append((n, f"{n}__early"))
             for n, sn in sweep_sinks:
                 if sn not in self.sinks or not self.sinks[sn].is_committed(
@@ -2632,54 +2651,48 @@ class StreamSession:
         return emitted
 
     def _sweep(self, epoch: int, emitted: dict) -> None:
-        """The watermark's sweeps and expiry, in op order: windowed
-        aggregates and stream joins queue theirs in the step batch; the
-        others are direct store calls, which flush the batch first."""
+        """Queue the watermark's sweeps and expiry in the step batch, in op
+        order, on every shard: the shards write the closed windows and the
+        unmatched join rows; the session and pattern sweeps reply with
+        their rows, which the flush sorts across shards and commits."""
+        wm = self.watermark
         for name, op in self.ops.items():
             if isinstance(op, KeyedAggregation) and op.window is not None:
-                bound = self.watermark - op.window.allowed_lateness
+                bound = wm - op.window.allowed_lateness
                 panes = op.window.use_panes and not op.early_firing
                 self._sweep_windows(
                     op, name, epoch, emitted, bound,
                     *((op.window.size, op.window.slide) if panes else ()))
             elif isinstance(op, SessionWindowAggregation):
-                self._flush()
-                bound = self.watermark - op.allowed_lateness
+                args = self._all_shards(wm - op.allowed_lateness, op.gap,
+                                        op.early_firing)
+                done = functools.partial(self._sessions_closed, op, name,
+                                         epoch, wm, emitted)
+                sinks = ([name, f"{name}__early"] if op.early_firing
+                         else [name])
                 if op.retractable:
-                    items = self.store.sweep_closed_retractable_sessions(
-                        name, bound, op.gap, early=op.early_firing
-                    )
+                    self._request("sweep_closed_retractable_sessions", name,
+                                  args, done, sinks)
                 else:
-                    items = self.store.sweep_closed_sessions(
-                        name, bound, op.gap, early=op.early_firing)
-                if op.early_firing:
-                    items, early_rets = items
-                    # each finally-emitted session leaves the speculative
-                    # set: its −1 in the early stream keeps main + early
-                    # running sums one consistent sessionization
-                    ret_tbl = op.early_rows_to_table(early_rets, epoch)
-                    self._emit(f"{name}__early", epoch, ret_tbl, emitted,
-                               watermark=self.watermark, op=name)
-                tbl = op.rows_to_table(items, epoch)
-                self._emit(name, epoch, tbl, emitted,
-                           watermark=self.watermark, op=name,
-                           metrics=dict(self.metrics))
+                    self._request("sweep_closed_sessions", name, args, done,
+                                  sinks)
             elif isinstance(op, (PatternMatch, KleenePattern, AbsenceDetect)):
-                self._flush()
-                bound = self.watermark - op.allowed_lateness
+                bound = wm - op.allowed_lateness
+                done = functools.partial(self._matches_swept, op, name, epoch,
+                                         wm, emitted)
                 if isinstance(op, PatternMatch):
-                    items = self.store.sweep_pattern_matches(
-                        name, bound, list(op.pattern), op.within)
+                    self._request("sweep_pattern_matches", name,
+                                  self._all_shards(bound, list(op.pattern),
+                                                   op.within), done, [name])
                 elif isinstance(op, KleenePattern):
-                    items = self.store.sweep_kleene_matches(
-                        name, bound, op.first, op.mid, op.last, op.within)
+                    self._request("sweep_kleene_matches", name,
+                                  self._all_shards(bound, op.first, op.mid,
+                                                   op.last, op.within),
+                                  done, [name])
                 else:
-                    items = self.store.sweep_absence(
-                        name, bound, op.first, op.absent, op.within)
-                tbl = op.rows_to_table(items, epoch)
-                self._emit(name, epoch, tbl, emitted,
-                           watermark=self.watermark, op=name,
-                           metrics=dict(self.metrics))
+                    self._request("sweep_absence", name,
+                                  self._all_shards(bound, op.first, op.absent,
+                                                   op.within), done, [name])
             elif isinstance(op, StreamJoin):
                 for s, suffix in (("left", "__unmatched"),
                                   ("right", "__unmatched_right")):
@@ -2691,13 +2704,60 @@ class StreamSession:
                                           f"{name}{suffix}")
                 if op.retention is not None:
                     self._request("join_expire", name, self._all_shards(
-                        self.watermark - op.retention))
+                        wm - op.retention))
             elif isinstance(op, (EnrichJoin, StreamDedup)):
                 ttl = op.dim_ttl if isinstance(op, EnrichJoin) else op.ttl
                 if ttl is not None:
-                    self._flush()
-                    self.store.sweep_stale_registers(
-                        name, self.watermark - ttl)
+                    self._request("sweep_stale_registers", name,
+                                  self._all_shards(wm - ttl))
+
+    def _hold_early(self, op: "SessionWindowAggregation", name: str,
+                    epoch: int, emitted: dict, results: list) -> None:
+        """``emit_early_sessions``' rows: published now, committed with the
+        epoch's close retractions when a sweep follows in the epoch, else
+        at its end, so ``<op>__early`` commits once per epoch."""
+        rows = self._early[name] = _sorted_rows(results)
+        emitted[f"{name}__early"] = op.early_rows_to_table(rows, epoch)
+
+    def _sessions_closed(self, op: "SessionWindowAggregation", name: str,
+                         epoch: int, wm: float, emitted: dict,
+                         results: list) -> None:
+        """Commit a session sweep: with early firing, first the epoch's
+        early rows and the closed sessions' retractions (each finally
+        emitted session leaves the speculative set, so main + early running
+        sums stay one sessionization), then the closed sessions."""
+        swept = [pickle.loads(b) for b in results]
+        if op.early_firing:
+            rets = sorted(r for _, rs in swept for r in rs)
+            self._emit(f"{name}__early", epoch, op.early_rows_to_table(
+                self._early.pop(name, []) + rets, epoch), emitted,
+                watermark=wm, op=name)
+            swept = [items for items, _ in swept]
+        self._emit(name, epoch,
+                   op.rows_to_table(sorted(kv for p in swept for kv in p),
+                                    epoch),
+                   emitted, watermark=wm, op=name, metrics=dict(self.metrics))
+
+    def _matches_swept(self, op, name: str, epoch: int, wm: float,
+                       emitted: dict, results: list) -> None:
+        """Commit a pattern, Kleene or absence sweep's matches."""
+        self._emit(name, epoch, op.rows_to_table(_sorted_rows(results), epoch),
+                   emitted, watermark=wm, op=name, metrics=dict(self.metrics))
+
+    def _graph_args(self, op, data, *params) -> dict[int, tuple]:
+        """A graph op's step argument: the epoch's edges, for the op's
+        designated shard (one logical graph lives in one shard)."""
+        edges = op.edges_from(self._as_table(data))
+        sid = shard_of(op.name.encode(), self.store.num_shards)
+        return {sid: (pickle.dumps(sorted(map(tuple, edges)),
+                                   protocol=pickle.HIGHEST_PROTOCOL), *params)}
+
+    def _graph_changed(self, op, name: str, epoch: int, emitted: dict,
+                       kind: str, results: list) -> None:
+        """Commit a graph op's changelog, as its one shard replied it."""
+        self._emit(name, epoch,
+                   op.rows_to_table(pickle.loads(results[0]), epoch),
+                   emitted, kind=kind)
 
     def _sweep_windows(self, op: "KeyedAggregation", name: str, epoch: int,
                        emitted: dict, bound: float, *panes) -> None:

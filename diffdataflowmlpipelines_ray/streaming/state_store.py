@@ -26,17 +26,20 @@ exist:
 
 Deltas arrive pre-combined per key per epoch (the two-phase aggregation fix
 for the reference's key=`1` hot spot); each ``apply_*`` call is **idempotent
-per (table, epoch)** so a restarted driver can replay epochs blindly.  Every
-keyed apply of a ``StreamSession`` runs in ``StateShard.step``, one call per
-touched shard per epoch (the Differential Dataflow worker's local progress
-step): applies and probes in op order, then the watermark's window sweeps
-and join expiry, then the snapshot when a checkpoint is due.  Like a DD worker, the shard owns the
-output it produces: each request travels as its own actor-call argument,
-a row-emitting kernel's result is finalized and written as the shard's
-part of the op's sink (``write_epoch_part``), and the snapshot is written
-into the checkpoint's epoch dir (``write_shard_file``).  The reply carries
+per (table, epoch)** so a restarted driver can replay epochs blindly.  The
+work of an epoch on its shards runs in ``StateShard.step``, one call per
+touched shard (the Differential Dataflow worker's local progress step):
+applies, early session emissions, graph ops and join probes in op order,
+then the watermark's sweeps and join expiry, then the snapshot when a
+checkpoint is due.  Like a DD worker, the shard owns the output it
+produces: each request travels as its own actor-call argument, a
+row-emitting kernel's result is finalized and written as the shard's part
+of the op's sink (``write_epoch_part``), and the snapshot is written into
+the checkpoint's epoch dir (``write_shard_file``); those replies carry
 manifest entries, timings and byte counts, never rows or snapshot bytes,
-so message and reply stay under Ray's inline-argument limit.
+so message and reply stay under Ray's inline-argument limit.  The session,
+pattern and graph kernels reply with their pickled rows, which the driver
+sorts across shards and commits.
 ``dump``/``load`` serialize a shard for checkpointing (arrangements as whole
 columns); the applied-epoch marks are part of the snapshot, keeping
 idempotency across restarts.
@@ -68,12 +71,21 @@ from .arrangement import JoinArrangement, Partials, Rows, WindowArrangement
 from .sink import CheckpointManager, write_epoch_part, write_shard_file
 
 __all__ = ["StateShard", "ShardedStateStore", "Emit", "Gather", "shard_of",
-           "rescale_blobs", "legacy_state", "check_cpu_headroom"]
+           "scatter", "rescale_blobs", "legacy_state", "check_cpu_headroom"]
 
 
 def shard_of(key_bytes: bytes, num_shards: int) -> int:
     """Stable shard routing (md5 — independent of PYTHONHASHSEED)."""
     return int.from_bytes(hashlib.md5(key_bytes).digest()[:8], "big") % num_shards
+
+
+def scatter(items: list[tuple[bytes, Any]], num_shards: int
+            ) -> dict[int, list]:
+    """(key bytes, value) pairs → {shard: its pairs}, by ``shard_of``."""
+    by_shard: dict[int, list] = {}
+    for key, val in items:
+        by_shard.setdefault(shard_of(key, num_shards), []).append((key, val))
+    return by_shard
 
 
 def _dumps(obj) -> bytes:
@@ -99,11 +111,13 @@ class StateShard:
     """One shard of every state table.  Runs as a Ray actor (see
     ``ShardedStateStore``); the arrangement methods take and return columns
     (``Partials``, ``Rows``, Arrow tables), the others pickled payloads, to
-    keep actor-call overhead flat.  A ``StreamSession`` reaches the
-    ``STEP_KERNELS`` (every keyed apply, the window sweeps and the join
-    probes, unmatched sweeps and expiry) only through ``step``, which runs
-    a whole epoch of them, and the snapshot when one is due, in one call;
-    each kernel is also callable on its own, in process."""
+    keep actor-call overhead flat.  Both sessions reach the
+    ``STEP_KERNELS`` (every keyed apply, the early session emission, the
+    graph ops, the join probes, and the watermark's window, session,
+    pattern, register and unmatched sweeps and join expiry) only through
+    ``step``, which runs a whole epoch of them, and the snapshot when one
+    is due, in one call; each kernel is also callable on its own, in
+    process."""
 
     def __init__(self, shard_id: int, num_shards: int):
         self.shard_id = shard_id
@@ -963,10 +977,11 @@ class StateShard:
 
         Each request, its own actor-call argument so that each travels
         inline, is ``(kernel, name, args, emit)`` for one of the
-        ``STEP_KERNELS``: the epoch's keyed applies and join insert-probes
-        in op order, then the watermark's window sweeps and join unmatched
-        sweeps and expiry.  A ``Gather`` argument is merged here, so a
-        Dataset epoch's rows come straight from its route tasks.
+        ``STEP_KERNELS``: the epoch's keyed applies, early session
+        emissions, graph ops and join insert-probes in op order, then the
+        watermark's sweeps and join expiry.  A ``Gather`` argument is
+        merged here, so a Dataset epoch's rows come straight from its
+        route tasks.
         A kernel marked as taking the epoch gets it after ``name`` (its
         idempotency key).  A row-emitting request carries an ``Emit``: the
         shard finalizes its result into the op's output table and writes it
@@ -1135,9 +1150,18 @@ STEP_KERNELS = {
     "apply_session_points": True,
     "apply_session_point_deltas": True,
     "apply_pattern_points": True,
+    "emit_early_sessions": False,
+    "apply_cc_edges": True,
+    "apply_pagerank_edges": True,
     "sweep_windows": False,
     "sweep_join_unmatched": False,
     "join_expire": False,
+    "sweep_closed_sessions": False,
+    "sweep_closed_retractable_sessions": False,
+    "sweep_pattern_matches": False,
+    "sweep_kleene_matches": False,
+    "sweep_absence": False,
+    "sweep_stale_registers": False,
 }
 
 
@@ -1157,18 +1181,14 @@ def check_cpu_headroom(total_cpus: float, num_shards: int,
 
 
 class ShardedStateStore:
-    """Driver-side handle on the actor pool; scatters per-shard payloads and
-    gathers results.  All remote calls for one step are issued concurrently
-    (one round-trip per step, not per shard).
-
-    A ``StreamSession`` applies every keyed family through ``step``: the
-    session collects its epoch's applies, window sweeps, join probes,
-    expiry and snapshot request into one call per touched shard.
-    Snapshots of every family, both sessions' checkpoints included, are
-    written by the shards through ``step``.  The other methods are the
-    direct calls: the session and pattern sweeps, the early session
-    emission, register probes and sweeps, dedup claims, the graph and
-    near-dup ops, reads, and the encoder session's ``apply_deltas``."""
+    """Driver-side handle on the actor pool.  Both sessions reach the
+    shards' state through ``step``, one concurrent call per touched shard
+    (one round-trip per step, not per shard): a ``StreamSession`` epoch's
+    keyed applies, early session emissions, graph ops, join probes and
+    the watermark's sweeps and expiry; the encoder session's fit apply;
+    and every snapshot.  The other methods are reads (``collect``,
+    ``collect_windows``, ``stats``), the dedup claims and near-dup offers
+    of ``pa.Table`` epochs, ``load_all`` and ``shutdown``."""
 
     def __init__(self, num_shards: int = 8, num_cpus_per_shard: float = 0.25,
                  checkpoints: CheckpointManager | None = None):
@@ -1181,46 +1201,9 @@ class ShardedStateStore:
         self.checkpoints = checkpoints
         actor_cls = ray.remote(num_cpus=num_cpus_per_shard)(StateShard)
         self.shards = [actor_cls.remote(i, num_shards) for i in range(num_shards)]
-        #: in-flight apply refs when the encoder session pipelines its
-        #: state (writes are submitted without blocking; per-actor
-        #: submission order keeps them serialized).  Every READ surface
-        #: fences first.
-        self._pending: list = []
-
-    def fence(self) -> None:
-        """Block until all pipelined applies have executed on their shards."""
-        if self._pending:
-            ray.get(self._pending)
-            self._pending = []
-
-    # --------------------------------------------------------------- routing
-    def _scatter(self, items: list[tuple[bytes, Any]]) -> dict[int, list]:
-        by_shard: dict[int, list] = {}
-        for key, val in items:
-            by_shard.setdefault(shard_of(key, self.num_shards), []).append((key, val))
-        return by_shard
 
     # --------------------------------------------------------------- aggregates
-    def apply_deltas(self, name: str, epoch: int, merged: dict[bytes, Any],
-                     return_merged: bool = False, wait: bool = True):
-        by_shard = self._scatter(sorted(merged.items()))
-        refs = [
-            self.shards[sid].apply_delta.remote(name, epoch, _dumps(items),
-                                                return_merged)
-            for sid, items in by_shard.items()
-        ]
-        if not return_merged:
-            if not wait:  # pipelined: reads fence later
-                self._pending.extend(refs)
-                return None
-            return sum(ray.get(refs)) if refs else 0
-        out: list = []
-        for b in ray.get(refs):
-            out.extend(pickle.loads(b))
-        return out
-
     def collect(self, name: str) -> list[tuple[bytes, Any]]:
-        self.fence()
         blobs = ray.get([s.collect.remote(name) for s in self.shards])
         out: list[tuple[bytes, Any]] = []
         for b in blobs:
@@ -1228,18 +1211,10 @@ class ShardedStateStore:
         out.sort(key=lambda kv: kv[0])
         return out
 
-    def sweep_stale_registers(self, name: str, before_stamp: float) -> int:
-        self.fence()
-        return sum(ray.get([
-            s.sweep_stale_registers.remote(name, before_stamp)
-            for s in self.shards
-        ]))
-
     def dedup_filter(self, name: str, epoch: int,
                      shard_items: dict[int, list]) -> set:
         """Driver-path dedup claim: {shard_id: [(key_bytes, stamp)]} → the
         set of winning key_bytes across shards (see StateShard.dedup_filter)."""
-        self.fence()
         refs = [self.shards[sid].dedup_filter.remote(name, epoch, _dumps(items))
                 for sid, items in shard_items.items()]
         out: set = set()
@@ -1249,85 +1224,8 @@ class ShardedStateStore:
 
     # ---------------------------------------------------- windowed aggregates
     def collect_windows(self, name: str) -> list[Partials]:
-        self.fence()
         return [p for p in ray.get([s.collect_windows.remote(name)
                                     for s in self.shards]) if p is not None]
-
-    # --------------------------------------------------------------- sessions
-    def sweep_closed_sessions(self, name: str, watermark: float, gap: float,
-                              early: bool = False):
-        self.fence()
-        blobs = ray.get(
-            [s.sweep_closed_sessions.remote(name, watermark, gap, early)
-             for s in self.shards]
-        )
-        return self._collect_session_sweep(blobs, early)
-
-    @staticmethod
-    def _collect_session_sweep(blobs: list, early: bool):
-        out = []
-        rets = []
-        for b in blobs:
-            part = pickle.loads(b)
-            if early:
-                out.extend(part[0])
-                rets.extend(part[1])
-            else:
-                out.extend(part)
-        out.sort(key=lambda kv: (kv[0], kv[1]))
-        if early:
-            rets.sort()
-            return out, rets
-        return out
-
-    def emit_early_sessions(self, name: str, gap: float,
-                            retractable: bool) -> list:
-        """Per-epoch speculative session changelog across all shards; the
-        caller sends the epoch's applies first, so the diffs see them."""
-        self.fence()
-        blobs = ray.get(
-            [s.emit_early_sessions.remote(name, gap, retractable)
-             for s in self.shards]
-        )
-        rows = []
-        for b in blobs:
-            rows.extend(pickle.loads(b))
-        rows.sort()
-        return rows
-
-    def sweep_closed_retractable_sessions(self, name: str, watermark: float,
-                                          gap: float, early: bool = False):
-        self.fence()
-        blobs = ray.get(
-            [s.sweep_closed_retractable_sessions.remote(
-                name, watermark, gap, early)
-             for s in self.shards]
-        )
-        return self._collect_session_sweep(blobs, early)
-
-    # --------------------------------------------------------------- patterns
-    def sweep_pattern_matches(self, name: str, watermark: float,
-                              pattern: list, within: float) -> list:
-        self.fence()
-        blobs = ray.get([
-            s.sweep_pattern_matches.remote(name, watermark, list(pattern),
-                                           within)
-            for s in self.shards
-        ])
-        out = []
-        for b in blobs:
-            out.extend(pickle.loads(b))
-        out.sort(key=lambda kv: (kv[0], kv[1]))
-        return out
-
-    def apply_cc_edges(self, name: str, epoch: int, edges: list) -> list:
-        """Route the epoch's edge delta to the op's single designated shard
-        (union-find is one logical graph; see StateShard.apply_cc_edges)."""
-        self.fence()
-        sid = shard_of(name.encode(), self.num_shards)
-        blob = ray.get(self.shards[sid].apply_cc_edges.remote(
-            name, epoch, _dumps(sorted(map(tuple, edges)))))
-        return pickle.loads(blob)
 
     def apply_neardup(self, name: str, epoch: int,
                       per_bucket: dict[bytes, list], threshold: float,
@@ -1335,8 +1233,7 @@ class ShardedStateStore:
         """Scatter band-bucket offers to their shards (buckets are the
         partition unit — horizontal state like every keyed table), gather
         the emitted candidate pairs and the star-cap drop count."""
-        self.fence()
-        by_shard = self._scatter(sorted(per_bucket.items()))
+        by_shard = scatter(sorted(per_bucket.items()), self.num_shards)
         refs = [
             self.shards[sid].apply_neardup_offers.remote(
                 name, epoch, _dumps(items), threshold, cap)
@@ -1351,45 +1248,6 @@ class ShardedStateStore:
         pairs.sort()
         return pairs, drops
 
-    def apply_pagerank_edges(self, name: str, epoch: int, edges: list,
-                             damping: float, tol: float, max_iters: int,
-                             emit_tol: float) -> list:
-        """Route the epoch's ±diff edge delta to the op's designated shard
-        (one logical graph; see StateShard.apply_pagerank_edges)."""
-        self.fence()
-        sid = shard_of(name.encode(), self.num_shards)
-        blob = ray.get(self.shards[sid].apply_pagerank_edges.remote(
-            name, epoch, _dumps(sorted(map(tuple, edges))),
-            damping, tol, max_iters, emit_tol))
-        return pickle.loads(blob)
-
-    def sweep_kleene_matches(self, name: str, watermark: float, first: str,
-                             mid: str, last: str, within: float) -> list:
-        self.fence()
-        blobs = ray.get([
-            s.sweep_kleene_matches.remote(name, watermark, first, mid, last,
-                                          within)
-            for s in self.shards
-        ])
-        out = []
-        for b in blobs:
-            out.extend(pickle.loads(b))
-        out.sort(key=lambda kv: (kv[0], kv[1]))
-        return out
-
-    def sweep_absence(self, name: str, watermark: float, first: str,
-                      absent: str, within: float) -> list:
-        self.fence()
-        blobs = ray.get([
-            s.sweep_absence.remote(name, watermark, first, absent, within)
-            for s in self.shards
-        ])
-        out = []
-        for b in blobs:
-            out.extend(pickle.loads(b))
-        out.sort(key=lambda kv: (kv[0], kv[1]))
-        return out
-
     # --------------------------------------------------------------- epoch step
     def step(self, epoch: int, msgs: dict[int, list],
              snapshot: bool = False) -> dict[int, dict]:
@@ -1399,8 +1257,6 @@ class ShardedStateStore:
         ``snapshot``, whose shards then write their files into the
         checkpoint dir of ``epoch`` (reopened first); returns shard id →
         reply."""
-        if self._pending:  # the encoder session's pipelined applies
-            self.fence()
         sids = range(self.num_shards) if snapshot else sorted(msgs)
         sdir = None
         if snapshot:
@@ -1415,7 +1271,6 @@ class ShardedStateStore:
         ray.get([self.shards[sid].load.remote(blob) for sid, blob in blobs.items()])
 
     def stats(self) -> list[dict]:
-        self.fence()
         return ray.get([s.stats.remote() for s in self.shards])
 
     def shutdown(self) -> None:
@@ -1466,7 +1321,7 @@ def rescale_blobs(blobs: dict[int, bytes], new_num_shards: int) -> dict[int, byt
     accumulator exactly where the scatter will send its next delta:
 
     - ``aggs`` / ``sessions`` / ``session_points`` / ``session_early`` /
-      ``patterns``: key_bytes → ``shard_of(key, M)`` (the `_scatter` rule)
+      ``patterns``: key_bytes → ``shard_of(key, M)`` (the ``scatter`` rule)
     - ``neardup``: band-bucket bytes → ``shard_of(bucket, M)``; bucket
       member lists move whole (arrival-order semantics preserved)
     - ``windows`` (window slabs) and ``spines`` (join runs): rows re-split

@@ -1,8 +1,9 @@
 """Keyed ops send each epoch's shard work as one ``ShardedStateStore.step``
 call: one actor call per touched shard, for ``pa.Table`` and
 ``ray.data.Dataset`` inputs alike, an earlier flush when a later op reads a
-pending output or a direct store call reads the applies, checkpoints that
-never get ahead of the sinks, and per-kernel stats in ``stats()``."""
+pending output or an enrich probe reads the applies, sweeps, early session
+emissions and graph ops in the same step, checkpoints that never get ahead
+of the sinks, and per-kernel stats in ``stats()``."""
 
 import gc
 import weakref
@@ -14,6 +15,8 @@ import ray.data as rd
 
 from diffdataflowmlpipelines_ray.streaming.engine import (
     EnrichJoin,
+    IncrementalComponents,
+    IncrementalPageRank,
     KeyedAggregation,
     PatternMatch,
     SessionWindowAggregation,
@@ -116,11 +119,11 @@ def four_blocks(t: pa.Table):
 
 
 #: the sessions a kill/resume must replay: (builder, epoch inputs, the
-#: epoch's watermark).  The keyed session sweeps at close only: an early-
-#: firing session's per-epoch ``__early`` commit refuses a watermark advance
-#: under the same epoch id.
+#: epoch's watermark).  Both advance the watermark in ``process_epoch``, so
+#: the keyed session's session and pattern sweeps and early emissions run
+#: in every epoch's step.
 SESSIONS = {"windowed": (session, epoch_inputs, watermark),
-            "keyed": (keyed_session, keyed_inputs, lambda e: None)}
+            "keyed": (keyed_session, keyed_inputs, watermark)}
 
 
 def spy(sess: StreamSession) -> tuple[list, list]:
@@ -135,7 +138,7 @@ def spy(sess: StreamSession) -> tuple[list, list]:
 
     for attr, fn in vars(ShardedStateStore).items():
         if callable(fn) and not attr.startswith("_") and attr not in (
-                "step", "fence", "stats", "shutdown"):
+                "step", "stats", "shutdown"):
             bound = getattr(sess.store, attr)
             setattr(sess.store, attr,
                     lambda *a, _n=attr, _f=bound, **k: (others.append(_n),
@@ -296,6 +299,71 @@ def test_keyed_families_ride_one_route_and_step(ray_session, tmp_path):
     assert {"apply_delta", "apply_delta_changelog", "apply_upsert_retract",
             "apply_session_point_deltas",
             "apply_pattern_points"} <= set(st["kernel_s"])
+
+
+def test_early_session_watermark_in_the_same_epoch(ray_session, tmp_path):
+    """``process_epoch(e, …, watermark=w)`` on a session with an early-
+    firing session commits the rows that ``process_epoch(2e)`` followed by
+    ``advance_watermark(2e + 1, w)`` commits: the epoch's early rows and
+    its close retractions in one ``__early`` commit, with the watermark."""
+
+    def run(root, same_epoch):
+        sess = keyed_session(root, checkpoint_every=1)
+        for e in range(EPOCHS):
+            if same_epoch:
+                sess.process_epoch(e, keyed_inputs(e), watermark=watermark(e))
+            else:
+                sess.process_epoch(2 * e, keyed_inputs(e))
+                sess.advance_watermark(2 * e + 1, watermark(e))
+        sess.close(EPOCHS if same_epoch else 2 * EPOCHS)
+        return sess
+
+    def rows(sink) -> list:
+        tbl = sink.read_committed_table()
+        return canon(tbl.drop_columns(["epoch"]))
+
+    one, two = run(tmp_path / "one", True), run(tmp_path / "two", False)
+    assert set(one.sinks) == set(two.sinks)
+    for name in one.sinks:
+        assert rows(one.sinks[name]) == rows(two.sinks[name]), name
+    early = one.sinks["sess__early"]
+    assert rows(early)
+    # one commit per epoch, each with the epoch's watermark
+    assert early.committed_epochs() == list(range(EPOCHS + 1))
+    assert [early.manifest(e)["meta"]["watermark"] for e in range(EPOCHS)] \
+        == [watermark(e) for e in range(EPOCHS)]
+    # an epoch's one commit holds its early rows and its retractions
+    assert any({-1, 1} <= set(early.read_committed_table([e])["diff"]
+                              .to_pylist()) for e in range(EPOCHS))
+
+
+def test_moved_kernels_ride_the_step(ray_session, tmp_path):
+    """The early session emission, the session and pattern sweeps and the
+    graph ops run as step kernels: an epoch with a watermark makes no
+    store call but ``step``."""
+    sess = keyed_session(tmp_path / "k", checkpoint_every=1)
+    steps, others = spy(sess)
+    for e in range(3):
+        sess.process_epoch(e, keyed_inputs(e), watermark=watermark(e))
+    kernels = set(sess.stats()["store"]["kernel_s"])
+    sess.store.shutdown()
+    assert others == [] and steps
+    assert {"emit_early_sessions", "sweep_closed_retractable_sessions",
+            "sweep_pattern_matches"} <= kernels
+
+    graph = StreamSession(tmp_path / "g", num_shards=2, checkpoint_every=1)
+    graph.add(IncrementalComponents(name="cc", input="edges", lo_col="src",
+                                    hi_col="dst"))
+    graph.add(IncrementalPageRank(name="pr", input="edges"))
+    steps, others = spy(graph)
+    for e in range(3):
+        edges = pa.table({"src": [e, e + 1, 7], "dst": [e + 1, e + 2, 8]})
+        out = graph.process_epoch(e, {"edges": edges}, watermark=float(e))
+        assert out["cc"].num_rows and out["pr"].num_rows
+    kernels = set(graph.stats()["store"]["kernel_s"])
+    graph.store.shutdown()
+    assert others == [] and len(steps) == 3
+    assert {"apply_cc_edges", "apply_pagerank_edges"} <= kernels
 
 
 def test_enrich_table_epoch_publishes_a_table(ray_session, tmp_path):

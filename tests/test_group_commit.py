@@ -1,4 +1,4 @@
-"""Group-commit (sync_every) sink semantics + pipelined encoder state.
+"""Group-commit (sync_every) sink semantics, and the encoder session on it.
 
 The durability contract under test (sink.py ExactlyOnceParquetSink
 docstring): with ``sync_every=K`` commits defer fsyncs to one barrier per K
@@ -117,13 +117,9 @@ def test_sync_every_one_unchanged(tmp_path):
     assert sink.committed_epochs() == [0, 1, 2]
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"sync_every": 8, "pipeline_state": True, "checkpoint_every": 10},
-    {"pipeline_state": True},
-])
-def test_session_pipelined_state_equivalence(tmp_path, ray_session, kwargs):
-    """pipeline_state + group commit produce byte-identical encoded output
-    to the default blocking/durable configuration."""
+def test_session_group_commit_matches_default(tmp_path, ray_session):
+    """Group commit with sparse checkpoints produces byte-identical encoded
+    output to the default durable configuration."""
     rng = np.random.default_rng(7)
     epochs = []
     for e in range(12):
@@ -134,14 +130,15 @@ def test_session_pipelined_state_equivalence(tmp_path, ray_session, kwargs):
             "x": rng.normal(0.0, 2.0, n),
         }))
     outs = {}
-    for label, kw in (("base", {}), ("piped", kwargs)):
+    for label, kw in (("base", {}),
+                      ("group", {"sync_every": 8, "checkpoint_every": 10})):
         sess = IncrementalEncoderSession(
             [("cat", OrdinalEncoder()), ("x", StandardScaler())],
             tmp_path / label, num_shards=1, **kw)
         outs[label] = [sess.process_epoch(e, t)
                        for e, t in enumerate(epochs)]
         sess.close()
-    for a, b in zip(outs["base"], outs["piped"]):
+    for a, b in zip(outs["base"], outs["group"]):
         assert a.equals(b)
 
 
@@ -160,13 +157,13 @@ def test_session_group_commit_resume(tmp_path, ray_session):
     epochs = [mk(e) for e in range(9)]
     root = tmp_path / "sess"
     sess = IncrementalEncoderSession(cfg, root, num_shards=1, sync_every=4,
-                                     pipeline_state=True, checkpoint_every=2)
+                                     checkpoint_every=2)
     for e in range(6):
         sess.process_epoch(e, epochs[e])
     sess.store.shutdown()  # crash: no close(), no final barrier
 
     sess2 = IncrementalEncoderSession(cfg, root, num_shards=1, sync_every=4,
-                                      pipeline_state=True, checkpoint_every=2)
+                                      checkpoint_every=2)
     start = sess2.resume()
     assert start >= 1
     for e in range(start, 9):

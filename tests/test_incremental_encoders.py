@@ -15,7 +15,11 @@ from diffdataflowmlpipelines_ray.sources.tokenized import (
     epoch_tables,
     tokenized_dataset,
 )
-from diffdataflowmlpipelines_ray.stages.encoders import OneHotEncoder, StandardScaler
+from diffdataflowmlpipelines_ray.stages.encoders import (
+    OneHotEncoder,
+    OrdinalEncoder,
+    StandardScaler,
+)
 from diffdataflowmlpipelines_ray.streaming.encoders import IncrementalEncoderSession
 
 SF = "/root/testdata/sf0.001"
@@ -404,6 +408,81 @@ class TestCrashMatrix:
         assert s2.mce.config[0][1].mean_ == pytest.approx(ref.mean_)
         assert s2.mce.config[0][1].scale_ == pytest.approx(ref.scale_)
         s2.close()
+
+
+class TestOneStepPerEpoch:
+    """The fit apply and the due snapshot ride one ``store.step`` per
+    epoch, before the encode; the checkpoint's ``DONE`` follows the
+    sinks."""
+
+    CONFIG = [("cat", OrdinalEncoder()), ("x", StandardScaler())]
+
+    @staticmethod
+    def epochs(n: int = 5) -> list:
+        rng = np.random.default_rng(11)
+        return [pa.table({
+            "row_id": np.arange(e * 100, e * 100 + 30),
+            "cat": np.array([str(int(v)) for v in rng.integers(0, 6, 30)]),
+            "x": rng.normal(0.0, 3.0, 30)}) for e in range(n)]
+
+    def test_one_store_call_per_epoch(self, ray_session, tmp_path):
+        from diffdataflowmlpipelines_ray.streaming.state_store import (
+            ShardedStateStore,
+        )
+
+        sess = IncrementalEncoderSession(self.CONFIG, tmp_path / "s",
+                                         num_shards=2)
+        calls = []
+        for attr, fn in vars(ShardedStateStore).items():
+            if callable(fn) and not attr.startswith("_"):
+                bound = getattr(sess.store, attr)
+                setattr(sess.store, attr,
+                        lambda *a, _n=attr, _f=bound, **k: (calls.append(_n),
+                                                            _f(*a, **k))[1])
+        for e, t in enumerate(self.epochs()):
+            calls.clear()
+            sess.process_epoch(e, t)
+            assert calls == ["step"], e
+        sess.close()
+
+    def test_crash_after_snapshot_before_sinks(self, ray_session, tmp_path):
+        """A crash after the epoch's snapshot files are written but before
+        its sinks commit resumes from the previous ``DONE`` to the sink
+        contents of a clean run."""
+        epochs, crash_at = self.epochs(), 2
+        root = tmp_path / "crash"
+        s1 = IncrementalEncoderSession(self.CONFIG, root, num_shards=2)
+        commit = s1.sink.commit_tables
+
+        def failing(epoch, *a, **k):
+            if epoch == crash_at:
+                raise OSError("crash before the sink commit")
+            return commit(epoch, *a, **k)
+        s1.sink.commit_tables = failing
+        with pytest.raises(OSError):
+            for e, t in enumerate(epochs):
+                s1.process_epoch(e, t)
+        s1.store.shutdown()
+        # the crashed epoch's snapshot files are there, its DONE is not
+        snap = s1.chk.epoch_dir(crash_at)
+        assert sorted(p.name for p in snap.iterdir()) == ["shard-0000.bin",
+                                                          "shard-0001.bin"]
+
+        s2 = IncrementalEncoderSession(self.CONFIG, root, num_shards=2)
+        assert s2.resume() == crash_at
+        for e in range(crash_at, len(epochs)):
+            s2.process_epoch(e, epochs[e])
+        clean = IncrementalEncoderSession(self.CONFIG, tmp_path / "clean",
+                                          num_shards=2)
+        for e, t in enumerate(epochs):
+            clean.process_epoch(e, t)
+        for name in ("sink", "input_archive"):
+            got = getattr(s2, name).read_committed_table()
+            want = getattr(clean, name).read_committed_table()
+            assert got.sort_by("row_id").equals(want.sort_by("row_id")), name
+        assert s2.chk.latest() == clean.chk.latest() == len(epochs) - 1
+        s2.close()
+        clean.close()
 
 
 class TestStreamingSlotSemantics:

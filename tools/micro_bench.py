@@ -95,18 +95,16 @@ def main():
         ("durable", {}),
         ("durable_amortized", {"checkpoint_every": 10}),
         # group commit: fsync ON, one barrier + durable watermark per 8
-        # epochs (verify-on-open drops any torn suffix), pipelined state
-        # writes — the sub-3ms durable path (sink.py sync_every docs)
-        ("durable_group", {"checkpoint_every": 10, "sync_every": 8,
-                           "pipeline_state": True}),
+        # epochs (verify-on-open drops any torn suffix) — the sub-3ms
+        # durable path (sink.py sync_every docs)
+        ("durable_group", {"checkpoint_every": 10, "sync_every": 8}),
         # durable output + durable UPSTREAM (archive_input=False: replay
         # re-reads the source, the production config for parquet/log
         # sources) — fsync stays ON
         ("durable_group_src", {"checkpoint_every": 10, "sync_every": 8,
-                               "pipeline_state": True,
                                "archive_input": False}),
         ("relaxed", {"checkpoint_every": 0, "archive_input": False,
-                     "fsync": False, "pipeline_state": True}),
+                     "fsync": False}),
     ):
         root2 = tempfile.mkdtemp(prefix="micro-ord-", dir="/tmp")
         sess2 = IncrementalEncoderSession([("cat", OrdinalEncoder())], root2,
