@@ -50,22 +50,32 @@ def token_features_table(tbl: pa.Table, n_buckets: int = 64) -> pa.Table:
     n = len(tbl)
     lengths = np.diff(offsets)
     row_ids = np.repeat(np.arange(n), lengths)
+    # a power of two masks instead of dividing: in two's complement
+    # ``x & (n - 1)`` is the floor modulo, negative ids included
+    if n_buckets & (n_buckets - 1) == 0:
+        bucket = flat & (n_buckets - 1)
+    else:
+        bucket = flat % n_buckets
     # float32: bucket counts are small integers (exact < 2^24) and the
     # buckets column dominates sink bytes — half-width halves the write
-    dense = np.bincount(row_ids * n_buckets + flat % n_buckets,
+    dense = np.bincount(row_ids * n_buckets + bucket,
                         minlength=n * n_buckets).astype(np.float32)
     # rolling hash: h = (h ^ t) * prime per token, segmented per row; rows
     # are independent, so vectorize over the *position within row*: iterate
-    # max_len times over columns of the ragged matrix
+    # max_len times over columns of the ragged matrix.  With the rows sorted
+    # longest first, the rows still live at position j are a prefix h[:c]
     fp = np.full(n, _FNV_OFFSET, dtype=np.uint64)
     if flat.size:
-        max_len = int(lengths.max())
-        tok_u64 = flat.astype(np.uint64)
-        starts = offsets[:-1]
-        for j in range(max_len):
-            live = lengths > j
-            idx = starts[live] + j
-            fp[live] = (fp[live] ^ tok_u64[idx]) * _FNV_PRIME
+        order = np.argsort(-lengths, kind="stable")
+        by_len = lengths[order]
+        starts = offsets[:-1][order]
+        tok_u64 = flat.view(np.uint64)  # wraps like astype, no copy
+        # live[j] = rows longer than j (by_len descends)
+        live = np.searchsorted(-by_len, -np.arange(int(by_len[0])), side="left")
+        h = fp.copy()
+        for j, c in enumerate(live.tolist()):
+            h[:c] = (h[:c] ^ tok_u64[starts[:c] + j]) * _FNV_PRIME
+        fp[order] = h
     offs = pa.array(np.arange(0, (n + 1) * n_buckets, n_buckets,
                               dtype=np.int32))
     buckets_col = pa.ListArray.from_arrays(offs, pa.array(dense))

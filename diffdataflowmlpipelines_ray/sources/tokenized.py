@@ -15,8 +15,8 @@ the per-row invariant the driver checks is token-array equality.
 ``tokenized_dataset`` runs eagerly, as one plain Ray task per block (the
 rule ``streaming/exchange.py`` follows for every epoch kernel), never as a
 Ray Data execution: each task tokenizes one contiguous row range of the
-file, and the result is a ``MaterializedDataset`` whose blocks are in file
-row order on every call.
+file and reports its block's metadata too, and the result is a
+``MaterializedDataset`` whose blocks are in file row order on every call.
 
 Also provides the micro-batch (epoch) splitter: a deterministic partition of
 a Dataset/table into K epochs by row position — the reference's
@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.data._internal.util import get_table_block_metadata_schema
 
 from ..functions.hashing import fast_hash64_array
 from ..functions.tokenize import tokenize_column
@@ -72,13 +73,14 @@ def derive_tokenized(tbl: pa.Table, vocab_size: int = VOCAB_SIZE) -> pa.Table:
 _ROWS_PER_TASK = 49152
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _tokenize_range(path: str, groups: list[int], offset: int, length: int,
                     vocab_size: int, replicate: int,
-                    hot_source_frac: float | None) -> pa.Table:
+                    hot_source_frac: float | None):
     """One block: rows ``[offset, offset + length)`` of the row groups
     ``groups`` (offset counted from the first of them), tokenized, tiled
-    ``replicate`` times, with the hot ``source`` rewrite."""
+    ``replicate`` times, with the hot ``source`` rewrite.  Returns the
+    block and its Ray Data metadata (``_materialized``)."""
     tbl = pq.ParquetFile(path).read_row_groups(
         groups, columns=["doc_id", "text", "source"]).slice(offset, length)
     # tokenize FIRST, then tile the tokenized rows: the string
@@ -106,7 +108,26 @@ def _tokenize_range(path: str, groups: list[int], offset: int, length: int,
         src = pc.if_else(hot, pa.scalar("web"), tok["source"])
         tok = tok.set_column(
             tok.schema.get_field_index("source"), "source", src)
-    return tok
+    return tok, get_table_block_metadata_schema(tok)
+
+
+def _materialized(blocks: list, metas: list):
+    """``ray.data.from_arrow_refs(blocks)`` minus its metadata task.
+
+    ``from_arrow_refs`` runs one more task per block that fetches the block
+    again only to compute this metadata; ``_tokenize_range`` already returns
+    it beside the block, so this builds the same plan from it."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow(blocks, metas), plan._context))
 
 
 def tokenized_dataset(sf_dir: str, vocab_size: int = VOCAB_SIZE,
@@ -122,8 +143,9 @@ def tokenized_dataset(sf_dir: str, vocab_size: int = VOCAB_SIZE,
     ceil(rows × replicate / 49152))`` of them, so a block holds about 48k
     rows after replication, and ``parallelism`` fans a small file out
     across the cluster.  Every caller reads all of it, so running eagerly
-    gives up no laziness, and ``.materialize()`` on the result runs
-    nothing.
+    gives up no laziness.  ``.materialize()`` on the result runs no task,
+    but it is not free: Ray Data deep-copies the plan and registers two
+    Datasets with its stats actor (a few ms of driver and actor CPU).
 
     ``replicate`` synthesizes an N×-larger corpus (distinct doc_ids per copy,
     identical token arrays — deterministic) for throughput benchmarking;
@@ -153,7 +175,8 @@ def tokenized_dataset(sf_dir: str, vocab_size: int = VOCAB_SIZE,
         refs.append(_tokenize_range.remote(
             path, list(range(g0, g1)), a - int(group_start[g0]), b - a,
             vocab_size, replicate, hot_source_frac))
-    return ray.data.from_arrow_refs(refs)
+    blocks, metas = zip(*refs)
+    return _materialized(list(blocks), ray.get(list(metas)))
 
 
 def epoch_tables(tbl: pa.Table, n_epochs: int) -> list[pa.Table]:

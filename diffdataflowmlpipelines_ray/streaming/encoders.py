@@ -20,10 +20,11 @@ Epoch execution: one code path, two module-level block kernels —
 ``ray.data.Dataset`` epoch executes its upstream exactly once and runs each
 kernel as one Ray task per block through the block runner shared with
 ``StreamSession`` (``exchange.block_refs`` / ``exchange.run_blocks``): the
-kernel closure goes to the object store once per epoch and every block
-task reads it.  Partials tasks also archive their input block
-(``archive_input``); encode tasks write their output part straight into
-the sink's epoch directory (``write_epoch_part``).
+kernel closure goes to the object store once per epoch when two or more
+block tasks read it, and inline in the task otherwise.  Partials tasks
+also archive their input block (``archive_input``); encode tasks write
+their output part straight into the sink's epoch directory
+(``write_epoch_part``).
 The driver merges the partials in block order — the Dataset's own order,
 fixed for a materialized Dataset, so its fitted state is bit-reproducible —
 and commits the workers' parts with ``commit_files``.  An epoch thus costs

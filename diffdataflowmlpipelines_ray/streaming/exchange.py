@@ -20,8 +20,10 @@ plain Ray tasks over those blocks, never as Ray Data executions:
   The driver only sums the summaries and commits the parts.
 
 An epoch thus costs one task per block plus, in ``shard_exchange``, one per
-touched shard, and each kernel closure goes to the object store once per
-epoch.
+touched shard.  A kernel, route or reduce closure goes to the object store
+once per epoch only when two or more tasks read it (``_shared``); one read
+by a single task travels in that task's spec, which is cheaper than a put
+plus a fetch (Ray still puts a large spec argument itself).
 
 The flagship source (``sources/tokenized.py``) follows the same rule: one
 plain task per block, no Ray Data execution.
@@ -96,6 +98,12 @@ def blocks_to_table(blocks: list) -> pa.Table:
     return tables[0] if tables else pa.table({})
 
 
+def _shared(fn: Callable, readers: int):
+    """``fn`` as the tasks' argument: put once when ``readers`` tasks read
+    it, inline in the one task's spec otherwise."""
+    return ray.put(fn) if readers > 1 else fn
+
+
 @ray.remote
 def _run_block(kernel, block, tag: str):
     return kernel(_arrow(block), tag)
@@ -103,8 +111,9 @@ def _run_block(kernel, block, tag: str):
 
 def run_blocks(kernel: Callable[[pa.Table, str], Any], blocks: list) -> list:
     """Run ``kernel(block, tag)`` as one task per block, results in block
-    order; ``tag`` is the block's zero-padded index."""
-    ref = ray.put(kernel)
+    order; ``tag`` is the block's zero-padded index.  ``kernel`` goes to
+    the object store only when there are two or more blocks."""
+    ref = _shared(kernel, len(blocks))
     return ray.get([_run_block.remote(ref, b, f"{i:05d}")
                     for i, b in enumerate(blocks)])
 
@@ -131,7 +140,7 @@ def route_blocks(routes: list[tuple[Callable, list]],
     object refs of its objects in input-then-block order."""
     routed = []
     for route, blocks in routes:
-        ref = ray.put(route)
+        ref = _shared(route, len(blocks))
         routed += [_route_block.options(num_returns=num_shards + 1)
                    .remote(ref, b, num_shards) for b in blocks]
     heads = ray.get([r[-1] for r in routed])
@@ -153,7 +162,7 @@ def shard_exchange(routes: list[tuple[Callable, list]],
     Returns the summed route summaries and the reduce results in shard
     order."""
     summary, by_shard = route_blocks(routes, num_shards)
-    ref = ray.put(reduce)
+    ref = _shared(reduce, len(by_shard))
     results = ray.get([_reduce_shard.remote(ref, s, *by_shard[s])
                        for s in sorted(by_shard)])
     return summary, results

@@ -7,6 +7,7 @@ import math
 
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from diffdataflowmlpipelines_ray.streaming.exchange import (
@@ -14,6 +15,7 @@ from diffdataflowmlpipelines_ray.streaming.exchange import (
     block_refs,
     blocks_to_table,
     combine,
+    route_blocks,
     run_blocks,
     shard_exchange,
 )
@@ -82,6 +84,45 @@ def test_run_blocks_keeps_block_order_and_tags(ray_session):
 
     assert run_blocks(kernel, blocks) == [("00000", 4, 0), ("00001", 1, 4),
                                           ("00002", 4, 5)]
+
+
+@pytest.fixture
+def count_puts(monkeypatch):
+    """The number of ``ray.put`` calls made since the fixture started."""
+    calls = []
+    put = ray.put
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return put(*args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_blocks, puts", [(1, 0), (3, 1)])
+def test_a_closure_is_put_only_when_several_tasks_read_it(
+        ray_session, count_puts, n_blocks, puts):
+    tables = [_tbl(0, 4), _tbl(4, 5), _tbl(5, 9)][:n_blocks]
+    blocks = block_refs(rd.from_arrow(tables))
+    count_puts.clear()
+
+    def kernel(block, tag):
+        return tag, block.column("k").to_pylist()
+
+    assert run_blocks(kernel, blocks) == [
+        (f"{i:05d}", t.column("k").to_pylist()) for i, t in enumerate(tables)]
+    assert len(count_puts) == puts
+
+    count_puts.clear()
+    summary, by_shard = route_blocks([(_mod_route(2), blocks)], 2)
+    assert len(count_puts) == puts
+    assert sorted(summary.entries) == sorted(
+        f"b{t.column('k')[0].as_py()}" for t in tables)
+    got = {s: [k for obj in ray.get(refs) for k in obj]
+           for s, refs in by_shard.items()}
+    keys = [k for t in tables for k in t.column("k").to_pylist()]
+    assert got == {s: [k for k in keys if k % 2 == s] for s in (0, 1)}
 
 
 def _mod_route(num_shards, late_below=None):

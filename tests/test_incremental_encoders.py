@@ -131,6 +131,48 @@ class TestTokenizedSource:
             assert got == want
 
 
+    def test_no_metadata_task_same_dataset(self, ray_session, monkeypatch):
+        """The blocks' metadata comes back from the tokenize tasks: the
+        result never calls ``from_arrow_refs`` and matches what it builds."""
+        import pyarrow.parquet as pq
+        import ray
+        import ray.data
+
+        from diffdataflowmlpipelines_ray.sources.tokenized import epoch_datasets
+
+        want = derive_tokenized(pq.read_table(f"{SF}/documents.parquet"))
+        from_arrow_refs = ray.data.from_arrow_refs
+
+        def refuse(refs):
+            raise AssertionError("from_arrow_refs called")
+
+        monkeypatch.setattr(ray.data, "from_arrow_refs", refuse)
+        ds = tokenized_dataset(SF, parallelism=3)
+        monkeypatch.undo()
+
+        def metas(d):
+            return [(m.num_rows, m.size_bytes, bundle.schema)
+                    for bundle in d.iter_internal_ref_bundles()
+                    for _, m in bundle.blocks]
+
+        refs = ds.to_arrow_refs()
+        assert metas(ds) == metas(from_arrow_refs(refs))
+        assert [n for n, _, _ in metas(ds)] == [167, 167, 166]
+
+        def rows(d):
+            return pa.concat_tables(ray.get(d.to_arrow_refs()))
+
+        mat = ds.materialize()
+        assert rows(mat).equals(want)
+        assert ds.count() == mat.count() == 500
+        assert ds.schema() == mat.schema()
+        assert ds.schema().base_schema == want.schema
+        splits = epoch_datasets(mat, 3)
+        assert [d.count() for d in splits] == [
+            d.count() for d in epoch_datasets(from_arrow_refs(refs), 3)]
+        assert pa.concat_tables([rows(d) for d in splits]).equals(want)
+
+
 class TestIncrementalEncoderSession:
     def test_epochs_converge_to_batch(self, ray_session, tmp_path):
         """Final-state refresh == single-batch fit_transform (DD convergence)."""
@@ -249,21 +291,36 @@ class TestTokenFeaturesKernel:
             fp.append(h - 2**64 if h >= 2**63 else h)
         return dense, fp
 
-    @pytest.mark.parametrize("n_buckets", [1, 8, 64])
-    @pytest.mark.parametrize("n_rows", [0, 1, 7, 300])
-    def test_matches_add_at_reference(self, n_buckets, n_rows):
-        rng = np.random.default_rng(n_rows * 100 + n_buckets)
-        lengths = rng.integers(0, 40, n_rows) * (rng.random(n_rows) > 0.2)
-        rows = [rng.integers(-2**31, 2**31, k).tolist() for k in lengths]
+    def _check(self, rows: list, n_buckets: int):
         tbl = pa.table({"tokens": pa.array(rows, type=pa.list_(pa.int32()))})
         out = token_features_table(tbl, n_buckets)
         dense, fp = self._reference(rows, n_buckets)
         buckets = out["tok_buckets"].combine_chunks()
         assert buckets.type == pa.list_(pa.float32())
-        got = buckets.flatten().to_numpy().reshape(n_rows, n_buckets)
+        got = buckets.flatten().to_numpy().reshape(len(rows), n_buckets)
         assert got.tobytes() == dense.tobytes()
         assert out["fingerprint"].type == pa.int64()
         assert out["fingerprint"].to_pylist() == fp
+
+    # 10 takes the modulo branch, the powers of two the mask
+    @pytest.mark.parametrize("n_buckets", [1, 8, 10, 64])
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 300])
+    def test_matches_add_at_reference(self, n_buckets, n_rows):
+        rng = np.random.default_rng(n_rows * 100 + n_buckets)
+        lengths = rng.integers(0, 40, n_rows) * (rng.random(n_rows) > 0.2)
+        self._check([rng.integers(-2**31, 2**31, k).tolist() for k in lengths],
+                    n_buckets)
+
+    @pytest.mark.parametrize("n_buckets", [8, 10])
+    def test_equal_and_zero_length_rows(self, n_buckets):
+        # ties in the length sort, empty rows between long ones, and rows
+        # that are all empty
+        rng = np.random.default_rng(n_buckets)
+        lengths = [5, 0, 5, 5, 0, 1, 5, 0, 1]
+        rows = [rng.integers(-2**31, 2**31, k).tolist() for k in lengths]
+        self._check(rows, n_buckets)
+        self._check([[], [], []], n_buckets)
+        self._check([[-1, -2**31, 2**31 - 1]] * 4, n_buckets)
 
 
 class TestEpochAggsEmptyEpoch:
